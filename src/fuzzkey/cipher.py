@@ -197,7 +197,10 @@ def parse_selection(data: bytes) -> tuple[tuple[int, str, float], ...]:
     """Inverse of :func:`serialize_selection`: (rank, name, score) rows."""
     if data == b"":
         return ()
-    text = data.decode("ascii")
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"serialized selection is not ASCII (byte {exc.start})") from None
     if not text.endswith("\n"):
         raise DataFormatError("serialized selection must end with a line feed")
     rows = []
@@ -205,5 +208,8 @@ def parse_selection(data: bytes) -> tuple[tuple[int, str, float], ...]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataFormatError(f"expected rank<TAB>name<TAB>score, got {line!r}")
-        rows.append((int(parts[0]), parts[1], float(parts[2])))
+        try:
+            rows.append((int(parts[0]), parts[1], float(parts[2])))
+        except ValueError:
+            raise DataFormatError(f"bad rank or score in {line!r}") from None
     return tuple(rows)

@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .cipher import CipherEnvelope, CipherKey, open_envelope, seal
+from .cipher import MODE_LETTERS, CipherEnvelope, CipherKey, open_envelope, seal
 from .errors import (
     ConfigurationError,
     DataFormatError,
@@ -30,7 +30,7 @@ from .errors import (
     InvalidKeyError,
 )
 from .fuzzy import defuzzify_centroid, evaluate_rules, fuzzify
-from .network import DynamicFuzzyNetwork
+from .network import cost
 from .pipeline import PipelineConfig, analyze, load_config_file, render_report
 
 KEY_FILE_ENV = "FUZZKEY_KEY_FILE"
@@ -171,6 +171,10 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
+    if cfg.cipher_mode == MODE_LETTERS:
+        # Serialized selections always hold digits and tabs, which letters
+        # mode cannot encrypt; fail before any work is done.
+        raise ConfigurationError("pipeline cannot use the letters cipher; use byte")
     key = _load_key(cfg.cipher_mode)
     outcome = analyze(args.dataset, cfg, jobs=args.jobs, drop_incomplete_rows=args.drop_incomplete_rows)
     envelope = seal(outcome.selection_bytes(), key, with_tag=cfg.tag)
@@ -236,13 +240,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     if args.features < 1:
         raise ConfigurationError(f"--features must be positive, got {args.features}")
-    net = DynamicFuzzyNetwork(args.features, cfg.sets, cfg.layers)
-    _, _, stats = net.propagate([0.0] * args.features)
+    stats = cost(args.features, cfg.sets, cfg.layers)
     payload = (
         f"features = {args.features}\n"
         f"sets = {cfg.sets}\n"
         f"layers = {cfg.layers}\n"
-        f"fuzzy_width = {net.fuzzy_width}\n"
+        f"fuzzy_width = {stats.mf_evals}\n"
         f"mf_evals = {stats.mf_evals}\n"
         f"hidden_ops = {stats.hidden_ops}\n"
     )

@@ -100,7 +100,10 @@ def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
     is set, in which case the whole row is skipped.  Row and column numbers
     in diagnostics are 1-based; the header is row 1.
     """
-    text = Path(path).read_bytes().decode("utf-8")
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

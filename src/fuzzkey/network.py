@@ -6,6 +6,10 @@ Weights are deterministic 1/(fan-in), so each layer computes the mean of its
 inputs; they stay settable for experimentation but are never trained.
 Propagation is read-only; the structural edit methods mutate the network and
 require exclusive access.
+
+The shape alone fixes the operation counters: :func:`cost` computes them in
+closed form, and :meth:`DynamicFuzzyNetwork.propagate`, which counts them as
+it runs, is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -32,6 +36,36 @@ class PropagationStats:
 
     mf_evals: int = 0
     hidden_ops: int = 0
+
+
+def _check_shape(n_features: int, n_sets: int, n_layers: int) -> None:
+    if not isinstance(n_features, int) or n_features < 1:
+        raise ConfigurationError(f"need at least 1 feature, got {n_features!r}")
+    if not isinstance(n_sets, int) or n_sets < 2:
+        raise ConfigurationError(f"need at least 2 fuzzy sets per feature, got {n_sets!r}")
+    if not isinstance(n_layers, int) or n_layers < MIN_LAYERS:
+        raise ConfigurationError(f"need at least {MIN_LAYERS} layers, got {n_layers!r}")
+
+
+def layer_widths(n_features: int, n_sets: int, n_layers: int) -> list[int]:
+    """Node counts from the fuzzy layer down to the single output node."""
+    return [n_sets * n_features] + [n_features] * (n_layers - 3) + [1]
+
+
+def cost(n_features: int, n_sets: int, n_layers: int, passes: int = 1) -> PropagationStats:
+    """Counters of ``passes`` forward passes, computed from the shape alone.
+
+    Equals what :meth:`DynamicFuzzyNetwork.propagate` counts, one membership
+    evaluation per fuzzy node and one multiply-accumulate per weight entry,
+    without building the network: ``mf_evals = S*F`` and
+    ``hidden_ops = S*F**2 + (L-4)*F**2 + F`` per pass.
+    """
+    _check_shape(n_features, n_sets, n_layers)
+    widths = layer_widths(n_features, n_sets, n_layers)
+    return PropagationStats(
+        mf_evals=passes * widths[0],
+        hidden_ops=passes * sum(cols * rows for cols, rows in zip(widths, widths[1:])),
+    )
 
 
 class PatternRegistry:
@@ -69,12 +103,7 @@ class DynamicFuzzyNetwork:
     """
 
     def __init__(self, n_features: int, n_sets: int = 3, n_layers: int = MIN_LAYERS) -> None:
-        if not isinstance(n_features, int) or n_features < 1:
-            raise ConfigurationError(f"need at least 1 feature, got {n_features!r}")
-        if not isinstance(n_sets, int) or n_sets < 2:
-            raise ConfigurationError(f"need at least 2 fuzzy sets per feature, got {n_sets!r}")
-        if not isinstance(n_layers, int) or n_layers < MIN_LAYERS:
-            raise ConfigurationError(f"need at least {MIN_LAYERS} layers, got {n_layers!r}")
+        _check_shape(n_features, n_sets, n_layers)
         self.n_sets = n_sets
         self.n_layers = n_layers
         self.partitions = [make_uniform_partition(n_sets) for _ in range(n_features)]
@@ -94,7 +123,7 @@ class DynamicFuzzyNetwork:
         return self.n_layers - 3
 
     def _rebuild_weights(self) -> None:
-        widths = [self.fuzzy_width] + [self.n_features] * self.n_hidden_layers + [1]
+        widths = layer_widths(self.n_features, self.n_sets, self.n_layers)
         self.weights = [
             np.full((rows, cols), 1.0 / cols) for cols, rows in zip(widths, widths[1:])
         ]
@@ -129,8 +158,7 @@ class DynamicFuzzyNetwork:
         The first weight layer is rebuilt for the new fuzzy width and the
         registry is cleared: old signatures are no longer comparable.
         """
-        if not isinstance(n_sets, int) or n_sets < 2:
-            raise ConfigurationError(f"need at least 2 fuzzy sets per feature, got {n_sets!r}")
+        _check_shape(self.n_features, n_sets, self.n_layers)
         self.n_sets = n_sets
         self.partitions = [make_uniform_partition(n_sets) for _ in range(self.n_features)]
         self._rebuild_weights()

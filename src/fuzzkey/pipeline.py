@@ -16,7 +16,7 @@ from . import cipher as cipher_mod
 from .errors import ConfigurationError
 from .fuzzy import DefuzzConfig, FuzzyPartition, RuleBase, make_uniform_partition
 from .ingest import Dataset, NormalizedDataset, load_table, normalize
-from .network import DynamicFuzzyNetwork, PropagationStats
+from .network import PropagationStats, cost
 from .selection import (
     MODE_INFERENCE,
     MODE_SUM,
@@ -213,18 +213,12 @@ def analyze(
     else:
         result = select_threshold(scores, cfg.tau)
 
-    net = DynamicFuzzyNetwork(dataset.n_features, cfg.sets, cfg.layers)
-    totals = PropagationStats()
-    for row in normalized.rows:
-        _, _, stats = net.propagate(row)
-        totals.mf_evals += stats.mf_evals
-        totals.hidden_ops += stats.hidden_ops
     return PipelineOutcome(
         dataset=dataset,
         normalized=normalized,
         scores=scores,
         result=result,
-        stats=totals,
+        stats=cost(dataset.n_features, cfg.sets, cfg.layers, normalized.n_rows),
         propagations=normalized.n_rows,
     )
 

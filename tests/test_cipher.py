@@ -230,3 +230,12 @@ class TestSerializeSelection:
     def test_parse_requires_final_newline(self):
         with pytest.raises(DataFormatError):
             parse_selection(b"0\ttemp\t0.5")
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"x\tname\t0.5\n", b"0\tname\thigh\n", b"0\tn\xe4me\t0.5\n"],
+        ids=["rank", "score", "non-ascii"],
+    )
+    def test_parse_rejects_malformed_rows(self, data):
+        with pytest.raises(DataFormatError):
+            parse_selection(data)

@@ -24,6 +24,11 @@ def run_cli(args, env_extra=None, cwd=None):
     )
 
 
+def assert_one_error_line(proc):
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fuzzkey: ")
+
+
 @pytest.fixture
 def toy_csv(tmp_path):
     path = tmp_path / "toy.csv"
@@ -58,11 +63,15 @@ class TestSelect:
         assert proc.stderr.decode().startswith("fuzzkey: ")
         assert proc.stdout == b""
 
-    def test_bad_csv_exits_3(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content", [b"a,b\n1\n", b"a,b\n1,\xff\n"], ids=["short-row", "non-utf8"]
+    )
+    def test_bad_csv_exits_3(self, tmp_path, content):
         bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1\n")
+        bad.write_bytes(content)
         proc = run_cli(["select", str(bad), "--k", "1"])
         assert proc.returncode == 3
+        assert_one_error_line(proc)
 
     def test_bad_config_value_exits_4(self, toy_csv):
         proc = run_cli(["select", str(toy_csv), "--sets", "1"])
@@ -174,6 +183,24 @@ class TestPipeline:
         block = report.split("[selected]\n", 1)[1].split("[stats]", 1)[0]
         assert plain.decode() == block
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_letters_cipher_exits_4_before_any_work(self, toy_csv, tmp_path, via):
+        key_path = tmp_path / "key.txt"
+        key_path.write_bytes(b"SECRET")
+        env_file = tmp_path / "sel.fzk"
+        args = ["pipeline", str(toy_csv), "--k", "2", "--output", str(env_file)]
+        if via == "flag":
+            args += ["--cipher", "letters"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("cipher = letters\n")
+            args += ["--config", str(cfg)]
+        proc = run_cli(args, {"FUZZKEY_KEY_FILE": str(key_path)})
+        assert proc.returncode == 4
+        assert_one_error_line(proc)
+        assert b"letters" in proc.stderr
+        assert not env_file.exists()
+
 
 class TestMembership:
     def test_sweep_rows_sum_to_one(self):
@@ -205,3 +232,10 @@ class TestStats:
         out = proc.stdout.decode()
         assert "mf_evals = 12" in out
         assert "hidden_ops = 52" in out
+
+    def test_large_feature_count_needs_no_network(self):
+        proc = run_cli(["stats", "--features", "100000"])
+        assert proc.returncode == 0
+        out = proc.stdout.decode()
+        assert "mf_evals = 300000\n" in out
+        assert "hidden_ops = 30000100000\n" in out

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzkey import ConfigurationError, ContractViolationError, DynamicFuzzyNetwork
+from fuzzkey.network import cost
 
 
 class TestInit:
@@ -151,6 +153,39 @@ class TestStructuralUpdates:
             output, _, stats = net.propagate(x)  # must not raise
             assert stats.mf_evals == net.fuzzy_width
             assert 0.0 <= output <= 1.0
+
+
+class TestCost:
+    @given(st.integers(1, 12), st.integers(2, 7), st.integers(4, 8))
+    def test_equals_propagate_counters(self, n_features, n_sets, n_layers):
+        net = DynamicFuzzyNetwork(n_features, n_sets, n_layers)
+        _, _, stats = net.propagate([0.5] * n_features)
+        assert cost(n_features, n_sets, n_layers) == stats
+        assert stats.mf_evals == n_sets * n_features
+        assert stats.hidden_ops == (
+            n_sets * n_features**2 + (n_layers - 4) * n_features**2 + n_features
+        )
+
+    @settings(deadline=None)
+    @given(st.integers(1, 12), st.integers(2, 7), st.integers(4, 8), st.data())
+    def test_equals_propagate_counters_after_edits(self, n_features, n_sets, n_layers, data):
+        net = DynamicFuzzyNetwork(n_features, n_sets, n_layers)
+        for op in data.draw(st.lists(st.sampled_from(["sets", "add", "remove"]), max_size=8)):
+            if op == "sets":
+                net.update_membership_functions(data.draw(st.integers(2, 7)))
+            elif op == "add":
+                net.update_nodes(add=[data.draw(st.integers(0, net.n_features))])
+            elif net.n_features > 1:
+                net.update_nodes(remove=[data.draw(st.integers(0, net.n_features - 1))])
+        n = net.n_features
+        x = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        _, _, stats = net.propagate(x)
+        assert cost(net.n_features, net.n_sets, net.n_layers) == stats
+
+    @pytest.mark.parametrize("shape", [(0, 3, 4), (2, 1, 4), (2, 3, 3)])
+    def test_bad_shapes(self, shape):
+        with pytest.raises(ConfigurationError):
+            cost(*shape)
 
 
 class TestPatternRegistry:

@@ -103,9 +103,10 @@ class TestAnalyze:
     def test_stats_totals(self, csv_path):
         cfg = PipelineConfig(k=1)
         outcome = analyze(csv_path, cfg)
-        # 4 rows, 3 features, 3 sets each
+        # 4 rows, 3 features, 3 sets each, 4 layers: 3*9 + 0*9 + 3 = 30 ops per pass
         assert outcome.propagations == 4
         assert outcome.stats.mf_evals == 4 * 9
+        assert outcome.stats.hidden_ops == 4 * 30
 
     def test_constant_feature_scores_at_midpoint(self, csv_path):
         outcome = analyze(csv_path, PipelineConfig(k=3))
