@@ -42,6 +42,8 @@ EXIT_DATA = 3
 EXIT_CONFIG = 4
 EXIT_INTEGRITY = 5
 
+MAX_SWEEP_POINTS = 1_000_000
+
 
 def _add_scoring_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="flat key = value config file")
@@ -50,7 +52,9 @@ def _add_scoring_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=["inference", "sum"], help="relevance mode")
     sub.add_argument("--sets", type=int, help="fuzzy sets per feature")
     sub.add_argument("--layers", type=int, help="total network layers")
-    sub.add_argument("--jobs", type=int, default=1, help="scoring worker pool size")
+    sub.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; scoring is single-threaded"
+    )
     sub.add_argument(
         "--drop-incomplete-rows",
         action="store_true",
@@ -210,6 +214,11 @@ def _sweep_values(spec: str) -> list[float]:
         raise ConfigurationError(f"--sweep expects numbers, got {spec!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)) or step <= 0:
         raise ConfigurationError(f"--sweep needs finite bounds and a positive step, got {spec!r}")
+    # checked before any point is built; an overflowing span reads as inf
+    if (stop - start) / step >= MAX_SWEEP_POINTS:
+        raise ConfigurationError(
+            f"--sweep allows at most {MAX_SWEEP_POINTS} points, got {spec!r}"
+        )
     values = []
     i = 0
     while True:

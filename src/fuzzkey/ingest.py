@@ -4,6 +4,13 @@ Dialect: first line is the header, comma separator, LF or CRLF endings, no
 quoting (cells must not contain commas), decimal numerics with optional sign
 and exponent.  A column named exactly ``target`` is split off and carried
 along; it never influences scoring.
+
+:func:`load_table` parses rows in bulk: a data line of exactly one cell per
+column, each made of ASCII numeric characters, goes straight into a float
+array.  A line that does not fit, fails to parse or parses to a non-finite
+value goes through the per-cell reference parser, which raises the
+diagnostic or accepts the line.  Both give bit-identical values, since
+numpy parses a numeric string with ``float``.
 """
 
 from __future__ import annotations
@@ -18,6 +25,11 @@ import numpy as np
 from .errors import DataFormatError
 
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z")
+# A cell of the bulk path: characters of ASCII decimal numerics and the
+# spaces or tabs that str.strip and float both remove.  Over these characters
+# float() accepts exactly what _NUMBER_RE accepts after stripping: no
+# underscores, no inf or nan; anything else raises ValueError.
+_BULK_CELL = r"[0-9eE+\-. \t]*"
 
 TARGET_COLUMN = "target"
 
@@ -93,6 +105,23 @@ def _parse_cell(cell: str, row_number: int, column_number: int, name: str) -> fl
     return value
 
 
+def _parse_row(
+    path: str | Path, line: str, row_number: int, names: list[str], drop_incomplete_rows: bool
+) -> list[float] | None:
+    """Per-cell reference parser for one data line; ``None`` drops the line."""
+    cells = [cell.strip() for cell in line.split(",")]
+    if len(cells) != len(names):
+        raise DataFormatError(
+            f"{path}: row {row_number}: expected {len(names)} cells, got {len(cells)}"
+        )
+    if any(cell == "" for cell in cells):
+        if drop_incomplete_rows:
+            return None
+        column_number = cells.index("") + 1
+        raise DataFormatError(f"{path}: row {row_number}, column {column_number}: missing value")
+    return [_parse_cell(cell, row_number, i + 1, names[i]) for i, cell in enumerate(cells)]
+
+
 def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
     """Parse a CSV file into a :class:`Dataset`.
 
@@ -123,35 +152,39 @@ def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
     if not feature_names:
         raise DataFormatError(f"{path}: no feature columns besides {TARGET_COLUMN!r}")
 
-    rows: list[list[float]] = []
-    targets: list[float] = []
-    for offset, line in enumerate(lines[1:]):
-        row_number = offset + 2
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) != len(names):
-            raise DataFormatError(
-                f"{path}: row {row_number}: expected {len(names)} cells, got {len(cells)}"
-            )
-        if any(cell == "" for cell in cells):
-            if drop_incomplete_rows:
+    data = lines[1:]
+    table = np.empty((len(data), len(names)))
+    full_row = re.compile(_BULK_CELL + f"(?:,{_BULK_CELL}){{{len(names) - 1}}}").fullmatch
+    recheck = []
+    for i, line in enumerate(data):
+        if full_row(line):
+            try:
+                # numpy parses each str cell with float(), so values are bit-identical
+                table[i] = line.split(",")
                 continue
-            column_number = cells.index("") + 1
-            raise DataFormatError(
-                f"{path}: row {row_number}, column {column_number}: missing value"
-            )
-        parsed = [
-            _parse_cell(cell, row_number, i + 1, names[i]) for i, cell in enumerate(cells)
-        ]
-        if target_index is not None:
-            targets.append(parsed.pop(target_index))
-        rows.append(parsed)
+            except ValueError:
+                pass
+        recheck.append(i)
+    # lines are rechecked in file order, so the first bad line raises first
+    nonfinite = np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist()
+    keep = np.ones(len(data), dtype=bool)
+    for i in sorted(set(recheck).union(nonfinite)):
+        parsed = _parse_row(path, data[i], i + 2, names, drop_incomplete_rows)
+        if parsed is None:
+            keep[i] = False
+        else:
+            table[i] = parsed
+    if not keep.all():
+        table = table[keep]
 
-    if not rows:
+    if len(table) == 0:
         raise DataFormatError(f"{path}: no data rows")
+    if target_index is None:
+        return Dataset(feature_names=tuple(feature_names), rows=table)
     return Dataset(
         feature_names=tuple(feature_names),
-        rows=np.asarray(rows, dtype=float),
-        target=np.asarray(targets, dtype=float) if target_index is not None else None,
+        rows=np.delete(table, target_index, axis=1),
+        target=table[:, target_index],
     )
 
 

@@ -8,7 +8,6 @@ order or worker count, so byte-identical reruns are a hard guarantee.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -129,7 +128,11 @@ def _parse_cipher(raw: str) -> str:
 def load_config_file(path: str | Path, base: PipelineConfig | None = None) -> PipelineConfig:
     """Read a flat ``key = value`` file (``#`` comments) over ``base``."""
     cfg = base or PipelineConfig()
-    for line_number, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -184,8 +187,8 @@ def analyze(
 ) -> PipelineOutcome:
     """Run the selection pipeline on a CSV path or an in-memory dataset.
 
-    ``jobs`` bounds the per-feature scoring pool; results are byte-identical
-    for any worker count.
+    Scoring runs single-threaded, one vectorized call per feature column.
+    ``jobs`` is still validated as a positive integer but has no effect.
     """
     cfg = cfg.validated()
     if not isinstance(jobs, int) or jobs < 1:
@@ -196,17 +199,10 @@ def analyze(
     partition = cfg.partition()
     rules = cfg.rules()
     defuzz = cfg.defuzz_config()
-
-    def run_one(i: int) -> float:
-        return score_feature(normalized.column(i), partition, rules, defuzz, cfg.mode)
-
-    indices = range(dataset.n_features)
-    if jobs == 1:
-        values = [run_one(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(run_one, indices))
-    scores = [RelevanceScore(i, v, cfg.mode) for i, v in zip(indices, values)]
+    scores = [
+        RelevanceScore(i, score_feature(normalized.column(i), partition, rules, defuzz, cfg.mode), cfg.mode)
+        for i in range(dataset.n_features)
+    ]
 
     if cfg.selection_kind == "topk":
         result = select_topk(scores, cfg.k)

@@ -11,6 +11,12 @@ Two relevance definitions coexist:
 
 Ranking is deterministic: scores descend, ties break on the lower feature
 id.
+
+:func:`score_feature` scores a whole column at once with numpy.  Its result
+is bit-identical to the public scalar functions (:func:`fuzzify`,
+:func:`evaluate_rules`, :func:`defuzzify_centroid`,
+:func:`relevance_inference`, :func:`relevance_sum`), which stay the
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -19,10 +25,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ContractViolationError
 from .fuzzy import (
     DefuzzConfig,
     FuzzyPartition,
+    LEFT_SHOULDER,
+    TRIANGLE,
     MembershipVector,
     RuleBase,
     defuzzify_centroid,
@@ -82,6 +92,49 @@ def relevance_sum(mv: MembershipVector | Sequence[float]) -> float:
     return math.fsum(mv)
 
 
+def _degrees(x: np.ndarray, partition: FuzzyPartition) -> np.ndarray:
+    """Membership degrees of every value in every set, shape S x n.
+
+    Each branch is the IEEE expression :func:`eval_membership` evaluates,
+    after the same clamp into [0, 1], so every degree is bit-identical.
+    """
+    x = np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
+    rows = []
+    # a slope np.where discards may overflow where its width is subnormal
+    with np.errstate(over="ignore"):
+        for mf in partition.sets:
+            a, b, c = mf.a, mf.b, mf.c
+            if mf.kind == LEFT_SHOULDER:
+                row = np.where(x <= a, 1.0, np.where(x < c, (c - x) / (c - a), 0.0))
+            elif mf.kind == TRIANGLE:
+                inner = np.where(x < b, (x - a) / (b - a), (c - x) / (c - b))
+                row = np.where((x <= a) | (x >= c), 0.0, inner)
+            else:
+                row = np.where(x <= b, 0.0, np.where(x < c, (x - b) / (c - b), 1.0))
+            rows.append(row)
+    return np.stack(rows)
+
+
+def _column_fsums(terms: np.ndarray) -> np.ndarray:
+    """Per-column sums of ``terms`` (S x n), each equal to ``math.fsum``.
+
+    A column with at most two nonzero terms needs one correctly rounded
+    addition, so the plain sum is exact there in any order; the uniform
+    partitions never activate more than two sets.  Other columns take
+    ``math.fsum`` over their own terms.
+    """
+    sums = terms.sum(axis=0)
+    for j in np.flatnonzero(np.count_nonzero(terms, axis=0) > 2).tolist():
+        sums[j] = math.fsum(terms[:, j].tolist())
+    return sums
+
+
+def _check_finite(x: np.ndarray, first_only: bool = False) -> None:
+    bad = np.flatnonzero(~np.isfinite(x[:1] if first_only else x))
+    if bad.size:
+        raise ContractViolationError(f"expected a finite value, got {float(x[bad[0]])!r}")
+
+
 def score_feature(
     values: Sequence[float],
     partition: FuzzyPartition,
@@ -89,15 +142,53 @@ def score_feature(
     defuzz: DefuzzConfig | None = None,
     mode: str = MODE_INFERENCE,
 ) -> float:
-    """Per-feature score: mean over instances in either relevance mode."""
-    if mode == MODE_INFERENCE:
-        return relevance_inference(values, partition, rules, defuzz)
+    """Per-feature score: mean over instances in either relevance mode.
+
+    Equal bit for bit to :func:`relevance_inference` in ``inference`` mode
+    and to the ``math.fsum`` mean of :func:`relevance_sum` over fuzzified
+    values in ``sum`` mode, and raises the same errors in the same order.
+    """
+    if mode not in (MODE_INFERENCE, MODE_SUM):
+        raise ContractViolationError(f"unknown relevance mode {mode!r}")
+    if len(values) == 0:
+        raise ContractViolationError("relevance needs at least one instance value")
+    x = np.asarray(values, dtype=float)
     if mode == MODE_SUM:
-        if len(values) == 0:
-            raise ContractViolationError("relevance needs at least one instance value")
-        sums = [relevance_sum(fuzzify(float(v), partition)) for v in values]
-        return math.fsum(sums) / len(sums)
-    raise ContractViolationError(f"unknown relevance mode {mode!r}")
+        _check_finite(x)
+        per_value = _column_fsums(_degrees(x, partition))
+        return math.fsum(per_value.tolist()) / len(x)
+
+    if rules is None:
+        rules = RuleBase.identity(partition.n_sets)
+    if defuzz is None:
+        defuzz = DefuzzConfig.uniform(partition.n_sets)
+    # the scalar path fuzzifies the first value before it checks any shape
+    _check_finite(x, first_only=True)
+    if partition.n_sets != rules.size:
+        raise ContractViolationError(
+            f"membership vector has {partition.n_sets} entries but the rule base has {rules.size} rules"
+        )
+    if rules.size != len(defuzz.centers):
+        raise ContractViolationError(
+            f"activation vector has {rules.size} entries but there are {len(defuzz.centers)} centers"
+        )
+    _check_finite(x)
+
+    degrees = _degrees(x, partition)
+    activation = np.zeros_like(degrees)
+    for ant, cons in rules.mapping:
+        np.maximum(activation[cons], degrees[ant], out=activation[cons])
+    centers = np.asarray(defuzz.centers)
+    denominator = _column_fsums(activation)
+    numerator = _column_fsums(centers[:, None] * activation)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = numerator / denominator
+    # min(max(score, lo), hi) as Python evaluates it, signed zeros included
+    lo, hi = centers[0], centers[-1]
+    score = np.where(lo > score, lo, score)
+    score = np.where(hi < score, hi, score)
+    per_value = np.where(denominator == 0.0, defuzz.empty_activation_value, score)
+    return math.fsum(per_value.tolist()) / len(x)
 
 
 def score_features(

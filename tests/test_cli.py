@@ -6,11 +6,12 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+DATA = Path(__file__).resolve().parent / "data"
 
 TOY = "a,b,c\n1,9,4\n2,3,4\n3,6,4\n"
 
 
-def run_cli(args, env_extra=None, cwd=None):
+def run_cli(args, env_extra=None, cwd=None, timeout=None):
     env = os.environ.copy()
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("FUZZKEY_KEY_FILE", None)
@@ -21,6 +22,7 @@ def run_cli(args, env_extra=None, cwd=None):
         capture_output=True,
         env=env,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -86,6 +88,29 @@ class TestSelect:
         proc = run_cli(["select", str(toy_csv), "--k", "1", "--output", str(out)])
         assert proc.returncode == 0
         assert out.read_bytes().startswith(b"fuzzkey-report 1\n")
+
+    @pytest.mark.parametrize(
+        "golden, args, config",
+        [
+            ("golden_select_k2.txt", ["--k", "2"], None),
+            (
+                "golden_select_sets5_tau0.3_centers.txt",
+                ["--sets", "5", "--tau", "0.3"],
+                "centers = 0,0.1,0.3,0.9,1\n",
+            ),
+        ],
+        ids=["k2", "sets5-tau0.3-centers"],
+    )
+    def test_report_matches_golden_bytes(self, tmp_path, golden, args, config):
+        # reports print 9 decimals and ties break on feature id, so a
+        # one-ulp drift in scoring can change these bytes
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            args = args + ["--config", str(cfg)]
+        proc = run_cli(["select", str(DATA / "fixture_5x20.csv"), *args])
+        assert proc.returncode == 0
+        assert proc.stdout == (DATA / golden).read_bytes()
 
     def test_config_file_with_flag_override(self, toy_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -213,6 +238,14 @@ class TestMembership:
             values = [float(v) for v in line.split("\t")]
             assert sum(values[1:4]) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("spec", ["0:1e9:1e-9", "0:1:5e-324", "-1e308:1e308:1"])
+    def test_oversized_sweep_exits_4_before_building_points(self, spec):
+        proc = run_cli(["membership", f"--sweep={spec}"], timeout=60)
+        assert proc.returncode == 4
+        assert_one_error_line(proc)
+        assert b"at most 1000000 points" in proc.stderr
+        assert proc.stdout == b""
+
     def test_single_value_row(self):
         proc = run_cli(["membership", "--x", "0.5"])
         assert proc.stdout.decode().splitlines()[1] == (
@@ -223,6 +256,21 @@ class TestMembership:
         proc = run_cli(["membership", "--x", "0.5", "--sets", "5"])
         header = proc.stdout.decode().splitlines()[0]
         assert len(header.split("\t")) == 7  # x + 5 sets + centroid
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "content, fragment",
+        [(b"sets = 3\n# caf\xe9\n", b"not UTF-8 text (byte 14)"), (b"colour = red\n", b"unknown key")],
+        ids=["non-utf8", "unknown-key"],
+    )
+    def test_bad_config_file_exits_4(self, tmp_path, content, fragment):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(content)
+        proc = run_cli(["stats", "--features", "3", "--config", str(cfg)])
+        assert proc.returncode == 4
+        assert_one_error_line(proc)
+        assert fragment in proc.stderr
 
 
 class TestStats:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzkey import DataFormatError, Dataset, load_table, normalize
+from fuzzkey.ingest import _parse_cell
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -71,6 +73,104 @@ class TestLoadTable:
     def test_empty_header_name(self, tmp_path):
         with pytest.raises(DataFormatError, match="empty column name"):
             load_table(write(tmp_path, "a,,c\n1,2,3\n"))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def spell(value, style, digits):
+    """One cell spelling of ``value``; the expected value is float() of it."""
+    if style == "repr":
+        return repr(value)
+    if style == "exp":
+        text = "%.*e" % (digits, value)
+        # rounding the mantissa up can carry past the largest double
+        return text if np.isfinite(float(text)) else repr(value)
+    if style == "plus":
+        return "+" + repr(abs(value))
+    if style == "no-leading-zero":
+        # 0.25 -> .25, -0.5 -> -.5
+        return repr(value).replace("0.", ".", 1) if abs(value) < 1 else repr(value)
+    # trailing dot: 3.0 -> 3.
+    return f"{int(value)}." if abs(value) < 1e15 else repr(value)
+
+
+@st.composite
+def numeric_tables(draw):
+    n_rows = draw(st.integers(min_value=1, max_value=12))
+    n_columns = draw(st.integers(min_value=1, max_value=5))
+    target_at = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n_columns)))
+    names = [f"f{i}" for i in range(n_columns)]
+    if target_at is not None:
+        names.insert(target_at, "target")
+    pad = st.sampled_from(["", " ", "\t", "  ", " \t"])
+    cell = st.tuples(
+        finite,
+        st.sampled_from(["repr", "exp", "plus", "no-leading-zero", "trailing-dot"]),
+        st.integers(min_value=0, max_value=30),
+        pad,
+        pad,
+    ).map(lambda c: c[3] + spell(c[0], c[1], c[2]) + c[4])
+    row = st.lists(cell, min_size=len(names), max_size=len(names))
+    rows = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    return names, target_at, rows
+
+
+class TestBulkParsing:
+    """load_table against float() of every stripped cell, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(numeric_tables(), st.sampled_from(["\n", "\r\n"]))
+    def test_values_match_float_of_each_cell(self, tmp_path_factory, table, newline):
+        names, target_at, rows = table
+        text = newline.join([",".join(names)] + [",".join(r) for r in rows]) + newline
+        path = tmp_path_factory.mktemp("bulk") / "table.csv"
+        path.write_bytes(text.encode("ascii"))
+        d = load_table(path)
+        values = np.array([[float(c.strip()) for c in r] for r in rows])
+        features = [i for i, name in enumerate(names) if name != "target"]
+        assert d.feature_names == tuple(names[i] for i in features)
+        assert d.rows.tobytes() == np.ascontiguousarray(values[:, features]).tobytes()
+        if target_at is None:
+            assert d.target is None
+        else:
+            assert d.target.tobytes() == np.ascontiguousarray(values[:, target_at]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789eE+-. \t", max_size=8))
+    def test_numeric_characters_follow_the_per_cell_parser(self, tmp_path_factory, cell):
+        # the bulk path takes these characters; float() must accept exactly
+        # what the per-cell parser accepts, with the same value or message
+        path = tmp_path_factory.mktemp("cell") / "cell.csv"
+        path.write_bytes(f"a,b\n{cell},1\n".encode("ascii"))
+        stripped = cell.strip()
+        if stripped == "":
+            with pytest.raises(DataFormatError, match="row 2, column 1: missing value"):
+                load_table(path)
+            return
+        try:
+            expected = _parse_cell(stripped, 2, 1, "a")
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as got:
+                load_table(path)
+            assert str(got.value) == str(exc)
+            return
+        assert load_table(path).rows[0, 0].hex() == expected.hex()
+
+    @pytest.mark.parametrize(
+        "cell", ["1e999", "-1e999", "\u0661\u0662", "\u00a07", "1 2", "1e", "+-1", "."]
+    )
+    def test_rechecked_lines_match_the_per_cell_parser(self, tmp_path, cell):
+        # non-finite, non-ASCII or unparsable: each line takes the per-cell path
+        path = write(tmp_path, f"a,b\n1,2\n{cell},3\n")
+        try:
+            expected = _parse_cell(cell.strip(), 3, 1, "a")
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as got:
+                load_table(path)
+            assert str(got.value) == str(exc)
+            return
+        assert load_table(path).rows[1, 0].hex() == expected.hex()
 
 
 class TestNormalize:

@@ -3,11 +3,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzkey import (
     ContractViolationError,
     DefuzzConfig,
+    FuzzyPartition,
+    MembershipFunction,
     RelevanceScore,
     RuleBase,
     defuzzify_centroid,
@@ -168,3 +172,131 @@ def test_topk_matches_exhaustive_enumeration():
         scores = [RelevanceScore(i, rng.choice([0.1, 0.25, 0.5, 0.5, 0.9, rng.random()])) for i in range(n)]
         k = rng.randint(0, n)
         assert set(select_topk(scores, k).selected) == brute_force_topk(scores, k)
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def partitions(draw):
+    """Valid partitions whose triangles may overlap, so more than two sets fire."""
+    n_sets = draw(st.integers(min_value=2, max_value=6))
+    peaks = sorted(draw(st.lists(unit, min_size=n_sets, max_size=n_sets, unique=True)))
+    sets = [
+        MembershipFunction.left_shoulder(
+            peaks[0], draw(st.floats(min_value=peaks[0], max_value=1.0, exclude_min=True))
+        )
+    ]
+    for b in peaks[1:-1]:
+        a = draw(st.floats(min_value=0.0, max_value=b, exclude_max=True))
+        c = draw(st.floats(min_value=b, max_value=1.0, exclude_min=True))
+        sets.append(MembershipFunction.triangle(a, b, c))
+    sets.append(
+        MembershipFunction.right_shoulder(
+            draw(st.floats(min_value=0.0, max_value=peaks[-1], exclude_max=True)), peaks[-1]
+        )
+    )
+    return FuzzyPartition(tuple(sets))
+
+
+@st.composite
+def scoring_cases(draw):
+    partition = draw(partitions())
+    n = partition.n_sets
+    index = st.integers(min_value=0, max_value=n - 1)
+    rules = RuleBase(tuple(draw(st.lists(st.tuples(index, index), min_size=n, max_size=n))))
+    centers = sorted(draw(st.lists(unit, min_size=n, max_size=n)))
+    defuzz = DefuzzConfig(tuple(centers), draw(unit))
+    breakpoints = [p for mf in partition.sets for p in mf.breakpoints()]
+    value = st.one_of(
+        st.sampled_from(breakpoints + [0.0, 1.0, -0.0]),
+        st.floats(min_value=-2.0, max_value=3.0),
+        st.floats(min_value=-1e300, max_value=1e300),
+    )
+    values = draw(st.lists(value, min_size=1, max_size=40))
+    return values, partition, rules, defuzz
+
+
+def assert_bitwise(fast, reference):
+    assert fast == reference and fast.hex() == reference.hex()
+
+
+class TestVectorizedKernel:
+    """score_feature against the public scalar functions, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_cases())
+    def test_inference_matches_scalar_reference(self, case):
+        values, partition, rules, defuzz = case
+        fast = score_feature(values, partition, rules, defuzz)
+        assert_bitwise(fast, relevance_inference(values, partition, rules, defuzz))
+        assert_bitwise(score_feature(np.array(values), partition, rules, defuzz), fast)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scoring_cases())
+    def test_sum_mode_matches_scalar_reference(self, case):
+        values, partition, _, _ = case
+        expected = math.fsum(relevance_sum(fuzzify(v, partition)) for v in values) / len(values)
+        assert_bitwise(score_feature(values, partition, mode="sum"), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=2, max_value=9), st.lists(unit, min_size=1, max_size=60))
+    def test_uniform_partition_defaults_match(self, n_sets, values):
+        partition = make_uniform_partition(n_sets)
+        assert_bitwise(score_feature(values, partition), relevance_inference(values, partition))
+
+    @pytest.mark.parametrize(
+        "center, value",
+        [(0.9654801388982029, 0.4787206222091431), (0.8364614512743888, 0.4921177362331116)],
+        ids=["above", "below"],
+    )
+    def test_centroid_clamp_matches_scalar_reference(self, center, value):
+        # equal centers: the unclamped centroid lands one ulp above or below
+        partition = make_uniform_partition(2)
+        defuzz = DefuzzConfig((center, center))
+        fast = score_feature([value], partition, defuzz=defuzz)
+        assert_bitwise(fast, relevance_inference([value], partition, defuzz=defuzz))
+        assert fast == center
+
+    @pytest.mark.parametrize(
+        "values, rules, centers",
+        [
+            ([], None, None),
+            ([0.5, float("nan")], None, None),
+            ([float("inf"), 0.5], None, None),
+            ([0.5], RuleBase.identity(2), None),
+            ([0.5], None, (0.0, 1.0)),
+            ([float("nan")], RuleBase.identity(2), None),
+            ([0.5, float("nan")], RuleBase.identity(2), None),
+            ([0.5, -float("inf")], RuleBase.identity(2), (0.0, 1.0)),
+        ],
+        ids=[
+            "empty",
+            "nan",
+            "inf-first",
+            "rule-count",
+            "center-count",
+            "nan-before-rule-count",
+            "rule-count-before-nan",
+            "rule-count-before-center-count",
+        ],
+    )
+    def test_inference_errors_match_scalar_reference(self, values, rules, centers):
+        defuzz = DefuzzConfig(centers) if centers is not None else None
+        with pytest.raises(ContractViolationError) as reference:
+            relevance_inference(values, PARTITION, rules, defuzz)
+        with pytest.raises(ContractViolationError) as fast:
+            score_feature(values, PARTITION, rules, defuzz)
+        assert str(fast.value) == str(reference.value)
+
+    @pytest.mark.parametrize("values", [[0.5, float("nan")], [float("-inf")]], ids=["nan", "inf"])
+    def test_sum_mode_errors_match_scalar_reference(self, values):
+        with pytest.raises(ContractViolationError) as reference:
+            [relevance_sum(fuzzify(v, PARTITION)) for v in values]
+        with pytest.raises(ContractViolationError) as fast:
+            score_feature(values, PARTITION, mode="sum")
+        assert str(fast.value) == str(reference.value)
+
+    def test_sum_mode_empty_input(self):
+        with pytest.raises(ContractViolationError, match="at least one instance value"):
+            score_feature([], PARTITION, mode="sum")
