@@ -6,6 +6,9 @@ plaintext is shifted by key byte ``t mod len(key)``.  ``byte-shift`` mode
 works on whole bytes modulo 256; ``letters`` mode works on the A-Z alphabet
 modulo 26.
 
+Both the transform and the tag run as numpy kernels, bit-identical to the
+per-byte definitions given in their docstrings.
+
 SECURITY: this is an educational construction.  It is NOT secure against
 modern cryptanalysis (or even classical frequency analysis) and must never
 protect real secrets.
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     ContractViolationError,
@@ -38,11 +43,19 @@ TAG_SEED = 14695981039346656037
 TAG_MULTIPLIER = 1099511628211
 _MASK64 = (1 << 64) - 1
 
-_ORD_A, _ORD_Z = 0x41, 0x5A
+_ORD_A = 0x41
+_LETTERS = 26
+
+# the tag is folded this many message bytes at a time, which bounds its
+# temporaries whatever the message length
+_TAG_BLOCK = 1 << 16
 
 
-def _is_letters(data: bytes) -> bool:
-    return all(_ORD_A <= b <= _ORD_Z for b in data)
+def _is_letters(data: bytes | np.ndarray) -> bool:
+    """True iff every byte is in A-Z (vacuously for empty input)."""
+    codes = np.frombuffer(data, dtype=np.uint8)
+    # uint8 subtraction wraps bytes below "A" to 191 and above
+    return bool(((codes - _ORD_A) < _LETTERS).all())
 
 
 @dataclass(frozen=True)
@@ -62,17 +75,41 @@ class CipherKey:
             raise InvalidKeyError("letters-mode keys must contain only uppercase A-Z")
 
 
+def _cycled(op: np.ufunc, data: np.ndarray, key: np.ndarray, phase: int, out: np.ndarray) -> None:
+    """``out[i] = op(data[i], key[(phase + i) % len(key)])``.
+
+    Whole key periods go through a ``(-1, len(key))`` view and the rest
+    through a tail slice, so no key pad as long as ``data`` is built.
+    """
+    n = len(key)
+    if phase:
+        key = np.concatenate((key[phase:], key[:phase]))
+    whole = len(data) - len(data) % n
+    op(data[:whole].reshape(-1, n), key, out=out[:whole].reshape(-1, n))
+    op(data[whole:], key[: len(data) - whole], out=out[whole:])
+
+
 def _transform(data: bytes, key: CipherKey, sign: int) -> bytes:
-    key_bytes = key.data
-    n = len(key_bytes)
+    """Position ``i`` becomes ``(b + sign * k[i % n]) mod 256`` in byte-shift
+    mode and ``((b - 65) + sign * (k[i % n] - 65)) mod 26 + 65`` in letters
+    mode."""
+    source = np.frombuffer(data, dtype=np.uint8)
+    key_codes = np.frombuffer(key.data, dtype=np.uint8).astype(np.int64)
     if key.mode == MODE_BYTE_SHIFT:
-        return bytes((b + sign * key_bytes[i % n]) % 256 for i, b in enumerate(data))
-    if not _is_letters(data):
-        raise InvalidPlaintextError("letters mode accepts only uppercase A-Z input")
-    return bytes(
-        ((b - _ORD_A) + sign * (key_bytes[i % n] - _ORD_A)) % 26 + _ORD_A
-        for i, b in enumerate(data)
-    )
+        out = source.copy()
+        shifts = sign * key_codes % 256
+    else:
+        if not _is_letters(source):
+            raise InvalidPlaintextError("letters mode accepts only uppercase A-Z input")
+        out = source - _ORD_A
+        # each shift is reduced into [0, 26), so letter plus shift stays
+        # below 51 and uint8 cannot wrap before the final mod 26
+        shifts = sign * (key_codes - _ORD_A) % _LETTERS
+    _cycled(np.add, out, shifts.astype(np.uint8), 0, out)
+    if key.mode == MODE_LETTERS:
+        out %= _LETTERS
+        out += _ORD_A
+    return out.tobytes()
 
 
 def encrypt(plaintext: bytes, key: CipherKey) -> bytes:
@@ -85,18 +122,82 @@ def decrypt(ciphertext: bytes, key: CipherKey) -> bytes:
     return _transform(ciphertext, key, -1)
 
 
+def _descending_powers(count: int) -> np.ndarray:
+    """``powers[j] = TAG_MULTIPLIER ** (count - 1 - j) mod 2**64``."""
+    powers = np.full(count, TAG_MULTIPLIER, dtype=np.uint64)
+    powers[:1] = 1
+    np.multiply.accumulate(powers, out=powers)  # uint64 arrays wrap silently
+    return powers[::-1]
+
+
+def _prefix_xor(buf: np.ndarray) -> None:
+    """In place, ``buf[i]`` becomes ``buf[0] ^ ... ^ buf[i]``; ``len(buf)``
+    is a multiple of 8.
+
+    Equal to ``np.bitwise_xor.accumulate`` but several times faster: bytes
+    are XORed within each little-endian 64-bit word by shifts, and only the
+    word totals are accumulated serially.
+    """
+    words = buf.view("<u8")
+    words ^= words << 8
+    words ^= words << 16
+    words ^= words << 32
+    carry = words >> 56
+    np.bitwise_xor.accumulate(carry, out=carry)
+    carry *= 0x0101010101010101
+    words[1:] ^= carry[:-1]
+
+
+def _low_bytes(mixed: np.ndarray, first: int) -> np.ndarray:
+    """Low byte of ``t`` before each step of the fold over ``mixed``, given
+    the low byte ``first`` before step 0; bit k is found in pass k."""
+    size = len(mixed)
+    low = np.zeros(size, dtype=np.uint8)
+    # padded to whole words for _prefix_xor; the padding follows every step
+    steps = np.zeros(-(-size // 8) * 8, dtype=np.uint8)
+    multiplier = TAG_MULTIPLIER & 0xFF
+    for bit in range(8):
+        # low holds only the bits below `bit`, so this bit of
+        # multiplier * (low ^ mixed) is the bit of mixed XOR the carry that
+        # the lower bits produce: the step that flips it in the fold
+        np.bitwise_xor(low[:-1], mixed[:-1], out=steps[1:size])
+        np.multiply(steps[1:size], multiplier, out=steps[1:size])
+        steps[0] = first
+        _prefix_xor(steps)
+        steps &= 1 << bit
+        low |= steps[:size]
+    return low
+
+
 def make_tag(message: bytes, key: CipherKey) -> int:
     """Keyed 64-bit integrity tag (fold-and-multiply over key-mixed bytes).
 
+    ``t`` starts at ``TAG_SEED`` and each byte folds in as
+    ``t = ((t ^ (m[i] ^ k[i % n])) * TAG_MULTIPLIER) mod 2**64``.
     Deterministic and length-sensitive; the empty message maps to the seed
     constant.  This detects accidental and casual corruption; it is not a
     cryptographic MAC.
+
+    It runs in blocks of ``_TAG_BLOCK`` bytes with no per-byte loop.  The
+    multiplier P is odd, so each bit of the low bytes ``l_i`` of ``t`` is a
+    prefix XOR fixed by the bits below it; then ``d_i = (l_i ^ b_i) - l_i``
+    makes a block linear: ``t_L = t_0 P**L + P sum(d_i P**(L-1-i)) mod 2**64``.
     """
-    key_bytes = key.data
-    n = len(key_bytes)
+    data = np.frombuffer(message, dtype=np.uint8)
+    key_codes = np.frombuffer(key.data, dtype=np.uint8)
+    powers = _descending_powers(min(len(data), _TAG_BLOCK))
     t = TAG_SEED
-    for i, m in enumerate(message):
-        t = ((t ^ (m ^ key_bytes[i % n])) * TAG_MULTIPLIER) & _MASK64
+    for start in range(0, len(data), _TAG_BLOCK):
+        block = data[start : start + _TAG_BLOCK]
+        mixed = np.empty(len(block), dtype=np.uint8)
+        _cycled(np.bitwise_xor, block, key_codes, start % len(key_codes), mixed)
+        low = _low_bytes(mixed, t & 0xFF)
+        offsets = (low ^ mixed).astype(np.int64)
+        offsets -= low
+        # uint64 dot products wrap like the fold; the carry stays in Python
+        # ints, whose arithmetic neither wraps nor warns
+        folded = int(np.dot(offsets.view(np.uint64), powers[len(powers) - len(block) :]))
+        t = (t * pow(TAG_MULTIPLIER, len(block), 1 << 64) + TAG_MULTIPLIER * folded) & _MASK64
     return t
 
 

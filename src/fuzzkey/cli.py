@@ -235,6 +235,8 @@ def _cmd_membership(args: argparse.Namespace) -> int:
     partition = cfg.partition()
     rules = cfg.rules()
     defuzz = cfg.defuzz_config()
+    if args.x is not None and not math.isfinite(args.x):
+        raise ConfigurationError(f"--x needs a finite value, got {args.x!r}")
     xs = [args.x] if args.x is not None else _sweep_values(args.sweep)
     lines = ["x\t" + "\t".join(mf.label for mf in partition.sets) + "\tcentroid"]
     for x in xs:

@@ -202,8 +202,11 @@ def normalize(dataset: Dataset) -> NormalizedDataset:
         ranges.append((lo, hi))
         if hi == lo:
             columns.append(np.full_like(column, 0.5))
-        else:
+        elif math.isfinite(hi - lo):
             columns.append((column - lo) / (hi - lo))
+        else:
+            # the span of a finite column can overflow; halved operands cannot
+            columns.append((column / 2 - lo / 2) / (hi / 2 - lo / 2))
     return NormalizedDataset(
         feature_names=dataset.feature_names,
         rows=np.column_stack(columns),

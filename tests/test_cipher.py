@@ -1,7 +1,8 @@
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fuzzkey import (
     CipherEnvelope,
@@ -24,6 +25,10 @@ from fuzzkey import (
     serialize_selection,
     verify_tag,
 )
+from fuzzkey.cipher import _TAG_BLOCK
+
+DATA = Path(__file__).resolve().parent / "data"
+TO_LETTERS = bytes(65 + i % 26 for i in range(256))
 
 TABULA = [[chr((row + col) % 26 + 65) for col in range(26)] for row in range(26)]
 
@@ -35,6 +40,47 @@ def tabula_recta(plaintext: str, key: str) -> str:
         k = key[i % len(key)]
         out.append(TABULA[ord(k) - 65][ord(p) - 65])
     return "".join(out)
+
+
+def _reference_transform(data: bytes, key: CipherKey, sign: int) -> bytes:
+    # the per-byte loop that the numpy transform must reproduce
+    key_bytes = key.data
+    n = len(key_bytes)
+    if key.mode == MODE_BYTE_SHIFT:
+        return bytes((b + sign * key_bytes[i % n]) % 256 for i, b in enumerate(data))
+    return bytes(
+        ((b - 65) + sign * (key_bytes[i % n] - 65)) % 26 + 65 for i, b in enumerate(data)
+    )
+
+
+def _reference_tag(message: bytes, key: CipherKey) -> int:
+    # the serial fold that the block-parallel tag must reproduce
+    key_bytes = key.data
+    n = len(key_bytes)
+    t = 14695981039346656037
+    for i, m in enumerate(message):
+        t = ((t ^ (m ^ key_bytes[i % n])) * 1099511628211) & ((1 << 64) - 1)
+    return t
+
+
+@st.composite
+def cipher_inputs(draw, mode):
+    """(data, key) with lengths at every key-period and tag-block boundary;
+    bytes come from a drawn seed, as the multi-block ones are too long to
+    draw directly."""
+    n = draw(st.integers(1, 70))
+    boundaries = [0, 1, n - 1, n, n + 1, _TAG_BLOCK - 1, _TAG_BLOCK, _TAG_BLOCK + 1]
+    multi_block = [2 * _TAG_BLOCK + n, 3 * _TAG_BLOCK - 1]
+    length = draw(st.sampled_from(boundaries + multi_block + [None]))
+    if length is None:
+        length = draw(st.integers(0, 300))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    key_bytes, data = rng.randbytes(n), rng.randbytes(length)
+    if mode == MODE_LETTERS:
+        key_bytes, data = key_bytes.translate(TO_LETTERS), data.translate(TO_LETTERS)
+    if draw(st.booleans()):
+        data = bytearray(data)
+    return data, CipherKey(key_bytes, mode)
 
 
 class TestKeys:
@@ -96,6 +142,17 @@ class TestEncryptDecrypt:
         data = plaintext.encode()
         assert decrypt(encrypt(data, key), key) == data
 
+    @pytest.mark.parametrize("mode", [MODE_BYTE_SHIFT, MODE_LETTERS])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_byte_reference(self, mode, data):
+        payload, key = data.draw(cipher_inputs(mode))
+        ciphertext = encrypt(payload, key)
+        assert type(ciphertext) is bytes
+        assert ciphertext == _reference_transform(payload, key, +1)
+        assert decrypt(payload, key) == _reference_transform(payload, key, -1)
+        assert decrypt(ciphertext, key) == payload
+
     def test_key_cycling_equals_doubled_key(self):
         rng = random.Random(8)
         payload = bytes(rng.randrange(256) for _ in range(64))
@@ -134,6 +191,13 @@ class TestTag:
 
     def test_length_sensitive(self):
         assert make_tag(b"\x00", self.KEY) != make_tag(b"\x00\x00", self.KEY)
+
+    @pytest.mark.parametrize("mode", [MODE_BYTE_SHIFT, MODE_LETTERS])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_serial_reference(self, mode, data):
+        message, key = data.draw(cipher_inputs(mode))
+        assert make_tag(message, key) == _reference_tag(message, key)
 
 
 class TestEnvelope:
@@ -181,6 +245,26 @@ class TestEnvelope:
         )
         with pytest.raises(IntegrityError):
             open_envelope(broken, key)
+
+    @pytest.mark.parametrize(
+        "golden, mode, with_tag",
+        [
+            ("golden_seal_byte_tag.fzk", MODE_BYTE_SHIFT, True),
+            ("golden_seal_byte_notag.fzk", MODE_BYTE_SHIFT, False),
+            ("golden_seal_letters_tag.fzk", MODE_LETTERS, True),
+        ],
+        ids=["byte-tag", "byte-notag", "letters-tag"],
+    )
+    def test_seal_matches_golden_bytes(
+        self, golden_payload, golden_key, golden, mode, with_tag
+    ):
+        # sealed by the per-byte cipher before it was vectorised
+        plaintext, key = golden_payload, CipherKey(golden_key)
+        if mode == MODE_LETTERS:
+            plaintext, key = plaintext.translate(TO_LETTERS), CipherKey(b"FUZZKEY", MODE_LETTERS)
+        expected = (DATA / golden).read_bytes()
+        assert seal(plaintext, key, with_tag=with_tag).to_bytes() == expected
+        assert open_envelope(CipherEnvelope.from_bytes(expected), key) == plaintext
 
     def test_open_rejects_mode_mismatch(self):
         env = seal(b"HELLO", CipherKey(b"SECRET", MODE_LETTERS))

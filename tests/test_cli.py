@@ -112,6 +112,13 @@ class TestSelect:
         assert proc.returncode == 0
         assert proc.stdout == (DATA / golden).read_bytes()
 
+    def test_column_whose_span_overflows_selects(self, tmp_path):
+        data = tmp_path / "huge.csv"
+        data.write_text("a,b\n-1e308,1\n1e308,2\n0,3\n")
+        proc = run_cli(["select", str(data), "--k", "1"])
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert b"a\t-1e+308\t1e+308\n" in proc.stdout
+
     def test_config_file_with_flag_override(self, toy_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = 1\nsets = 5\n")
@@ -190,6 +197,38 @@ class TestEncryptDecrypt:
         assert run_cli(["decrypt", str(env_file)], key_env).stdout == b"data"
 
 
+class TestGoldenEnvelope:
+    GOLDEN = DATA / "golden_seal_byte_tag.fzk"
+
+    @pytest.fixture
+    def golden_env(self, tmp_path, golden_key):
+        key_path = tmp_path / "key.bin"
+        key_path.write_bytes(golden_key)
+        return {"FUZZKEY_KEY_FILE": str(key_path)}
+
+    def test_encrypt_and_decrypt_match_golden_bytes(self, tmp_path, golden_payload, golden_env):
+        plain = tmp_path / "payload.bin"
+        plain.write_bytes(golden_payload)
+        sealed = tmp_path / "out.fzk"
+        proc = run_cli(["encrypt", str(plain), "--output", str(sealed)], golden_env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert sealed.read_bytes() == self.GOLDEN.read_bytes()
+        proc = run_cli(["decrypt", str(self.GOLDEN)], golden_env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == golden_payload
+
+    @pytest.mark.parametrize("offset", [18, -3], ids=["first-tag-block", "last-tag-block"])
+    def test_flipped_bit_exits_5(self, tmp_path, golden_env, offset):
+        raw = bytearray(self.GOLDEN.read_bytes())
+        raw[offset] ^= 0x10
+        tampered = tmp_path / "tampered.fzk"
+        tampered.write_bytes(bytes(raw))
+        proc = run_cli(["decrypt", str(tampered)], golden_env)
+        assert proc.returncode == 5
+        assert_one_error_line(proc)
+        assert proc.stdout == b""
+
+
 class TestPipeline:
     def test_writes_report_and_envelope(self, toy_csv, tmp_path, key_env):
         env_file = tmp_path / "sel.fzk"
@@ -244,6 +283,13 @@ class TestMembership:
         assert proc.returncode == 4
         assert_one_error_line(proc)
         assert b"at most 1000000 points" in proc.stderr
+        assert proc.stdout == b""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_x_exits_4(self, value):
+        proc = run_cli(["membership", f"--x={value}"])
+        assert proc.returncode == 4
+        assert_one_error_line(proc)
         assert proc.stdout == b""
 
     def test_single_value_row(self):
