@@ -51,6 +51,7 @@ from .selection import (
     rank_scores,
     relevance_inference,
     relevance_sum,
+    score_columns,
     score_feature,
     score_features,
     select_threshold,
@@ -103,6 +104,7 @@ __all__ = [
     "relevance_inference",
     "relevance_sum",
     "render_report",
+    "score_columns",
     "score_feature",
     "score_features",
     "seal",

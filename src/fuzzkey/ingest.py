@@ -1,8 +1,9 @@
 """CSV loading and min-max normalization.
 
-Dialect: first line is the header, comma separator, LF or CRLF endings, no
-quoting (cells must not contain commas), decimal numerics with optional sign
-and exponent.  A column named exactly ``target`` is split off and carried
+Dialect: UTF-8 with an optional byte-order mark, first line is the header
+(ASCII names without tabs), comma separator, LF or CRLF endings, no quoting
+(cells must not contain commas), decimal numerics with optional sign and
+exponent.  A column named exactly ``target`` is split off and carried
 along; it never influences scoring.
 
 :func:`load_table` parses rows in bulk: a data line of exactly one cell per
@@ -133,6 +134,8 @@ def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    if text.startswith("\ufeff"):
+        text = text[1:]  # a byte-order mark is no part of the first name
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -143,6 +146,12 @@ def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
     names = [cell.strip() for cell in lines[0].split(",")]
     if any(name == "" for name in names):
         raise DataFormatError(f"{path}: header contains an empty column name")
+    for column_number, name in enumerate(names, start=1):
+        # names go verbatim into the tab-separated ASCII selection
+        if not name.isascii() or "\t" in name:
+            raise DataFormatError(
+                f"{path}: column {column_number}: name {name!r} is not ASCII without tabs"
+            )
     if len(set(names)) != len(names):
         duplicates = sorted({n for n in names if names.count(n) > 1})
         raise DataFormatError(f"{path}: duplicate header names {duplicates}")
@@ -188,28 +197,42 @@ def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
     )
 
 
+def _column_extremes(rows: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` over axis 0, equal bit for bit to ``float(reduce(column))``.
+
+    Finite values that compare equal share their bits, except 0.0 and -0.0,
+    and which of the two a reduction returns depends on its path through
+    memory.  So a column whose extreme compares equal to zero is reduced
+    again on its own.
+    """
+    extremes = reduce(rows, axis=0)
+    for i in np.flatnonzero(extremes == 0.0).tolist():
+        extremes[i] = reduce(rows[:, i])
+    return extremes
+
+
 def normalize(dataset: Dataset) -> NormalizedDataset:
     """Min-max rescale each feature into [0, 1].
 
     Constant columns carry no ordering information and map to 0.5
-    everywhere, which scores as the neutral midpoint downstream.
+    everywhere, which scores as the neutral midpoint downstream.  A column
+    whose span ``hi - lo`` overflows is rescaled with halved operands.
     """
-    columns = []
-    ranges = []
-    for i in range(dataset.n_features):
-        column = dataset.column(i)
-        lo, hi = float(column.min()), float(column.max())
-        ranges.append((lo, hi))
-        if hi == lo:
-            columns.append(np.full_like(column, 0.5))
-        elif math.isfinite(hi - lo):
-            columns.append((column - lo) / (hi - lo))
-        else:
+    rows = dataset.rows
+    lo = _column_extremes(rows, np.min)
+    hi = _column_extremes(rows, np.max)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        span = hi - lo
+        scaled = (rows - lo) / span
+        overflow = np.flatnonzero(~np.isfinite(span))
+        if overflow.size:
             # the span of a finite column can overflow; halved operands cannot
-            columns.append((column / 2 - lo / 2) / (hi / 2 - lo / 2))
+            lo2, hi2 = lo[overflow] / 2, hi[overflow] / 2
+            scaled[:, overflow] = (rows[:, overflow] / 2 - lo2) / (hi2 - lo2)
+    scaled[:, hi == lo] = 0.5
     return NormalizedDataset(
         feature_names=dataset.feature_names,
-        rows=np.column_stack(columns),
+        rows=scaled,
         target=dataset.target,
-        ranges=tuple(ranges),
+        ranges=tuple(zip(lo.tolist(), hi.tolist())),
     )

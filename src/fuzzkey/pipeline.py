@@ -21,7 +21,7 @@ from .selection import (
     MODE_SUM,
     RelevanceScore,
     SelectionResult,
-    score_feature,
+    score_columns,
     select_threshold,
     select_topk,
 )
@@ -187,8 +187,9 @@ def analyze(
 ) -> PipelineOutcome:
     """Run the selection pipeline on a CSV path or an in-memory dataset.
 
-    Scoring runs single-threaded, one vectorized call per feature column.
-    ``jobs`` is still validated as a positive integer but has no effect.
+    Scoring runs single-threaded, one blocked kernel call over the whole
+    normalized matrix.  ``jobs`` is still validated as a positive integer
+    but has no effect.
     """
     cfg = cfg.validated()
     if not isinstance(jobs, int) or jobs < 1:
@@ -199,10 +200,8 @@ def analyze(
     partition = cfg.partition()
     rules = cfg.rules()
     defuzz = cfg.defuzz_config()
-    scores = [
-        RelevanceScore(i, score_feature(normalized.column(i), partition, rules, defuzz, cfg.mode), cfg.mode)
-        for i in range(dataset.n_features)
-    ]
+    column_scores = score_columns(normalized.rows, partition, rules, defuzz, cfg.mode)
+    scores = [RelevanceScore(i, score, cfg.mode) for i, score in enumerate(column_scores)]
 
     if cfg.selection_kind == "topk":
         result = select_topk(scores, cfg.k)

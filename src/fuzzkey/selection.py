@@ -12,11 +12,12 @@ Two relevance definitions coexist:
 Ranking is deterministic: scores descend, ties break on the lower feature
 id.
 
-:func:`score_feature` scores a whole column at once with numpy.  Its result
-is bit-identical to the public scalar functions (:func:`fuzzify`,
-:func:`evaluate_rules`, :func:`defuzzify_centroid`,
+:func:`score_columns` scores every column of a matrix with one numpy kernel,
+a block of columns at a time; :func:`score_feature` is its one-column call.
+Results are bit-identical to the public scalar functions
+(:func:`fuzzify`, :func:`evaluate_rules`, :func:`defuzzify_centroid`,
 :func:`relevance_inference`, :func:`relevance_sum`), which stay the
-reference it is tested against.
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -92,8 +93,13 @@ def relevance_sum(mv: MembershipVector | Sequence[float]) -> float:
     return math.fsum(mv)
 
 
+# values per kernel block: a block of f columns of n values runs as f x n
+# arrays, and each of its temporaries holds S x f x n floats
+_SCORE_BLOCK = 1 << 15
+
+
 def _degrees(x: np.ndarray, partition: FuzzyPartition) -> np.ndarray:
-    """Membership degrees of every value in every set, shape S x n.
+    """Membership degrees of every value in every set, shape S x ``x.shape``.
 
     Each branch is the IEEE expression :func:`eval_membership` evaluates,
     after the same clamp into [0, 1], so every degree is bit-identical.
@@ -116,23 +122,101 @@ def _degrees(x: np.ndarray, partition: FuzzyPartition) -> np.ndarray:
 
 
 def _column_fsums(terms: np.ndarray) -> np.ndarray:
-    """Per-column sums of ``terms`` (S x n), each equal to ``math.fsum``.
+    """Sums of ``terms`` over axis 0, each equal to ``math.fsum``.
 
-    A column with at most two nonzero terms needs one correctly rounded
+    Where at most two terms are nonzero the sum is one correctly rounded
     addition, so the plain sum is exact there in any order; the uniform
-    partitions never activate more than two sets.  Other columns take
-    ``math.fsum`` over their own terms.
+    partitions never activate more than two sets.  Every other sum takes
+    ``math.fsum`` over its own terms.
     """
     sums = terms.sum(axis=0)
-    for j in np.flatnonzero(np.count_nonzero(terms, axis=0) > 2).tolist():
-        sums[j] = math.fsum(terms[:, j].tolist())
+    for index in np.argwhere(np.count_nonzero(terms, axis=0) > 2).tolist():
+        sums[tuple(index)] = math.fsum(terms[(slice(None), *index)].tolist())
     return sums
 
 
-def _check_finite(x: np.ndarray, first_only: bool = False) -> None:
-    bad = np.flatnonzero(~np.isfinite(x[:1] if first_only else x))
-    if bad.size:
-        raise ContractViolationError(f"expected a finite value, got {float(x[bad[0]])!r}")
+def _centroids(degrees: np.ndarray, rules: RuleBase, defuzz: DefuzzConfig) -> np.ndarray:
+    """Defuzzified centroid of each value's fired rules, from S x f x n degrees."""
+    activation = np.zeros_like(degrees)
+    for ant, cons in rules.mapping:
+        np.maximum(activation[cons], degrees[ant], out=activation[cons])
+    centers = np.asarray(defuzz.centers)[:, None, None]
+    denominator = _column_fsums(activation)
+    numerator = _column_fsums(centers * activation)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = numerator / denominator
+    # min(max(score, lo), hi) as Python evaluates it, signed zeros included
+    lo, hi = defuzz.centers[0], defuzz.centers[-1]
+    score = np.where(lo > score, lo, score)
+    score = np.where(hi < score, hi, score)
+    return np.where(denominator == 0.0, defuzz.empty_activation_value, score)
+
+
+def _non_finite(value: float) -> ContractViolationError:
+    return ContractViolationError(f"expected a finite value, got {value!r}")
+
+
+def score_columns(
+    rows: np.ndarray | Sequence[Sequence[float]],
+    partition: FuzzyPartition,
+    rules: RuleBase | None = None,
+    defuzz: DefuzzConfig | None = None,
+    mode: str = MODE_INFERENCE,
+) -> list[float]:
+    """Score every column of an n x F matrix of instance values.
+
+    Each score is equal bit for bit to :func:`relevance_inference` of its
+    column in ``inference`` mode and to the ``math.fsum`` mean of
+    :func:`relevance_sum` over the fuzzified column in ``sum`` mode.  The
+    error raised is the one a loop over the columns would raise first: an
+    unknown mode, no rows, a non-finite ``rows[0, 0]`` (inference only),
+    the rule count, the center count, then the first non-finite value in
+    column order.
+
+    Columns run in blocks of at most ``_SCORE_BLOCK`` values, each copied
+    into a contiguous f x n array, so every step is a few numpy calls per
+    block whatever the number of columns.
+    """
+    if mode not in (MODE_INFERENCE, MODE_SUM):
+        raise ContractViolationError(f"unknown relevance mode {mode!r}")
+    x = np.asarray(rows, dtype=float)
+    n, n_features = x.shape
+    if n == 0:
+        raise ContractViolationError("relevance needs at least one instance value")
+    if n_features == 0:
+        return []
+    if mode == MODE_INFERENCE:
+        if rules is None:
+            rules = RuleBase.identity(partition.n_sets)
+        if defuzz is None:
+            defuzz = DefuzzConfig.uniform(partition.n_sets)
+        # the scalar path fuzzifies the first value before it checks any shape
+        if not math.isfinite(x[0, 0]):
+            raise _non_finite(float(x[0, 0]))
+        if partition.n_sets != rules.size:
+            raise ContractViolationError(
+                f"membership vector has {partition.n_sets} entries but the rule base has {rules.size} rules"
+            )
+        if rules.size != len(defuzz.centers):
+            raise ContractViolationError(
+                f"activation vector has {rules.size} entries but there are {len(defuzz.centers)} centers"
+            )
+    finite = np.isfinite(x)
+    if not finite.all():
+        j = int(np.flatnonzero(~finite.all(axis=0))[0])
+        raise _non_finite(float(x[np.flatnonzero(~finite[:, j])[0], j]))
+
+    scores: list[float] = []
+    width = max(1, _SCORE_BLOCK // n)
+    for start in range(0, n_features, width):
+        block = np.ascontiguousarray(x[:, start : start + width].T)
+        degrees = _degrees(block, partition)
+        if mode == MODE_SUM:
+            per_value = _column_fsums(degrees)
+        else:
+            per_value = _centroids(degrees, rules, defuzz)
+        scores.extend(math.fsum(values) / n for values in per_value.tolist())
+    return scores
 
 
 def score_feature(
@@ -142,53 +226,9 @@ def score_feature(
     defuzz: DefuzzConfig | None = None,
     mode: str = MODE_INFERENCE,
 ) -> float:
-    """Per-feature score: mean over instances in either relevance mode.
-
-    Equal bit for bit to :func:`relevance_inference` in ``inference`` mode
-    and to the ``math.fsum`` mean of :func:`relevance_sum` over fuzzified
-    values in ``sum`` mode, and raises the same errors in the same order.
-    """
-    if mode not in (MODE_INFERENCE, MODE_SUM):
-        raise ContractViolationError(f"unknown relevance mode {mode!r}")
-    if len(values) == 0:
-        raise ContractViolationError("relevance needs at least one instance value")
-    x = np.asarray(values, dtype=float)
-    if mode == MODE_SUM:
-        _check_finite(x)
-        per_value = _column_fsums(_degrees(x, partition))
-        return math.fsum(per_value.tolist()) / len(x)
-
-    if rules is None:
-        rules = RuleBase.identity(partition.n_sets)
-    if defuzz is None:
-        defuzz = DefuzzConfig.uniform(partition.n_sets)
-    # the scalar path fuzzifies the first value before it checks any shape
-    _check_finite(x, first_only=True)
-    if partition.n_sets != rules.size:
-        raise ContractViolationError(
-            f"membership vector has {partition.n_sets} entries but the rule base has {rules.size} rules"
-        )
-    if rules.size != len(defuzz.centers):
-        raise ContractViolationError(
-            f"activation vector has {rules.size} entries but there are {len(defuzz.centers)} centers"
-        )
-    _check_finite(x)
-
-    degrees = _degrees(x, partition)
-    activation = np.zeros_like(degrees)
-    for ant, cons in rules.mapping:
-        np.maximum(activation[cons], degrees[ant], out=activation[cons])
-    centers = np.asarray(defuzz.centers)
-    denominator = _column_fsums(activation)
-    numerator = _column_fsums(centers[:, None] * activation)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        score = numerator / denominator
-    # min(max(score, lo), hi) as Python evaluates it, signed zeros included
-    lo, hi = centers[0], centers[-1]
-    score = np.where(lo > score, lo, score)
-    score = np.where(hi < score, hi, score)
-    per_value = np.where(denominator == 0.0, defuzz.empty_activation_value, score)
-    return math.fsum(per_value.tolist()) / len(x)
+    """Per-feature score: :func:`score_columns` of one column of values."""
+    column = np.asarray(values, dtype=float)
+    return score_columns(column[:, None], partition, rules, defuzz, mode)[0]
 
 
 def score_features(

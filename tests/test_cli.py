@@ -1,9 +1,14 @@
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from fuzzkey import cli, selection
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 DATA = Path(__file__).resolve().parent / "data"
@@ -264,6 +269,115 @@ class TestPipeline:
         assert_one_error_line(proc)
         assert b"letters" in proc.stderr
         assert not env_file.exists()
+
+
+class TestGoldenPipeline:
+    """``pipeline --tau 0.5`` on 40 rows x 400 features, against the report
+    and envelope written by the per-column scoring code.
+
+    The table mixes signed zeros, ties, constant columns, magnitudes near
+    1e300, a column whose span overflows and a target in the middle.  It is
+    scored in one kernel block, in 17 blocks the last of them partial, and
+    with fewer rows per block than the column has.
+    """
+
+    CSV = DATA / "fixture_40x400.csv"
+
+    @pytest.mark.parametrize("block", [None, 999, 39], ids=["one-block", "17-blocks", "column-per-block"])
+    def test_report_and_envelope_match_golden_bytes(
+        self, tmp_path, monkeypatch, capsysbinary, golden_key, block
+    ):
+        if block is not None:
+            monkeypatch.setattr(selection, "_SCORE_BLOCK", block)
+        key_path = tmp_path / "key.bin"
+        key_path.write_bytes(golden_key)
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", str(key_path))
+        sealed = tmp_path / "sel.fzk"
+        code = cli.main(["pipeline", str(self.CSV), "--tau", "0.5", "--output", str(sealed)])
+        out, err = capsysbinary.readouterr()
+        assert (code, err) == (0, b"")
+        assert out == (DATA / "golden_pipeline_40x400_tau0.5.txt").read_bytes()
+        assert sealed.read_bytes() == (DATA / "golden_pipeline_40x400_tau0.5.fzk").read_bytes()
+
+
+HOSTILE_CELLS = [
+    "", " ", "0", "-0", "-0.0", "+.5", "1.", "7", " 7 ", "\t2", "1e308", "-1e308",
+    "1.7976931348623157e308", "1e999", "-1e999", "5e-324", "1e-400", "inf", "-inf",
+    "nan", "NaN", "1_000", "0x10", "1e", "abc", "\u0663", "\u00a07",
+]
+
+
+def mostly(usual, rare, odds=8):
+    """``usual`` about ``odds`` times as often as ``rare``."""
+    return st.integers(min_value=0, max_value=odds).flatmap(lambda r: rare if r == 0 else usual)
+
+
+@st.composite
+def hostile_csvs(draw):
+    """Small CSV bytes with ragged rows, odd spellings and encodings."""
+    n_columns = draw(st.integers(min_value=1, max_value=4))
+    odd_name = st.sampled_from(["target", " d ", "", "x\ty", "\u00e9t\u00e9", "c0"])
+    names = [draw(mostly(st.just(f"c{j}"), odd_name)) for j in range(n_columns)]
+    cell = mostly(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+            st.integers(min_value=-(10**6), max_value=10**6).map(str),
+        ),
+        st.sampled_from(HOSTILE_CELLS),
+    )
+    # a fixed cell makes a constant column
+    fixed = [draw(mostly(st.none(), cell, odds=3)) for _ in range(n_columns + 1)]
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        width = draw(mostly(st.just(n_columns), st.sampled_from([n_columns - 1, n_columns + 1]), odds=12))
+        rows.append([draw(cell) if fixed[j] is None else fixed[j] for j in range(width)])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join([",".join(names)] + [",".join(row) for row in rows])
+    text += draw(st.sampled_from([newline, ""]))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    data = text.encode("utf-8")
+    if draw(mostly(st.just(False), st.just(True), odds=6)):
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe9"])) + data[at:]
+    return data
+
+
+def run_in_process(argv):
+    """``cli.main(argv)`` with its standard streams captured: (code, stdout, stderr)."""
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+class TestHostileCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hostile_csvs(),
+        st.sampled_from(
+            [
+                ["--k", "2"],
+                ["--tau", "0.5"],
+                ["--mode", "sum", "--k", "1"],
+                ["--sets", "5", "--tau", "0.2"],
+                ["--drop-incomplete-rows", "--k", "3"],
+            ]
+        ),
+    )
+    def test_select_exits_with_a_documented_code(self, tmp_path_factory, data, args):
+        path = tmp_path_factory.mktemp("hostile") / "data.csv"
+        path.write_bytes(data)
+        code, out, err = run_in_process(["select", str(path), *args])
+        assert code in (0, 3, 4)
+        if code == 0:
+            assert err == ""
+            assert out.startswith(b"fuzzkey-report 1\n")
+        else:
+            assert out == b""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("fuzzkey: ")
 
 
 class TestMembership:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +75,16 @@ class TestLoadTable:
     def test_empty_header_name(self, tmp_path):
         with pytest.raises(DataFormatError, match="empty column name"):
             load_table(write(tmp_path, "a,,c\n1,2,3\n"))
+
+    def test_byte_order_mark_is_no_part_of_the_first_name(self, tmp_path):
+        d = load_table(write(tmp_path, "\ufeffa,b\n1,2\n"))
+        assert d.feature_names == ("a", "b")
+
+    @pytest.mark.parametrize("name", ["x\ty", "\u00e9t\u00e9", "\ufeffa"], ids=["tab", "non-ascii", "second-bom"])
+    def test_header_name_must_be_ascii_without_tabs(self, tmp_path, name):
+        # selected names are written verbatim into the tab-separated ASCII selection
+        with pytest.raises(DataFormatError, match="column 2: name .* is not ASCII without tabs"):
+            load_table(write(tmp_path, f"a,{name}\n1,2\n"))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -173,6 +185,24 @@ class TestBulkParsing:
         assert load_table(path).rows[1, 0].hex() == expected.hex()
 
 
+# ties, subnormals and spans that overflow
+extreme_cell = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def columns_of(n):
+    """Columns of ``n`` cells; in some the minimum or the maximum is a signed
+    zero, where which zero a reduction returns depends on its memory path."""
+    return st.one_of(
+        st.lists(extreme_cell, min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.0, -0.0, 0.0, -0.0, 0.5, 1.0]), min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.0, -0.0, 0.0, -0.0, -0.25, -1.0]), min_size=n, max_size=n),
+        extreme_cell.map(lambda v: [v] * n),  # a constant column
+    )
+
+
 class TestNormalize:
     def test_three_point_column(self):
         d = Dataset(("a",), np.array([[2.0], [4.0], [6.0]]))
@@ -215,3 +245,30 @@ class TestNormalize:
     def test_target_carried_through(self):
         d = Dataset(("a",), np.array([[1.0], [2.0]]), target=np.array([1.0, 0.0]))
         assert normalize(d).target.tolist() == [1.0, 0.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=40).flatmap(lambda n: st.lists(columns_of(n), min_size=1, max_size=8)))
+    def test_matches_per_column_reference(self, columns):
+        # row-major, as load_table builds it: a column is then a strided view
+        d = Dataset(tuple(f"c{i}" for i in range(len(columns))), np.array(columns).T.copy())
+        assert d.rows.flags.c_contiguous
+        rows, ranges = per_column_normalize(d.rows)
+        nd = normalize(d)
+        assert nd.rows.tobytes() == rows.tobytes()
+        assert [(lo.hex(), hi.hex()) for lo, hi in nd.ranges] == [(lo.hex(), hi.hex()) for lo, hi in ranges]
+
+
+def per_column_normalize(rows):
+    """The per-column rescaling that ``normalize`` must reproduce bit for bit."""
+    columns, ranges = [], []
+    for i in range(rows.shape[1]):
+        column = rows[:, i]
+        lo, hi = float(column.min()), float(column.max())
+        ranges.append((lo, hi))
+        if hi == lo:
+            columns.append(np.full_like(column, 0.5))
+        elif math.isfinite(hi - lo):
+            columns.append((column - lo) / (hi - lo))
+        else:
+            columns.append((column / 2 - lo / 2) / (hi / 2 - lo / 2))
+    return np.column_stack(columns), ranges

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,10 +22,13 @@ from fuzzkey import (
     rank_scores,
     relevance_inference,
     relevance_sum,
+    score_columns,
     score_feature,
+    score_features,
     select_threshold,
     select_topk,
 )
+from fuzzkey import selection
 
 PARTITION = make_uniform_partition(3)
 RULES = RuleBase.identity(3)
@@ -200,7 +204,8 @@ def partitions(draw):
 
 
 @st.composite
-def scoring_cases(draw):
+def scoring_setups(draw):
+    """A partition, rule base and centers, plus a strategy for values."""
     partition = draw(partitions())
     n = partition.n_sets
     index = st.integers(min_value=0, max_value=n - 1)
@@ -213,16 +218,45 @@ def scoring_cases(draw):
         st.floats(min_value=-2.0, max_value=3.0),
         st.floats(min_value=-1e300, max_value=1e300),
     )
+    return partition, rules, defuzz, value
+
+
+@st.composite
+def scoring_cases(draw):
+    partition, rules, defuzz, value = draw(scoring_setups())
     values = draw(st.lists(value, min_size=1, max_size=40))
     return values, partition, rules, defuzz
+
+
+@st.composite
+def matrix_cases(draw):
+    """An n x F matrix and a block size that n * F crosses, down to n > block."""
+    partition, rules, defuzz, value = draw(scoring_setups())
+    n = draw(st.integers(min_value=1, max_value=12))
+    n_features = draw(st.integers(min_value=1, max_value=10))
+    cells = draw(st.lists(value, min_size=n * n_features, max_size=n * n_features))
+    block = draw(st.integers(min_value=1, max_value=2 * n * n_features))
+    return np.array(cells).reshape(n, n_features), partition, rules, defuzz, block
 
 
 def assert_bitwise(fast, reference):
     assert fast == reference and fast.hex() == reference.hex()
 
 
+def scores_or_error(call):
+    """``call()``'s scores as hex strings, or the message of its error."""
+    try:
+        return [score.hex() for score in call()]
+    except ContractViolationError as exc:
+        return str(exc)
+
+
+def sum_mode_reference(values, partition):
+    return math.fsum(relevance_sum(fuzzify(v, partition)) for v in values) / len(values)
+
+
 class TestVectorizedKernel:
-    """score_feature against the public scalar functions, bit for bit."""
+    """score_feature and score_columns against the public scalar functions, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(scoring_cases())
@@ -300,3 +334,109 @@ class TestVectorizedKernel:
     def test_sum_mode_empty_input(self):
         with pytest.raises(ContractViolationError, match="at least one instance value"):
             score_feature([], PARTITION, mode="sum")
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix_cases())
+    def test_columns_match_scalar_reference(self, case):
+        matrix, partition, rules, defuzz, block = case
+        with mock.patch.object(selection, "_SCORE_BLOCK", block):
+            fast = score_columns(matrix, partition, rules, defuzz)
+        assert len(fast) == matrix.shape[1]
+        for j, score in enumerate(fast):
+            assert_bitwise(score, relevance_inference(matrix[:, j].tolist(), partition, rules, defuzz))
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix_cases())
+    def test_sum_mode_columns_match_scalar_reference(self, case):
+        matrix, partition, _, _, block = case
+        with mock.patch.object(selection, "_SCORE_BLOCK", block):
+            fast = score_columns(matrix, partition, mode="sum")
+        for j, score in enumerate(fast):
+            assert_bitwise(score, sum_mode_reference(matrix[:, j].tolist(), partition))
+
+    def test_fsum_fallback_runs_inside_blocks(self):
+        # three sets overlap at every interior value, so each per-value sum
+        # has more than two nonzero terms and takes math.fsum
+        partition = FuzzyPartition(
+            (
+                MembershipFunction.left_shoulder(0.0, 0.9),
+                MembershipFunction.triangle(0.1, 0.5, 0.9),
+                MembershipFunction.right_shoulder(0.1, 0.95),
+            )
+        )
+        rng = np.random.default_rng(8)
+        matrix = rng.uniform(0.15, 0.85, size=(9, 7))
+        defuzz = DefuzzConfig((0.1, 0.7, 0.8))
+        degrees = selection._degrees(np.ascontiguousarray(matrix.T), partition)
+        assert (np.count_nonzero(degrees, axis=0) > 2).all()
+        with mock.patch.object(selection, "_SCORE_BLOCK", 20):
+            fast = score_columns(matrix, partition, defuzz=defuzz)
+            fast_sum = score_columns(matrix, partition, mode="sum")
+        for j in range(7):
+            column = matrix[:, j].tolist()
+            assert_bitwise(fast[j], relevance_inference(column, partition, defuzz=defuzz))
+            assert_bitwise(fast_sum[j], sum_mode_reference(column, partition))
+
+    @pytest.mark.parametrize(
+        "shape", [(70, 470), (selection._SCORE_BLOCK + 3, 2)], ids=["two-blocks", "column-per-block"]
+    )
+    def test_full_block_size_matches_scalar_reference(self, shape):
+        # n * F crosses the real block size, or n alone exceeds it
+        partition = make_uniform_partition(5)
+        defuzz = DefuzzConfig((0.0, 0.1, 0.3, 0.9, 1.0))
+        matrix = np.random.default_rng(9).uniform(-0.05, 1.05, size=shape)
+        fast = score_columns(matrix, partition, defuzz=defuzz)
+        for j in range(shape[1]):
+            assert_bitwise(fast[j], relevance_inference(matrix[:, j].tolist(), partition, defuzz=defuzz))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(unit, st.sampled_from([float("nan"), float("inf"), -float("inf")])),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        ),
+        st.sampled_from([None, RuleBase.identity(2)]),
+        st.sampled_from([None, (0.0, 1.0)]),
+        st.sampled_from(["inference", "sum"]),
+    )
+    def test_column_errors_match_the_column_loop(self, columns, rules, centers, mode):
+        matrix = np.array(columns).T
+        defuzz = DefuzzConfig(centers) if centers is not None else None
+        if mode == "sum":
+            expected = scores_or_error(lambda: [sum_mode_reference(c, PARTITION) for c in columns])
+        else:
+            expected = scores_or_error(
+                lambda: [relevance_inference(c, PARTITION, rules, defuzz) for c in columns]
+            )
+        with mock.patch.object(selection, "_SCORE_BLOCK", 4):
+            got = scores_or_error(lambda: score_columns(matrix, PARTITION, rules, defuzz, mode))
+        assert got == expected
+
+    @pytest.mark.parametrize("mode", ["inference", "sum"])
+    def test_score_features_takes_ragged_columns(self, mode):
+        columns = [[0.1, 0.7], [0.4], [0.9, 0.2, 0.55]]
+        scores = score_features(columns, PARTITION, mode=mode)
+        assert [s.feature_id for s in scores] == [0, 1, 2]
+        for column, score in zip(columns, scores):
+            assert score.mode == mode
+            if mode == "sum":
+                assert_bitwise(score.score, sum_mode_reference(column, PARTITION))
+            else:
+                assert_bitwise(score.score, relevance_inference(column, PARTITION))
+
+    @pytest.mark.parametrize("mode", ["inference", "sum"])
+    def test_columns_without_rows_or_columns(self, mode):
+        with pytest.raises(ContractViolationError, match="at least one instance value"):
+            score_columns(np.empty((0, 3)), PARTITION, mode=mode)
+        assert score_columns(np.empty((4, 0)), PARTITION, mode=mode) == []
+
+    def test_unknown_mode_comes_first(self):
+        with pytest.raises(ContractViolationError, match="unknown relevance mode 'max'"):
+            score_columns(np.empty((0, 3)), PARTITION, mode="max")
