@@ -1,7 +1,8 @@
 # %% md
-# Dynamic fuzzy network: propagation, counters, structural edits
+# Dynamic fuzzy network: propagation and counters
 # %%
 from fuzzkey import DynamicFuzzyNetwork
+from fuzzkey.network import cost
 
 net = DynamicFuzzyNetwork(n_features=4, n_sets=3, n_layers=4)
 print("fuzzy width:", net.fuzzy_width)
@@ -23,17 +24,10 @@ for n in (1, 2, 4, 8, 16):
     print(f"n={n:>2}  mf_evals={s.mf_evals:>3}  hidden_ops={s.hidden_ops}")
 
 # %%
-# Structural edits: resize the partitions, then drop a feature.
-net.update_membership_functions(5)
-print("after N=5:", net.fuzzy_width, [w.shape for w in net.weights])
-net.update_nodes(remove=[1])
-print("after removing feature 1:", net.n_features, [w.shape for w in net.weights])
-output, _, _ = net.propagate([0.2, 0.5, 0.8])  # still propagates cleanly
-print("output after edits:", round(output, 4))
-
-# %%
-# The registry groups instances whose winning labels agree.
-net2 = DynamicFuzzyNetwork(2, 3, 4)
-for name, x in [("a", (0.1, 0.9)), ("b", (0.2, 0.8)), ("c", (0.5, 0.5))]:
-    print(name, "->", net2.record_pattern(name, x))
-print("groups:", dict(net2.registry.groups))
+# The counters follow from the shape alone: cost() gives them without
+# building the network, which is how reports and `fuzzkey stats` get them.
+deep = DynamicFuzzyNetwork(3, 5, 6)
+_, _, counted = deep.propagate([0.2, 0.5, 0.8])
+print("counted:", counted)
+print("closed form:", cost(3, 5, 6))
+print("one million features:", cost(1_000_000, 3, 4))

@@ -43,17 +43,15 @@ from .fuzzy import (
     make_uniform_partition,
 )
 from .ingest import Dataset, NormalizedDataset, load_table, normalize
-from .network import DynamicFuzzyNetwork, PatternRegistry, PropagationStats
+from .network import DynamicFuzzyNetwork, PropagationStats
 from .pipeline import PipelineConfig, PipelineOutcome, analyze, load_config_file, render_report
 from .selection import (
     RelevanceScore,
     SelectionResult,
     rank_scores,
     relevance_inference,
-    relevance_sum,
     score_columns,
     score_feature,
-    score_features,
     select_threshold,
     select_topk,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "MODE_BYTE_SHIFT",
     "MODE_LETTERS",
     "NormalizedDataset",
-    "PatternRegistry",
     "PipelineConfig",
     "PipelineOutcome",
     "PropagationStats",
@@ -102,11 +99,9 @@ __all__ = [
     "parse_selection",
     "rank_scores",
     "relevance_inference",
-    "relevance_sum",
     "render_report",
     "score_columns",
     "score_feature",
-    "score_features",
     "seal",
     "select_threshold",
     "select_topk",

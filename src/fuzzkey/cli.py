@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fuzzy import defuzzify_centroid, evaluate_rules, fuzzify
 from .network import cost
-from .pipeline import PipelineConfig, analyze, load_config_file, render_report
+from .pipeline import RELEVANCE_MODE, PipelineConfig, analyze, load_config_file, render_report
 
 KEY_FILE_ENV = "FUZZKEY_KEY_FILE"
 
@@ -49,7 +49,7 @@ def _add_scoring_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="flat key = value config file")
     sub.add_argument("--k", type=int, help="select the top k features")
     sub.add_argument("--tau", type=float, help="select features scoring at least tau")
-    sub.add_argument("--mode", choices=["inference", "sum"], help="relevance mode")
+    sub.add_argument("--mode", choices=[RELEVANCE_MODE], help="relevance mode; inference is the only one")
     sub.add_argument("--sets", type=int, help="fuzzy sets per feature")
     sub.add_argument("--layers", type=int, help="total network layers")
     sub.add_argument(
@@ -123,8 +123,6 @@ def _merge_config(args: argparse.Namespace) -> PipelineConfig:
         overrides["sets"] = args.sets
     if getattr(args, "layers", None) is not None:
         overrides["layers"] = args.layers
-    if getattr(args, "mode", None) is not None:
-        overrides["mode"] = args.mode
     if getattr(args, "k", None) is not None:
         overrides["k"] = args.k
         if getattr(args, "tau", None) is None:
@@ -139,7 +137,11 @@ def _merge_config(args: argparse.Namespace) -> PipelineConfig:
         overrides["tag"] = args.tag
     if overrides:
         cfg = replace(cfg, **overrides)
-    return cfg.validated()
+    cfg = cfg.validated()
+    jobs = getattr(args, "jobs", 1)
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be a positive integer, got {jobs!r}")
+    return cfg
 
 
 def _load_key(mode: str) -> CipherKey:
@@ -168,7 +170,7 @@ def _write_bytes(payload: bytes, output: str | None) -> None:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    outcome = analyze(args.dataset, cfg, jobs=args.jobs, drop_incomplete_rows=args.drop_incomplete_rows)
+    outcome = analyze(args.dataset, cfg, drop_incomplete_rows=args.drop_incomplete_rows)
     _write_bytes(render_report(outcome, cfg), args.output)
     return EXIT_OK
 
@@ -180,7 +182,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         # mode cannot encrypt; fail before any work is done.
         raise ConfigurationError("pipeline cannot use the letters cipher; use byte")
     key = _load_key(cfg.cipher_mode)
-    outcome = analyze(args.dataset, cfg, jobs=args.jobs, drop_incomplete_rows=args.drop_incomplete_rows)
+    outcome = analyze(args.dataset, cfg, drop_incomplete_rows=args.drop_incomplete_rows)
     envelope = seal(outcome.selection_bytes(), key, with_tag=cfg.tag)
     Path(args.output).write_bytes(envelope.to_bytes())
     _write_bytes(render_report(outcome, cfg), None)

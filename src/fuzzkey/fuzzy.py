@@ -224,8 +224,10 @@ def fuzzify(x: float, partition: FuzzyPartition) -> MembershipVector:
 class RuleBase:
     """IF-THEN rules as (antecedent set index, consequent set index) pairs.
 
-    The default base is the identity permutation: low maps to low, medium to
-    medium, high to high.
+    A base holds exactly one rule per fuzzy set: set indices are checked
+    against the rule count, and scoring requires as many rules as the
+    partition has sets.  The default base is the identity permutation: low
+    maps to low, medium to medium, high to high.
     """
 
     mapping: tuple[tuple[int, int], ...]

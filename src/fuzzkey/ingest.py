@@ -2,9 +2,9 @@
 
 Dialect: UTF-8 with an optional byte-order mark, first line is the header
 (ASCII names without tabs), comma separator, LF or CRLF endings, no quoting
-(cells must not contain commas), decimal numerics with optional sign and
-exponent.  A column named exactly ``target`` is split off and carried
-along; it never influences scoring.
+(cells must not contain commas), ASCII decimal numerics (digits 0-9) with
+optional sign and exponent.  A column named exactly ``target`` is split
+off and carried along; it never influences scoring.
 
 :func:`load_table` parses rows in bulk: a data line of exactly one cell per
 column, each made of ASCII numeric characters, goes straight into a float
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DataFormatError
 
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z")
+_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
 # A cell of the bulk path: characters of ASCII decimal numerics and the
 # spaces or tabs that str.strip and float both remove.  Over these characters
 # float() accepts exactly what _NUMBER_RE accepts after stripping: no

@@ -13,12 +13,10 @@ from pathlib import Path
 
 from . import cipher as cipher_mod
 from .errors import ConfigurationError
-from .fuzzy import DefuzzConfig, FuzzyPartition, RuleBase, make_uniform_partition
+from .fuzzy import DefuzzConfig, FuzzyPartition, RuleBase, _checked_unit, make_uniform_partition
 from .ingest import Dataset, NormalizedDataset, load_table, normalize
 from .network import PropagationStats, cost
 from .selection import (
-    MODE_INFERENCE,
-    MODE_SUM,
     RelevanceScore,
     SelectionResult,
     score_columns,
@@ -30,6 +28,9 @@ REPORT_HEADER = "fuzzkey-report 1"
 
 DEFAULT_TAU = 0.5
 
+# the one relevance mode; the mode config key and --mode accept only this
+RELEVANCE_MODE = "inference"
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -37,7 +38,6 @@ class PipelineConfig:
 
     sets: int = 3
     layers: int = 4
-    mode: str = MODE_INFERENCE
     k: int | None = None
     tau: float | None = None
     centers: tuple[float, ...] | None = None
@@ -50,8 +50,6 @@ class PipelineConfig:
             raise ConfigurationError(f"sets must be an integer >= 2, got {self.sets!r}")
         if not isinstance(self.layers, int) or self.layers < 4:
             raise ConfigurationError(f"layers must be an integer >= 4, got {self.layers!r}")
-        if self.mode not in (MODE_INFERENCE, MODE_SUM):
-            raise ConfigurationError(f"mode must be inference or sum, got {self.mode!r}")
         if self.k is not None and self.tau is not None:
             raise ConfigurationError("choose either k (top-k) or tau (threshold), not both")
         if self.k is not None and (not isinstance(self.k, int) or self.k < 0):
@@ -63,7 +61,11 @@ class PipelineConfig:
         cfg = self
         if cfg.k is None and cfg.tau is None:
             cfg = replace(cfg, tau=DEFAULT_TAU)
-        cfg.defuzz_config()  # validates centers length/ordering/range
+        if cfg.centers is None:
+            # uniform centers are valid by construction; S of them need not be built
+            _checked_unit("empty_activation_value", cfg.empty_activation_value)
+        else:
+            cfg.defuzz_config()  # validates centers length/ordering/range
         return cfg
 
     @property
@@ -145,7 +147,8 @@ def load_config_file(path: str | Path, base: PipelineConfig | None = None) -> Pi
         elif key == "layers":
             cfg = replace(cfg, layers=_parse_int(key, raw))
         elif key == "mode":
-            cfg = replace(cfg, mode=raw)
+            if raw != RELEVANCE_MODE:
+                raise ConfigurationError(f"mode: expected {RELEVANCE_MODE}, got {raw!r}")
         elif key == "k":
             cfg = replace(cfg, k=_parse_int(key, raw))
         elif key == "tau":
@@ -173,7 +176,6 @@ class PipelineOutcome:
     scores: list[RelevanceScore]
     result: SelectionResult
     stats: PropagationStats
-    propagations: int
 
     def selection_bytes(self) -> bytes:
         return cipher_mod.serialize_selection(self.result, list(self.dataset.feature_names))
@@ -182,26 +184,22 @@ class PipelineOutcome:
 def analyze(
     source: Dataset | str | Path,
     cfg: PipelineConfig,
-    jobs: int = 1,
     drop_incomplete_rows: bool = False,
 ) -> PipelineOutcome:
     """Run the selection pipeline on a CSV path or an in-memory dataset.
 
     Scoring runs single-threaded, one blocked kernel call over the whole
-    normalized matrix.  ``jobs`` is still validated as a positive integer
-    but has no effect.
+    normalized matrix.
     """
     cfg = cfg.validated()
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ConfigurationError(f"jobs must be a positive integer, got {jobs!r}")
     dataset = source if isinstance(source, Dataset) else load_table(source, drop_incomplete_rows)
     normalized = dataset if isinstance(dataset, NormalizedDataset) else normalize(dataset)
 
     partition = cfg.partition()
     rules = cfg.rules()
     defuzz = cfg.defuzz_config()
-    column_scores = score_columns(normalized.rows, partition, rules, defuzz, cfg.mode)
-    scores = [RelevanceScore(i, score, cfg.mode) for i, score in enumerate(column_scores)]
+    column_scores = score_columns(normalized.rows, partition, rules, defuzz)
+    scores = [RelevanceScore(i, score) for i, score in enumerate(column_scores)]
 
     if cfg.selection_kind == "topk":
         result = select_topk(scores, cfg.k)
@@ -214,7 +212,6 @@ def analyze(
         scores=scores,
         result=result,
         stats=cost(dataset.n_features, cfg.sets, cfg.layers, normalized.n_rows),
-        propagations=normalized.n_rows,
     )
 
 
@@ -230,7 +227,7 @@ def render_report(outcome: PipelineOutcome, cfg: PipelineConfig) -> bytes:
     lines.append("[config]")
     lines.append(f"sets = {cfg.sets}")
     lines.append(f"layers = {cfg.layers}")
-    lines.append(f"mode = {cfg.mode}")
+    lines.append(f"mode = {RELEVANCE_MODE}")
     lines.append(f"selection = {cfg.selection_kind}")
     if cfg.selection_kind == "topk":
         lines.append(f"k = {cfg.k}")
@@ -256,7 +253,7 @@ def render_report(outcome: PipelineOutcome, cfg: PipelineConfig) -> bytes:
     tail = "\n".join(
         [
             "[stats]",
-            f"propagations = {outcome.propagations}",
+            f"propagations = {outcome.normalized.n_rows}",
             f"mf_evals = {outcome.stats.mf_evals}",
             f"hidden_ops = {outcome.stats.hidden_ops}",
         ]

@@ -1,13 +1,8 @@
 """Feature relevance scoring and ranked selection.
 
-Two relevance definitions coexist:
-
-* ``inference`` (default): per instance, fuzzify the value, fire the rules
-  and take the defuzzified centroid; the feature score is the mean over
-  instances.
-* ``sum``: the plain sum of membership degrees.  Under any uniform
-  partition the degrees sum to 1 for every value, so this mode ranks all
-  features equally there; it only discriminates on non-uniform partitions.
+Relevance is fuzzy inference: per instance, fuzzify the value, fire the
+rules and take the defuzzified centroid; the feature score is the mean over
+instances.
 
 Ranking is deterministic: scores descend, ties break on the lower feature
 id.
@@ -16,15 +11,15 @@ id.
 a block of columns at a time; :func:`score_feature` is its one-column call.
 Results are bit-identical to the public scalar functions
 (:func:`fuzzify`, :func:`evaluate_rules`, :func:`defuzzify_centroid`,
-:func:`relevance_inference`, :func:`relevance_sum`), which stay the
-reference the kernel is tested against.
+:func:`relevance_inference`), which stay the reference the kernel is
+tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,22 +29,17 @@ from .fuzzy import (
     FuzzyPartition,
     LEFT_SHOULDER,
     TRIANGLE,
-    MembershipVector,
     RuleBase,
     defuzzify_centroid,
     evaluate_rules,
     fuzzify,
 )
 
-MODE_INFERENCE = "inference"
-MODE_SUM = "sum"
-
 
 @dataclass(frozen=True)
 class RelevanceScore:
     feature_id: int
     score: float
-    mode: str = MODE_INFERENCE
 
 
 @dataclass(frozen=True)
@@ -63,7 +53,6 @@ class SelectionResult:
 
     ranked: tuple[tuple[int, float], ...]
     selected: tuple[int, ...]
-    mode: str = MODE_INFERENCE
     k: int | None = None
     tau: float | None = None
 
@@ -86,11 +75,6 @@ def relevance_inference(
         for v in values
     ]
     return math.fsum(crisp) / len(crisp)
-
-
-def relevance_sum(mv: MembershipVector | Sequence[float]) -> float:
-    """Sum of membership degrees of a single fuzzified value."""
-    return math.fsum(mv)
 
 
 # values per kernel block: a block of f columns of n values runs as f x n
@@ -161,46 +145,39 @@ def score_columns(
     partition: FuzzyPartition,
     rules: RuleBase | None = None,
     defuzz: DefuzzConfig | None = None,
-    mode: str = MODE_INFERENCE,
 ) -> list[float]:
     """Score every column of an n x F matrix of instance values.
 
     Each score is equal bit for bit to :func:`relevance_inference` of its
-    column in ``inference`` mode and to the ``math.fsum`` mean of
-    :func:`relevance_sum` over the fuzzified column in ``sum`` mode.  The
-    error raised is the one a loop over the columns would raise first: an
-    unknown mode, no rows, a non-finite ``rows[0, 0]`` (inference only),
-    the rule count, the center count, then the first non-finite value in
-    column order.
+    column.  The error raised is the one a loop over the columns would
+    raise first: no rows, a non-finite ``rows[0, 0]``, the rule count, the
+    center count, then the first non-finite value in column order.
 
     Columns run in blocks of at most ``_SCORE_BLOCK`` values, each copied
     into a contiguous f x n array, so every step is a few numpy calls per
     block whatever the number of columns.
     """
-    if mode not in (MODE_INFERENCE, MODE_SUM):
-        raise ContractViolationError(f"unknown relevance mode {mode!r}")
     x = np.asarray(rows, dtype=float)
     n, n_features = x.shape
     if n == 0:
         raise ContractViolationError("relevance needs at least one instance value")
     if n_features == 0:
         return []
-    if mode == MODE_INFERENCE:
-        if rules is None:
-            rules = RuleBase.identity(partition.n_sets)
-        if defuzz is None:
-            defuzz = DefuzzConfig.uniform(partition.n_sets)
-        # the scalar path fuzzifies the first value before it checks any shape
-        if not math.isfinite(x[0, 0]):
-            raise _non_finite(float(x[0, 0]))
-        if partition.n_sets != rules.size:
-            raise ContractViolationError(
-                f"membership vector has {partition.n_sets} entries but the rule base has {rules.size} rules"
-            )
-        if rules.size != len(defuzz.centers):
-            raise ContractViolationError(
-                f"activation vector has {rules.size} entries but there are {len(defuzz.centers)} centers"
-            )
+    if rules is None:
+        rules = RuleBase.identity(partition.n_sets)
+    if defuzz is None:
+        defuzz = DefuzzConfig.uniform(partition.n_sets)
+    # the scalar path fuzzifies the first value before it checks any shape
+    if not math.isfinite(x[0, 0]):
+        raise _non_finite(float(x[0, 0]))
+    if partition.n_sets != rules.size:
+        raise ContractViolationError(
+            f"membership vector has {partition.n_sets} entries but the rule base has {rules.size} rules"
+        )
+    if rules.size != len(defuzz.centers):
+        raise ContractViolationError(
+            f"activation vector has {rules.size} entries but there are {len(defuzz.centers)} centers"
+        )
     finite = np.isfinite(x)
     if not finite.all():
         j = int(np.flatnonzero(~finite.all(axis=0))[0])
@@ -210,11 +187,7 @@ def score_columns(
     width = max(1, _SCORE_BLOCK // n)
     for start in range(0, n_features, width):
         block = np.ascontiguousarray(x[:, start : start + width].T)
-        degrees = _degrees(block, partition)
-        if mode == MODE_SUM:
-            per_value = _column_fsums(degrees)
-        else:
-            per_value = _centroids(degrees, rules, defuzz)
+        per_value = _centroids(_degrees(block, partition), rules, defuzz)
         scores.extend(math.fsum(values) / n for values in per_value.tolist())
     return scores
 
@@ -224,25 +197,10 @@ def score_feature(
     partition: FuzzyPartition,
     rules: RuleBase | None = None,
     defuzz: DefuzzConfig | None = None,
-    mode: str = MODE_INFERENCE,
 ) -> float:
     """Per-feature score: :func:`score_columns` of one column of values."""
     column = np.asarray(values, dtype=float)
-    return score_columns(column[:, None], partition, rules, defuzz, mode)[0]
-
-
-def score_features(
-    columns: Iterable[Sequence[float]],
-    partition: FuzzyPartition,
-    rules: RuleBase | None = None,
-    defuzz: DefuzzConfig | None = None,
-    mode: str = MODE_INFERENCE,
-) -> list[RelevanceScore]:
-    """Score one column of instance values per feature."""
-    return [
-        RelevanceScore(feature_id=i, score=score_feature(col, partition, rules, defuzz, mode), mode=mode)
-        for i, col in enumerate(columns)
-    ]
+    return score_columns(column[:, None], partition, rules, defuzz)[0]
 
 
 def rank_scores(scores: Sequence[RelevanceScore]) -> tuple[tuple[int, float], ...]:
@@ -257,8 +215,7 @@ def select_topk(scores: Sequence[RelevanceScore], k: int) -> SelectionResult:
         raise ContractViolationError(f"k must be a nonnegative integer, got {k!r}")
     ranked = rank_scores(scores)
     selected = tuple(fid for fid, _ in ranked[: min(k, len(ranked))])
-    mode = scores[0].mode if scores else MODE_INFERENCE
-    return SelectionResult(ranked=ranked, selected=selected, mode=mode, k=k)
+    return SelectionResult(ranked=ranked, selected=selected, k=k)
 
 
 def select_threshold(scores: Sequence[RelevanceScore], tau: float) -> SelectionResult:
@@ -267,5 +224,4 @@ def select_threshold(scores: Sequence[RelevanceScore], tau: float) -> SelectionR
         raise ContractViolationError(f"tau must be a finite nonnegative value, got {tau!r}")
     ranked = rank_scores(scores)
     selected = tuple(fid for fid, score in ranked if score >= tau)
-    mode = scores[0].mode if scores else MODE_INFERENCE
-    return SelectionResult(ranked=ranked, selected=selected, mode=mode, tau=float(tau))
+    return SelectionResult(ranked=ranked, selected=selected, tau=float(tau))

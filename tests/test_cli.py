@@ -1,5 +1,7 @@
+import argparse
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzkey import cli, selection
+from fuzzkey import DefuzzConfig, cli, selection
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 DATA = Path(__file__).resolve().parent / "data"
@@ -83,6 +85,33 @@ class TestSelect:
     def test_bad_config_value_exits_4(self, toy_csv):
         proc = run_cli(["select", str(toy_csv), "--sets", "1"])
         assert proc.returncode == 4
+
+    def test_bad_jobs_value(self, toy_csv):
+        proc = run_cli(["select", str(toy_csv), "--jobs", "0"])
+        assert proc.returncode == 4
+        assert_one_error_line(proc)
+        assert proc.stdout == b""
+
+    def test_jobs_do_not_change_results(self, toy_csv):
+        serial = run_cli(["select", str(toy_csv), "--k", "2", "--jobs", "1"])
+        threes = run_cli(["select", str(toy_csv), "--k", "2", "--jobs", "3"])
+        assert serial.returncode == threes.returncode == 0
+        assert threes.stdout == serial.stdout
+
+    @pytest.mark.parametrize("via, code", [("flag", 2), ("config", 4)])
+    def test_sum_mode_is_rejected(self, toy_csv, tmp_path, via, code):
+        args = ["select", str(toy_csv), "--k", "1"]
+        if via == "flag":
+            args += ["--mode", "sum"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("mode = sum\n")
+            args += ["--config", str(cfg)]
+        proc = run_cli(args)
+        assert proc.returncode == code
+        assert proc.stdout == b""
+        if code == 4:
+            assert_one_error_line(proc)
 
     def test_unknown_flag_exits_2(self, toy_csv):
         proc = run_cli(["select", str(toy_csv), "--frobnicate"])
@@ -360,7 +389,7 @@ class TestHostileCsv:
             [
                 ["--k", "2"],
                 ["--tau", "0.5"],
-                ["--mode", "sum", "--k", "1"],
+                ["--mode", "inference", "--k", "1"],
                 ["--sets", "5", "--tau", "0.2"],
                 ["--drop-incomplete-rows", "--k", "3"],
             ]
@@ -378,6 +407,16 @@ class TestHostileCsv:
             assert out == b""
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("fuzzkey: ")
+
+    @pytest.mark.parametrize("cell", ["\u0661\u0662", "\uff15"], ids=["arabic-indic", "fullwidth"])
+    def test_non_ascii_digits_exit_3(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_bytes(f"a,b\n1,2\n{cell},3\n".encode("utf-8"))
+        code, out, err = run_in_process(["select", str(path), "--k", "1"])
+        assert (code, out) == (3, b"")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("fuzzkey: ")
+        assert "not a number" in lines[0]
 
 
 class TestMembership:
@@ -447,3 +486,47 @@ class TestStats:
         out = proc.stdout.decode()
         assert "mf_evals = 300000\n" in out
         assert "hidden_ops = 30000100000\n" in out
+
+    def test_huge_layer_count_needs_no_list(self):
+        proc = run_cli(["stats", "--features", "3", "--layers", str(10**18)], timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        out = proc.stdout.decode()
+        assert "mf_evals = 9\n" in out
+        assert "hidden_ops = 8999999999999999994\n" in out
+
+    def test_huge_set_count_builds_no_centers(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("stats built the uniform centers")
+
+        monkeypatch.setattr(DefuzzConfig, "uniform", build)
+        code, out, err = run_in_process(["stats", "--features", "1", "--sets", str(10**18)])
+        assert (code, err) == (0, "")
+        assert f"mf_evals = {10**18}\n".encode() in out
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadme:
+    def test_flags_line_matches_the_parser(self):
+        # the README lists the long options of select, pipeline and encrypt,
+        # with the choices of each option that has them
+        text = README.read_text(encoding="utf-8")
+        paragraph = text[text.index("Flags: ") :].split("\n\n", 1)[0]
+        documented = {}
+        for spec in re.findall(r"`(--[^`]+)`", paragraph):
+            names, _, argument = spec.partition(" ")
+            for name in names.split("/"):
+                documented[name] = argument
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        registered = {}
+        for command in ("select", "pipeline", "encrypt"):
+            for action in commands.choices[command]._actions:
+                for name in action.option_strings:
+                    if name.startswith("--") and name != "--help":
+                        registered[name] = action.choices
+        assert set(documented) == set(registered)
+        for name, choices in registered.items():
+            if choices is not None:
+                assert documented[name].split("|") == list(choices), name

@@ -63,7 +63,7 @@ class TestLoadTable:
         d = load_table(write(tmp_path, "a,b,c\n-1.5,+2e3,.25\n"))
         assert d.rows.tolist() == [[-1.5, 2000.0, 0.25]]
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "1_000", "0x1f", "1,5"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1_000", "0x1f", "1,5", "\u0661\u0662", "\uff15"])
     def test_non_decimal_spellings_rejected(self, tmp_path, bad):
         with pytest.raises(DataFormatError):
             load_table(write(tmp_path, f"a,b\n{bad},2\n"))

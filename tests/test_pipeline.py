@@ -1,9 +1,14 @@
+import math
+
 import pytest
 
 from fuzzkey import (
     ConfigurationError,
+    DefuzzConfig,
     PipelineConfig,
     analyze,
+    cli,
+    fuzzify,
     load_config_file,
     load_table,
     normalize,
@@ -30,7 +35,7 @@ class TestConfigFile:
             "# comment\n"
             "sets = 5\n"
             "layers = 6\n"
-            "mode = sum\n"
+            "mode = inference\n"
             "k = 2\n"
             "centers = 0, 0.25, 0.5, 0.75, 1\n"
             "empty_activation_value = 0.1\n"
@@ -40,7 +45,6 @@ class TestConfigFile:
         cfg = load_config_file(path).validated()
         assert cfg.sets == 5
         assert cfg.layers == 6
-        assert cfg.mode == "sum"
         assert cfg.k == 2
         assert cfg.centers == (0.0, 0.25, 0.5, 0.75, 1.0)
         assert cfg.empty_activation_value == 0.1
@@ -62,6 +66,15 @@ class TestConfigFile:
         assert cfg.selection_kind == "threshold"
         assert cfg.tau == 0.5
 
+    def test_validation_builds_no_uniform_centers(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("validated() built the uniform centers")
+
+        monkeypatch.setattr(DefuzzConfig, "uniform", build)
+        assert PipelineConfig(sets=10**18).validated().sets == 10**18
+        with pytest.raises(ConfigurationError, match="empty_activation_value"):
+            PipelineConfig(sets=10**18, empty_activation_value=2.0).validated()
+
     def test_centers_must_match_sets(self):
         with pytest.raises(ConfigurationError, match="centers"):
             PipelineConfig(sets=3, centers=(0.0, 1.0)).validated()
@@ -80,11 +93,22 @@ class TestAnalyze:
         second = render_report(analyze(csv_path, cfg), cfg)
         assert first == second
 
-    def test_jobs_do_not_change_results(self, csv_path):
-        cfg = PipelineConfig(k=2)
-        serial = render_report(analyze(csv_path, cfg, jobs=1), cfg)
-        pooled = render_report(analyze(csv_path, cfg, jobs=4), cfg)
-        assert serial == pooled
+    @pytest.fixture
+    def key_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "key.bin"
+        path.write_bytes(b"pipeline-key")
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", str(path))
+
+    def test_jobs_do_not_change_results(self, csv_path, tmp_path, capsysbinary, key_file):
+        runs = []
+        for jobs in ("1", "4"):
+            sealed = tmp_path / f"jobs{jobs}.fzk"
+            args = ["pipeline", str(csv_path), "--k", "2", "--jobs", jobs, "--output", str(sealed)]
+            code = cli.main(args)
+            out, err = capsysbinary.readouterr()
+            assert (code, err) == (0, b"")
+            runs.append((out, sealed.read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_matches_manual_composition(self, csv_path):
         cfg = PipelineConfig(k=2).validated()
@@ -93,7 +117,7 @@ class TestAnalyze:
         nd = normalize(load_table(csv_path))
         partition, rules, defuzz = cfg.partition(), cfg.rules(), cfg.defuzz_config()
         scores = [
-            RelevanceScore(i, score_feature(nd.column(i), partition, rules, defuzz), "inference")
+            RelevanceScore(i, score_feature(nd.column(i), partition, rules, defuzz))
             for i in range(nd.n_features)
         ]
         expected = select_topk(scores, 2)
@@ -104,7 +128,7 @@ class TestAnalyze:
         cfg = PipelineConfig(k=1)
         outcome = analyze(csv_path, cfg)
         # 4 rows, 3 features, 3 sets each, 4 layers: 3*9 + 0*9 + 3 = 30 ops per pass
-        assert outcome.propagations == 4
+        assert b"\n[stats]\npropagations = 4\n" in render_report(outcome, cfg)
         assert outcome.stats.mf_evals == 4 * 9
         assert outcome.stats.hidden_ops == 4 * 30
 
@@ -112,6 +136,26 @@ class TestAnalyze:
         outcome = analyze(csv_path, PipelineConfig(k=3))
         scores = {s.feature_id: s.score for s in outcome.scores}
         assert scores[2] == 0.5  # constant column normalizes to 0.5 everywhere
+
+    def test_sum_mode_is_degenerate_under_uniform_partition(self, csv_path):
+        # the reason the only relevance mode is inference: under the pipeline's
+        # partition every instance's degrees sum to 1, so a sum-of-degrees
+        # score would be 1.0 for every feature
+        cfg = PipelineConfig(k=1).validated()
+        nd = normalize(load_table(csv_path))
+        partition = cfg.partition()
+        for i in range(nd.n_features):
+            sums = [math.fsum(fuzzify(v, partition).degrees) for v in nd.column(i)]
+            assert math.fsum(sums) / len(sums) == pytest.approx(1.0, abs=1e-9)
+
+    def test_bad_jobs_value(self, csv_path, tmp_path, capsysbinary, key_file):
+        sealed = tmp_path / "sel.fzk"
+        code = cli.main(["pipeline", str(csv_path), "--k", "1", "--jobs", "0", "--output", str(sealed)])
+        out, err = capsysbinary.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert out == b""
+        assert err.decode().startswith("fuzzkey: ") and err.count(b"\n") == 1
+        assert not sealed.exists()
 
     def test_report_sections_in_order(self, csv_path):
         cfg = PipelineConfig(k=2)
@@ -135,12 +179,3 @@ class TestAnalyze:
         report = render_report(outcome, cfg).decode()
         block = report.split("[selected]\n", 1)[1].split("[stats]", 1)[0]
         assert block.encode() == outcome.selection_bytes()
-
-    def test_sum_mode_is_degenerate_under_uniform_partition(self, csv_path):
-        outcome = analyze(csv_path, PipelineConfig(mode="sum", k=1))
-        for s in outcome.scores:
-            assert s.score == pytest.approx(1.0, abs=1e-9)
-
-    def test_bad_jobs_value(self, csv_path):
-        with pytest.raises(ConfigurationError):
-            analyze(csv_path, PipelineConfig(k=1), jobs=0)

@@ -21,10 +21,8 @@ from fuzzkey import (
     make_uniform_partition,
     rank_scores,
     relevance_inference,
-    relevance_sum,
     score_columns,
     score_feature,
-    score_features,
     select_threshold,
     select_topk,
 )
@@ -53,24 +51,15 @@ class TestRelevance:
         with pytest.raises(ContractViolationError):
             relevance_inference([], PARTITION)
 
-    def test_sum_of_zero_vector(self):
-        assert relevance_sum((0.0, 0.0, 0.0)) == 0.0
-
-    def test_sum_of_half_half(self):
-        assert relevance_sum((0.5, 0.5, 0.0)) == 1.0
-
     def test_sum_is_constant_under_uniform_partitions(self):
-        # Ruspini partitions make the degree sum identically 1, so sum-mode
-        # ranking cannot discriminate there; documented behaviour.
+        # Ruspini partitions make the degree sum identically 1, so a relevance
+        # summing the degrees could not discriminate between features.
         rng = random.Random(5)
-        for _ in range(100):
-            mv = fuzzify(rng.random(), PARTITION)
-            assert relevance_sum(mv) == pytest.approx(1.0, abs=1e-9)
-
-    def test_sum_mode_feature_scoring_averages_instances(self):
-        values = [0.1, 0.4, 0.9]
-        expected = math.fsum(relevance_sum(fuzzify(v, PARTITION)) for v in values) / 3
-        assert score_feature(values, PARTITION, mode="sum") == expected
+        for n_sets in range(2, 8):
+            partition = make_uniform_partition(n_sets)
+            for _ in range(100):
+                mv = fuzzify(rng.random(), partition)
+                assert math.fsum(mv.degrees) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSelect:
@@ -251,10 +240,6 @@ def scores_or_error(call):
         return str(exc)
 
 
-def sum_mode_reference(values, partition):
-    return math.fsum(relevance_sum(fuzzify(v, partition)) for v in values) / len(values)
-
-
 class TestVectorizedKernel:
     """score_feature and score_columns against the public scalar functions, bit for bit."""
 
@@ -265,13 +250,6 @@ class TestVectorizedKernel:
         fast = score_feature(values, partition, rules, defuzz)
         assert_bitwise(fast, relevance_inference(values, partition, rules, defuzz))
         assert_bitwise(score_feature(np.array(values), partition, rules, defuzz), fast)
-
-    @settings(max_examples=200, deadline=None)
-    @given(scoring_cases())
-    def test_sum_mode_matches_scalar_reference(self, case):
-        values, partition, _, _ = case
-        expected = math.fsum(relevance_sum(fuzzify(v, partition)) for v in values) / len(values)
-        assert_bitwise(score_feature(values, partition, mode="sum"), expected)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=2, max_value=9), st.lists(unit, min_size=1, max_size=60))
@@ -323,18 +301,6 @@ class TestVectorizedKernel:
             score_feature(values, PARTITION, rules, defuzz)
         assert str(fast.value) == str(reference.value)
 
-    @pytest.mark.parametrize("values", [[0.5, float("nan")], [float("-inf")]], ids=["nan", "inf"])
-    def test_sum_mode_errors_match_scalar_reference(self, values):
-        with pytest.raises(ContractViolationError) as reference:
-            [relevance_sum(fuzzify(v, PARTITION)) for v in values]
-        with pytest.raises(ContractViolationError) as fast:
-            score_feature(values, PARTITION, mode="sum")
-        assert str(fast.value) == str(reference.value)
-
-    def test_sum_mode_empty_input(self):
-        with pytest.raises(ContractViolationError, match="at least one instance value"):
-            score_feature([], PARTITION, mode="sum")
-
     @settings(max_examples=200, deadline=None)
     @given(matrix_cases())
     def test_columns_match_scalar_reference(self, case):
@@ -344,15 +310,6 @@ class TestVectorizedKernel:
         assert len(fast) == matrix.shape[1]
         for j, score in enumerate(fast):
             assert_bitwise(score, relevance_inference(matrix[:, j].tolist(), partition, rules, defuzz))
-
-    @settings(max_examples=150, deadline=None)
-    @given(matrix_cases())
-    def test_sum_mode_columns_match_scalar_reference(self, case):
-        matrix, partition, _, _, block = case
-        with mock.patch.object(selection, "_SCORE_BLOCK", block):
-            fast = score_columns(matrix, partition, mode="sum")
-        for j, score in enumerate(fast):
-            assert_bitwise(score, sum_mode_reference(matrix[:, j].tolist(), partition))
 
     def test_fsum_fallback_runs_inside_blocks(self):
         # three sets overlap at every interior value, so each per-value sum
@@ -371,11 +328,8 @@ class TestVectorizedKernel:
         assert (np.count_nonzero(degrees, axis=0) > 2).all()
         with mock.patch.object(selection, "_SCORE_BLOCK", 20):
             fast = score_columns(matrix, partition, defuzz=defuzz)
-            fast_sum = score_columns(matrix, partition, mode="sum")
         for j in range(7):
-            column = matrix[:, j].tolist()
-            assert_bitwise(fast[j], relevance_inference(column, partition, defuzz=defuzz))
-            assert_bitwise(fast_sum[j], sum_mode_reference(column, partition))
+            assert_bitwise(fast[j], relevance_inference(matrix[:, j].tolist(), partition, defuzz=defuzz))
 
     @pytest.mark.parametrize(
         "shape", [(70, 470), (selection._SCORE_BLOCK + 3, 2)], ids=["two-blocks", "column-per-block"]
@@ -404,39 +358,19 @@ class TestVectorizedKernel:
         ),
         st.sampled_from([None, RuleBase.identity(2)]),
         st.sampled_from([None, (0.0, 1.0)]),
-        st.sampled_from(["inference", "sum"]),
     )
-    def test_column_errors_match_the_column_loop(self, columns, rules, centers, mode):
+    def test_column_errors_match_the_column_loop(self, columns, rules, centers):
         matrix = np.array(columns).T
         defuzz = DefuzzConfig(centers) if centers is not None else None
-        if mode == "sum":
-            expected = scores_or_error(lambda: [sum_mode_reference(c, PARTITION) for c in columns])
-        else:
-            expected = scores_or_error(
-                lambda: [relevance_inference(c, PARTITION, rules, defuzz) for c in columns]
-            )
+        expected = scores_or_error(
+            lambda: [relevance_inference(c, PARTITION, rules, defuzz) for c in columns]
+        )
         with mock.patch.object(selection, "_SCORE_BLOCK", 4):
-            got = scores_or_error(lambda: score_columns(matrix, PARTITION, rules, defuzz, mode))
+            got = scores_or_error(lambda: score_columns(matrix, PARTITION, rules, defuzz))
         assert got == expected
 
-    @pytest.mark.parametrize("mode", ["inference", "sum"])
-    def test_score_features_takes_ragged_columns(self, mode):
-        columns = [[0.1, 0.7], [0.4], [0.9, 0.2, 0.55]]
-        scores = score_features(columns, PARTITION, mode=mode)
-        assert [s.feature_id for s in scores] == [0, 1, 2]
-        for column, score in zip(columns, scores):
-            assert score.mode == mode
-            if mode == "sum":
-                assert_bitwise(score.score, sum_mode_reference(column, PARTITION))
-            else:
-                assert_bitwise(score.score, relevance_inference(column, PARTITION))
-
-    @pytest.mark.parametrize("mode", ["inference", "sum"])
-    def test_columns_without_rows_or_columns(self, mode):
+    @pytest.mark.parametrize("rules, defuzz", [(None, None), (RULES, Y)], ids=["inference", "explicit"])
+    def test_columns_without_rows_or_columns(self, rules, defuzz):
         with pytest.raises(ContractViolationError, match="at least one instance value"):
-            score_columns(np.empty((0, 3)), PARTITION, mode=mode)
-        assert score_columns(np.empty((4, 0)), PARTITION, mode=mode) == []
-
-    def test_unknown_mode_comes_first(self):
-        with pytest.raises(ContractViolationError, match="unknown relevance mode 'max'"):
-            score_columns(np.empty((0, 3)), PARTITION, mode="max")
+            score_columns(np.empty((0, 3)), PARTITION, rules, defuzz)
+        assert score_columns(np.empty((4, 0)), PARTITION, rules, defuzz) == []
