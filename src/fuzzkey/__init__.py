@@ -51,7 +51,6 @@ from .selection import (
     rank_scores,
     relevance_inference,
     score_columns,
-    score_feature,
     select_threshold,
     select_topk,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "relevance_inference",
     "render_report",
     "score_columns",
-    "score_feature",
     "seal",
     "select_threshold",
     "select_topk",

@@ -29,7 +29,7 @@ from .errors import (
     IntegrityError,
     InvalidKeyError,
 )
-from .fuzzy import defuzzify_centroid, evaluate_rules, fuzzify
+from .fuzzy import RuleBase, defuzzify_centroid, evaluate_rules, fuzzify
 from .network import cost
 from .pipeline import RELEVANCE_MODE, PipelineConfig, analyze, load_config_file, render_report
 
@@ -42,6 +42,8 @@ EXIT_DATA = 3
 EXIT_CONFIG = 4
 EXIT_INTEGRITY = 5
 
+# a sweep writes points x (sets + 2) cells: at most this many points up to
+# 3 sets, and at most 3 * MAX_SWEEP_POINTS / sets points above that
 MAX_SWEEP_POINTS = 1_000_000
 
 
@@ -206,7 +208,7 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_values(spec: str) -> list[float]:
+def _sweep_values(spec: str, n_sets: int) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigurationError(f"--sweep expects START:STOP:STEP, got {spec!r}")
@@ -217,9 +219,10 @@ def _sweep_values(spec: str) -> list[float]:
     if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)) or step <= 0:
         raise ConfigurationError(f"--sweep needs finite bounds and a positive step, got {spec!r}")
     # checked before any point is built; an overflowing span reads as inf
-    if (stop - start) / step >= MAX_SWEEP_POINTS:
+    limit = 3 * MAX_SWEEP_POINTS // max(n_sets, 3)
+    if (stop - start) / step >= limit:
         raise ConfigurationError(
-            f"--sweep allows at most {MAX_SWEEP_POINTS} points, got {spec!r}"
+            f"--sweep allows at most {limit} points with {n_sets} sets, got {spec!r}"
         )
     values = []
     i = 0
@@ -235,11 +238,11 @@ def _sweep_values(spec: str) -> list[float]:
 def _cmd_membership(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     partition = cfg.partition()
-    rules = cfg.rules()
+    rules = RuleBase.identity(cfg.sets)
     defuzz = cfg.defuzz_config()
     if args.x is not None and not math.isfinite(args.x):
         raise ConfigurationError(f"--x needs a finite value, got {args.x!r}")
-    xs = [args.x] if args.x is not None else _sweep_values(args.sweep)
+    xs = [args.x] if args.x is not None else _sweep_values(args.sweep, cfg.sets)
     lines = ["x\t" + "\t".join(mf.label for mf in partition.sets) + "\tcentroid"]
     for x in xs:
         mv = fuzzify(x, partition)

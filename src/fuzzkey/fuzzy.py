@@ -224,10 +224,10 @@ def fuzzify(x: float, partition: FuzzyPartition) -> MembershipVector:
 class RuleBase:
     """IF-THEN rules as (antecedent set index, consequent set index) pairs.
 
-    A base holds exactly one rule per fuzzy set: set indices are checked
-    against the rule count, and scoring requires as many rules as the
-    partition has sets.  The default base is the identity permutation: low
-    maps to low, medium to medium, high to high.
+    A base holds exactly one rule per fuzzy set, checked against the rule
+    count.  Only the scalar path takes a rule base; the scoring kernel
+    always applies the default, the identity permutation: low maps to low,
+    medium to medium, high to high.
     """
 
     mapping: tuple[tuple[int, int], ...]
@@ -330,6 +330,13 @@ def _default_labels(n_sets: int) -> tuple[str, ...]:
     return tuple(f"Set{j}" for j in range(1, n_sets + 1))
 
 
+def uniform_breakpoints(n_sets: int) -> list[float]:
+    """Peak positions of the uniform partition: j/(n_sets + 1), j = 1..n_sets."""
+    if not isinstance(n_sets, int) or isinstance(n_sets, bool) or n_sets < 2:
+        raise ConfigurationError(f"a partition needs at least 2 sets, got {n_sets!r}")
+    return [j / (n_sets + 1) for j in range(1, n_sets + 1)]
+
+
 def make_uniform_partition(n_sets: int) -> FuzzyPartition:
     """Evenly spaced partition with breakpoints at j/(n_sets + 1).
 
@@ -337,9 +344,7 @@ def make_uniform_partition(n_sets: int) -> FuzzyPartition:
     sets this yields the Low/Medium/High family with breakpoints 0.25, 0.5,
     0.75.
     """
-    if not isinstance(n_sets, int) or isinstance(n_sets, bool) or n_sets < 2:
-        raise ConfigurationError(f"a partition needs at least 2 sets, got {n_sets!r}")
-    points = [j / (n_sets + 1) for j in range(1, n_sets + 1)]
+    points = uniform_breakpoints(n_sets)
     labels = _default_labels(n_sets)
     sets: list[MembershipFunction] = []
     sets.append(MembershipFunction.left_shoulder(points[0], points[1], label=labels[0]))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import cipher as cipher_mod
 from .errors import ConfigurationError
-from .fuzzy import DefuzzConfig, FuzzyPartition, RuleBase, _checked_unit, make_uniform_partition
+from .fuzzy import DefuzzConfig, FuzzyPartition, _checked_unit, make_uniform_partition
 from .ingest import Dataset, NormalizedDataset, load_table, normalize
 from .network import PropagationStats, cost
 from .selection import (
@@ -27,6 +27,10 @@ from .selection import (
 REPORT_HEADER = "fuzzkey-report 1"
 
 DEFAULT_TAU = 0.5
+
+# most fuzzy sets select, pipeline and membership build; stats and
+# validated() build none, so they take any count
+MAX_SETS = 1000
 
 # the one relevance mode; the mode config key and --mode accept only this
 RELEVANCE_MODE = "inference"
@@ -72,13 +76,16 @@ class PipelineConfig:
     def selection_kind(self) -> str:
         return "topk" if self.k is not None else "threshold"
 
+    def _check_set_cap(self) -> None:
+        if self.sets > MAX_SETS:
+            raise ConfigurationError(f"sets must be at most {MAX_SETS}, got {self.sets!r}")
+
     def partition(self) -> FuzzyPartition:
+        self._check_set_cap()
         return make_uniform_partition(self.sets)
 
-    def rules(self) -> RuleBase:
-        return RuleBase.identity(self.sets)
-
     def defuzz_config(self) -> DefuzzConfig:
+        self._check_set_cap()
         if self.centers is None:
             return DefuzzConfig.uniform(self.sets, self.empty_activation_value)
         if len(self.centers) != self.sets:
@@ -189,16 +196,15 @@ def analyze(
     """Run the selection pipeline on a CSV path or an in-memory dataset.
 
     Scoring runs single-threaded, one blocked kernel call over the whole
-    normalized matrix.
+    normalized matrix, under the uniform partition and identity rules.
     """
     cfg = cfg.validated()
+    # checks the set cap before any data is read
+    defuzz = cfg.defuzz_config()
     dataset = source if isinstance(source, Dataset) else load_table(source, drop_incomplete_rows)
     normalized = dataset if isinstance(dataset, NormalizedDataset) else normalize(dataset)
 
-    partition = cfg.partition()
-    rules = cfg.rules()
-    defuzz = cfg.defuzz_config()
-    column_scores = score_columns(normalized.rows, partition, rules, defuzz)
+    column_scores = score_columns(normalized.rows, defuzz)
     scores = [RelevanceScore(i, score) for i, score in enumerate(column_scores)]
 
     if cfg.selection_kind == "topk":

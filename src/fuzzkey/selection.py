@@ -8,11 +8,13 @@ Ranking is deterministic: scores descend, ties break on the lower feature
 id.
 
 :func:`score_columns` scores every column of a matrix with one numpy kernel,
-a block of columns at a time; :func:`score_feature` is its one-column call.
-Results are bit-identical to the public scalar functions
-(:func:`fuzzify`, :func:`evaluate_rules`, :func:`defuzzify_centroid`,
-:func:`relevance_inference`), which stay the reference the kernel is
-tested against.
+a block of columns at a time, under the uniform partition and identity
+rules, the only ones the pipeline builds.  At most two adjacent sets of
+that strong (Ruspini) partition are active at any value, and the kernel
+evaluates only those.  Results are bit-identical to the public scalar
+functions (:func:`fuzzify`, :func:`evaluate_rules`,
+:func:`defuzzify_centroid`, :func:`relevance_inference`), which take any
+partition and rule base and stay the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ from .errors import ContractViolationError
 from .fuzzy import (
     DefuzzConfig,
     FuzzyPartition,
-    LEFT_SHOULDER,
-    TRIANGLE,
     RuleBase,
     defuzzify_centroid,
     evaluate_rules,
     fuzzify,
+    uniform_breakpoints,
 )
 
 
@@ -78,129 +79,65 @@ def relevance_inference(
 
 
 # values per kernel block: a block of f columns of n values runs as f x n
-# arrays, and each of its temporaries holds S x f x n floats
+# arrays, and so does each of its temporaries
 _SCORE_BLOCK = 1 << 15
 
 
-def _degrees(x: np.ndarray, partition: FuzzyPartition) -> np.ndarray:
-    """Membership degrees of every value in every set, shape S x ``x.shape``.
+def _centroids(x: np.ndarray, points: np.ndarray, defuzz: DefuzzConfig) -> np.ndarray:
+    """Defuzzified centroid of every value under the uniform partition.
 
-    Each branch is the IEEE expression :func:`eval_membership` evaluates,
-    after the same clamp into [0, 1], so every degree is bit-identical.
+    Between ``points[j]`` and ``points[j + 1]`` only set ``j`` (falling) and
+    set ``j + 1`` (rising) are active.  Each degree is the IEEE expression
+    :func:`eval_membership` evaluates; the clamp into ``[points[0],
+    points[-1]]`` gives the shoulder plateaus.  A two-term sum is one
+    rounded addition, equal to ``math.fsum`` but for the sign of a zero,
+    which the mean's ``math.fsum`` drops.
     """
-    x = np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
-    rows = []
-    # a slope np.where discards may overflow where its width is subnormal
-    with np.errstate(over="ignore"):
-        for mf in partition.sets:
-            a, b, c = mf.a, mf.b, mf.c
-            if mf.kind == LEFT_SHOULDER:
-                row = np.where(x <= a, 1.0, np.where(x < c, (c - x) / (c - a), 0.0))
-            elif mf.kind == TRIANGLE:
-                inner = np.where(x < b, (x - a) / (b - a), (c - x) / (c - b))
-                row = np.where((x <= a) | (x >= c), 0.0, inner)
-            else:
-                row = np.where(x <= b, 0.0, np.where(x < c, (x - b) / (c - b), 1.0))
-            rows.append(row)
-    return np.stack(rows)
-
-
-def _column_fsums(terms: np.ndarray) -> np.ndarray:
-    """Sums of ``terms`` over axis 0, each equal to ``math.fsum``.
-
-    Where at most two terms are nonzero the sum is one correctly rounded
-    addition, so the plain sum is exact there in any order; the uniform
-    partitions never activate more than two sets.  Every other sum takes
-    ``math.fsum`` over its own terms.
-    """
-    sums = terms.sum(axis=0)
-    for index in np.argwhere(np.count_nonzero(terms, axis=0) > 2).tolist():
-        sums[tuple(index)] = math.fsum(terms[(slice(None), *index)].tolist())
-    return sums
-
-
-def _centroids(degrees: np.ndarray, rules: RuleBase, defuzz: DefuzzConfig) -> np.ndarray:
-    """Defuzzified centroid of each value's fired rules, from S x f x n degrees."""
-    activation = np.zeros_like(degrees)
-    for ant, cons in rules.mapping:
-        np.maximum(activation[cons], degrees[ant], out=activation[cons])
-    centers = np.asarray(defuzz.centers)[:, None, None]
-    denominator = _column_fsums(activation)
-    numerator = _column_fsums(centers * activation)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        score = numerator / denominator
+    x = np.minimum(np.maximum(x, points[0]), points[-1])
+    j = np.minimum(np.searchsorted(points, x, "right") - 1, len(points) - 2)
+    left, right = points[j], points[j + 1]
+    width = right - left
+    falling = (right - x) / width
+    rising = (x - left) / width
+    centers = np.asarray(defuzz.centers)
+    score = (centers[j] * falling + centers[j + 1] * rising) / (falling + rising)
     # min(max(score, lo), hi) as Python evaluates it, signed zeros included
     lo, hi = defuzz.centers[0], defuzz.centers[-1]
     score = np.where(lo > score, lo, score)
-    score = np.where(hi < score, hi, score)
-    return np.where(denominator == 0.0, defuzz.empty_activation_value, score)
+    return np.where(hi < score, hi, score)
 
 
-def _non_finite(value: float) -> ContractViolationError:
-    return ContractViolationError(f"expected a finite value, got {value!r}")
-
-
-def score_columns(
-    rows: np.ndarray | Sequence[Sequence[float]],
-    partition: FuzzyPartition,
-    rules: RuleBase | None = None,
-    defuzz: DefuzzConfig | None = None,
-) -> list[float]:
+def score_columns(rows: np.ndarray | Sequence[Sequence[float]], defuzz: DefuzzConfig) -> list[float]:
     """Score every column of an n x F matrix of instance values.
 
-    Each score is equal bit for bit to :func:`relevance_inference` of its
-    column.  The error raised is the one a loop over the columns would
-    raise first: no rows, a non-finite ``rows[0, 0]``, the rule count, the
-    center count, then the first non-finite value in column order.
+    Each score is equal bit for bit to ``relevance_inference(column,
+    make_uniform_partition(S), None, defuzz)`` with S = ``len(defuzz.centers)``,
+    and the error raised is the one a loop of that call over the columns
+    raises first: fewer than 2 centers, no rows, then the first non-finite
+    value in column order.
 
     Columns run in blocks of at most ``_SCORE_BLOCK`` values, each copied
     into a contiguous f x n array, so every step is a few numpy calls per
-    block whatever the number of columns.
+    block whatever the number of columns or sets.
     """
+    points = np.asarray(uniform_breakpoints(len(defuzz.centers)))
     x = np.asarray(rows, dtype=float)
     n, n_features = x.shape
     if n == 0:
         raise ContractViolationError("relevance needs at least one instance value")
-    if n_features == 0:
-        return []
-    if rules is None:
-        rules = RuleBase.identity(partition.n_sets)
-    if defuzz is None:
-        defuzz = DefuzzConfig.uniform(partition.n_sets)
-    # the scalar path fuzzifies the first value before it checks any shape
-    if not math.isfinite(x[0, 0]):
-        raise _non_finite(float(x[0, 0]))
-    if partition.n_sets != rules.size:
-        raise ContractViolationError(
-            f"membership vector has {partition.n_sets} entries but the rule base has {rules.size} rules"
-        )
-    if rules.size != len(defuzz.centers):
-        raise ContractViolationError(
-            f"activation vector has {rules.size} entries but there are {len(defuzz.centers)} centers"
-        )
     finite = np.isfinite(x)
     if not finite.all():
         j = int(np.flatnonzero(~finite.all(axis=0))[0])
-        raise _non_finite(float(x[np.flatnonzero(~finite[:, j])[0], j]))
+        value = float(x[np.flatnonzero(~finite[:, j])[0], j])
+        raise ContractViolationError(f"expected a finite value, got {value!r}")
 
     scores: list[float] = []
     width = max(1, _SCORE_BLOCK // n)
     for start in range(0, n_features, width):
         block = np.ascontiguousarray(x[:, start : start + width].T)
-        per_value = _centroids(_degrees(block, partition), rules, defuzz)
+        per_value = _centroids(block, points, defuzz)
         scores.extend(math.fsum(values) / n for values in per_value.tolist())
     return scores
-
-
-def score_feature(
-    values: Sequence[float],
-    partition: FuzzyPartition,
-    rules: RuleBase | None = None,
-    defuzz: DefuzzConfig | None = None,
-) -> float:
-    """Per-feature score: :func:`score_columns` of one column of values."""
-    column = np.asarray(values, dtype=float)
-    return score_columns(column[:, None], partition, rules, defuzz)[0]
 
 
 def rank_scores(scores: Sequence[RelevanceScore]) -> tuple[tuple[int, float], ...]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzkey import DefuzzConfig, cli, selection
+from fuzzkey import DefuzzConfig, cli, fuzzy, pipeline, selection
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 DATA = Path(__file__).resolve().parent / "data"
@@ -152,6 +152,17 @@ class TestSelect:
         proc = run_cli(["select", str(data), "--k", "1"])
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert b"a\t-1e+308\t1e+308\n" in proc.stdout
+
+    def test_scoring_builds_no_partition_or_rule_base(self, toy_csv, monkeypatch):
+        def build(*args):
+            raise AssertionError("select built a partition or a rule base")
+
+        monkeypatch.setattr(fuzzy, "make_uniform_partition", build)
+        monkeypatch.setattr(pipeline, "make_uniform_partition", build)
+        monkeypatch.setattr(fuzzy.RuleBase, "identity", build)
+        code, out, err = run_in_process(["select", str(toy_csv), "--k", "2", "--sets", "5"])
+        assert (code, err) == (0, "")
+        assert out.startswith(b"fuzzkey-report 1\n")
 
     def test_config_file_with_flag_override(self, toy_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -419,6 +430,39 @@ class TestHostileCsv:
         assert "not a number" in lines[0]
 
 
+class TestSetCap:
+    @pytest.mark.parametrize("command", ["select", "pipeline", "membership"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_too_many_sets_exit_4_before_reading_data(self, tmp_path, monkeypatch, command, via):
+        key = tmp_path / "key.bin"
+        key.write_bytes(b"hunter2")
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", str(key))
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_bytes(b"a,b\n1,x\n")
+        sealed = tmp_path / "sel.fzk"
+        too_many = str(pipeline.MAX_SETS + 1)
+        if via == "flag":
+            extra = ["--sets", too_many]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"sets = {too_many}\n")
+            extra = ["--config", str(cfg)]
+        argv = {
+            "select": ["select", str(bad_csv)],
+            "pipeline": ["pipeline", str(bad_csv), "--output", str(sealed)],
+            "membership": ["membership", "--x", "0.5"],
+        }[command]
+        code, out, err = run_in_process(argv + extra)
+        assert (code, out) == (4, b"")
+        assert err == f"fuzzkey: sets must be at most {pipeline.MAX_SETS}, got {too_many}\n"
+        assert not sealed.exists()
+
+    def test_select_at_the_cap_exits_0(self, toy_csv):
+        code, out, err = run_in_process(["select", str(toy_csv), "--sets", str(pipeline.MAX_SETS)])
+        assert (code, err) == (0, "")
+        assert f"sets = {pipeline.MAX_SETS}\n".encode() in out
+
+
 class TestMembership:
     def test_sweep_rows_sum_to_one(self):
         proc = run_cli(["membership", "--sweep", "0:1:0.25"])
@@ -437,6 +481,20 @@ class TestMembership:
         assert_one_error_line(proc)
         assert b"at most 1000000 points" in proc.stderr
         assert proc.stdout == b""
+
+    def test_sweep_bound_counts_sets(self, monkeypatch):
+        def evaluate(*args):
+            raise AssertionError("a sweep point was evaluated")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "fuzzify", evaluate)
+            code, out, err = run_in_process(["membership", "--sets", "1000", "--sweep", "0:1:0.0001"])
+        assert (code, out) == (4, b"")
+        assert err == "fuzzkey: --sweep allows at most 3000 points with 1000 sets, got '0:1:0.0001'\n"
+        code, out, err = run_in_process(["membership", "--sets", "1000", "--sweep", "0:1:0.001"])
+        assert (code, err) == (0, "")
+        lines = out.decode().splitlines()
+        assert len(lines) == 1 + 1001 and len(lines[0].split("\t")) == 1000 + 2
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_x_exits_4(self, value):
@@ -530,3 +588,11 @@ class TestReadme:
         for name, choices in registered.items():
             if choices is not None:
                 assert documented[name].split("|") == list(choices), name
+
+    def test_limits_match_the_code(self):
+        # the set cap and the sweep bound the README states
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        caps = re.findall(r"\(2\.\.(\d+)\)", text) + re.findall(r"take at most (\d+) sets", text)
+        assert caps == [str(pipeline.MAX_SETS)] * 2
+        bound = re.findall(r"at most (\d+) points up to 3 sets, and at most (\d+) / S points", text)
+        assert bound == [(str(cli.MAX_SWEEP_POINTS), str(3 * cli.MAX_SWEEP_POINTS))]

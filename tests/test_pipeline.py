@@ -12,8 +12,8 @@ from fuzzkey import (
     load_config_file,
     load_table,
     normalize,
+    relevance_inference,
     render_report,
-    score_feature,
     select_topk,
 )
 from fuzzkey.selection import RelevanceScore
@@ -115,9 +115,9 @@ class TestAnalyze:
         outcome = analyze(csv_path, cfg)
 
         nd = normalize(load_table(csv_path))
-        partition, rules, defuzz = cfg.partition(), cfg.rules(), cfg.defuzz_config()
+        partition, defuzz = cfg.partition(), cfg.defuzz_config()
         scores = [
-            RelevanceScore(i, score_feature(nd.column(i), partition, rules, defuzz))
+            RelevanceScore(i, relevance_inference(nd.column(i), partition, None, defuzz))
             for i in range(nd.n_features)
         ]
         expected = select_topk(scores, 2)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -11,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fuzzkey import (
     ContractViolationError,
     DefuzzConfig,
-    FuzzyPartition,
-    MembershipFunction,
+    FuzzkeyError,
     RelevanceScore,
     RuleBase,
     defuzzify_centroid,
@@ -22,11 +22,12 @@ from fuzzkey import (
     rank_scores,
     relevance_inference,
     score_columns,
-    score_feature,
     select_threshold,
     select_topk,
 )
 from fuzzkey import selection
+from fuzzkey.fuzzy import uniform_breakpoints
+from fuzzkey.pipeline import MAX_SETS
 
 PARTITION = make_uniform_partition(3)
 RULES = RuleBase.identity(3)
@@ -168,64 +169,55 @@ def test_topk_matches_exhaustive_enumeration():
 
 
 unit = st.floats(min_value=0.0, max_value=1.0)
+# centers the config file can spell: signed zeros, a subnormal, the ends
+center = st.one_of(unit, st.sampled_from([-0.0, 0.0, 5e-324, 1.0]))
+
+
+# partitions are frozen, so one per set count serves every example
+uniform_partition = functools.lru_cache(maxsize=None)(make_uniform_partition)
+
+
+def reference(values, defuzz):
+    """relevance_inference under the partition score_columns uses."""
+    return relevance_inference(values, uniform_partition(len(defuzz.centers)), None, defuzz)
 
 
 @st.composite
-def partitions(draw):
-    """Valid partitions whose triangles may overlap, so more than two sets fire."""
-    n_sets = draw(st.integers(min_value=2, max_value=6))
-    peaks = sorted(draw(st.lists(unit, min_size=n_sets, max_size=n_sets, unique=True)))
-    sets = [
-        MembershipFunction.left_shoulder(
-            peaks[0], draw(st.floats(min_value=peaks[0], max_value=1.0, exclude_min=True))
-        )
-    ]
-    for b in peaks[1:-1]:
-        a = draw(st.floats(min_value=0.0, max_value=b, exclude_max=True))
-        c = draw(st.floats(min_value=b, max_value=1.0, exclude_min=True))
-        sets.append(MembershipFunction.triangle(a, b, c))
-    sets.append(
-        MembershipFunction.right_shoulder(
-            draw(st.floats(min_value=0.0, max_value=peaks[-1], exclude_max=True)), peaks[-1]
-        )
-    )
-    return FuzzyPartition(tuple(sets))
+def uniform_setups(draw):
+    """Centers for the uniform partition of S sets, plus a strategy for values.
 
-
-@st.composite
-def scoring_setups(draw):
-    """A partition, rule base and centers, plus a strategy for values."""
-    partition = draw(partitions())
-    n = partition.n_sets
-    index = st.integers(min_value=0, max_value=n - 1)
-    rules = RuleBase(tuple(draw(st.lists(st.tuples(index, index), min_size=n, max_size=n))))
-    centers = sorted(draw(st.lists(unit, min_size=n, max_size=n)))
+    S runs from 2 to 60, or is MAX_SETS; centers are nondecreasing and often
+    equal.  Values hit every kind of breakpoint, signed zeros, subnormals
+    and both sides of [0, 1].
+    """
+    n_sets = draw(st.one_of(st.integers(min_value=2, max_value=60), st.just(MAX_SETS)))
+    pool = draw(st.lists(center, min_size=1, max_size=6))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    centers = sorted(rng.choice(pool) if rng.random() < 0.5 else rng.random() for _ in range(n_sets))
     defuzz = DefuzzConfig(tuple(centers), draw(unit))
-    breakpoints = [p for mf in partition.sets for p in mf.breakpoints()]
     value = st.one_of(
-        st.sampled_from(breakpoints + [0.0, 1.0, -0.0]),
+        st.sampled_from(uniform_breakpoints(n_sets) + [0.0, -0.0, 1.0, 5e-324, -5e-324]),
         st.floats(min_value=-2.0, max_value=3.0),
         st.floats(min_value=-1e300, max_value=1e300),
     )
-    return partition, rules, defuzz, value
+    return defuzz, value
 
 
 @st.composite
 def scoring_cases(draw):
-    partition, rules, defuzz, value = draw(scoring_setups())
-    values = draw(st.lists(value, min_size=1, max_size=40))
-    return values, partition, rules, defuzz
+    defuzz, value = draw(uniform_setups())
+    return draw(st.lists(value, min_size=1, max_size=40)), defuzz
 
 
 @st.composite
 def matrix_cases(draw):
     """An n x F matrix and a block size that n * F crosses, down to n > block."""
-    partition, rules, defuzz, value = draw(scoring_setups())
+    defuzz, value = draw(uniform_setups())
     n = draw(st.integers(min_value=1, max_value=12))
     n_features = draw(st.integers(min_value=1, max_value=10))
     cells = draw(st.lists(value, min_size=n * n_features, max_size=n * n_features))
     block = draw(st.integers(min_value=1, max_value=2 * n * n_features))
-    return np.array(cells).reshape(n, n_features), partition, rules, defuzz, block
+    return np.array(cells).reshape(n, n_features), defuzz, block
 
 
 def assert_bitwise(fast, reference):
@@ -233,29 +225,41 @@ def assert_bitwise(fast, reference):
 
 
 def scores_or_error(call):
-    """``call()``'s scores as hex strings, or the message of its error."""
+    """``call()``'s scores as hex strings, or the type and message of its error."""
     try:
         return [score.hex() for score in call()]
-    except ContractViolationError as exc:
-        return str(exc)
+    except FuzzkeyError as exc:
+        return type(exc).__name__, str(exc)
 
 
 class TestVectorizedKernel:
-    """score_feature and score_columns against the public scalar functions, bit for bit."""
+    """score_columns against the public scalar functions under the uniform
+    partition and identity rules, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(scoring_cases())
     def test_inference_matches_scalar_reference(self, case):
-        values, partition, rules, defuzz = case
-        fast = score_feature(values, partition, rules, defuzz)
-        assert_bitwise(fast, relevance_inference(values, partition, rules, defuzz))
-        assert_bitwise(score_feature(np.array(values), partition, rules, defuzz), fast)
+        values, defuzz = case
+        fast = score_columns(np.array(values)[:, None], defuzz)[0]
+        assert_bitwise(fast, reference(values, defuzz))
+        assert_bitwise(score_columns([[v] for v in values], defuzz)[0], fast)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=2, max_value=9), st.lists(unit, min_size=1, max_size=60))
     def test_uniform_partition_defaults_match(self, n_sets, values):
-        partition = make_uniform_partition(n_sets)
-        assert_bitwise(score_feature(values, partition), relevance_inference(values, partition))
+        fast = score_columns(np.array(values)[:, None], DefuzzConfig.uniform(n_sets))[0]
+        assert_bitwise(fast, relevance_inference(values, make_uniform_partition(n_sets)))
+
+    @pytest.mark.parametrize("n_sets", [2, 3, 7, 60, MAX_SETS])
+    def test_every_breakpoint_matches_scalar_reference(self, n_sets):
+        # each breakpoint and its two neighbouring floats, one column each
+        points = np.array(uniform_breakpoints(n_sets))
+        values = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
+        rng = np.random.default_rng(n_sets)
+        defuzz = DefuzzConfig(tuple(np.sort(rng.choice([0.0, 0.3, 0.3, 1.0, rng.random()], n_sets))))
+        fast = score_columns(values[None, :], defuzz)
+        for value, score in zip(values.tolist(), fast):
+            assert_bitwise(score, reference([value], defuzz))
 
     @pytest.mark.parametrize(
         "center, value",
@@ -264,84 +268,48 @@ class TestVectorizedKernel:
     )
     def test_centroid_clamp_matches_scalar_reference(self, center, value):
         # equal centers: the unclamped centroid lands one ulp above or below
-        partition = make_uniform_partition(2)
         defuzz = DefuzzConfig((center, center))
-        fast = score_feature([value], partition, defuzz=defuzz)
-        assert_bitwise(fast, relevance_inference([value], partition, defuzz=defuzz))
+        fast = score_columns([[value]], defuzz)[0]
+        assert_bitwise(fast, reference([value], defuzz))
         assert fast == center
 
     @pytest.mark.parametrize(
-        "values, rules, centers",
+        "values, centers",
         [
-            ([], None, None),
-            ([0.5, float("nan")], None, None),
-            ([float("inf"), 0.5], None, None),
-            ([0.5], RuleBase.identity(2), None),
-            ([0.5], None, (0.0, 1.0)),
-            ([float("nan")], RuleBase.identity(2), None),
-            ([0.5, float("nan")], RuleBase.identity(2), None),
-            ([0.5, -float("inf")], RuleBase.identity(2), (0.0, 1.0)),
+            ([], (0.0, 0.5, 1.0)),
+            ([0.5, float("nan")], (0.0, 0.5, 1.0)),
+            ([float("inf"), 0.5], (0.0, 0.5, 1.0)),
+            ([0.5], (0.5,)),
+            ([float("nan")], (0.5,)),
         ],
-        ids=[
-            "empty",
-            "nan",
-            "inf-first",
-            "rule-count",
-            "center-count",
-            "nan-before-rule-count",
-            "rule-count-before-nan",
-            "rule-count-before-center-count",
-        ],
+        ids=["empty", "nan", "inf-first", "center-count", "center-count-before-nan"],
     )
-    def test_inference_errors_match_scalar_reference(self, values, rules, centers):
-        defuzz = DefuzzConfig(centers) if centers is not None else None
-        with pytest.raises(ContractViolationError) as reference:
-            relevance_inference(values, PARTITION, rules, defuzz)
-        with pytest.raises(ContractViolationError) as fast:
-            score_feature(values, PARTITION, rules, defuzz)
-        assert str(fast.value) == str(reference.value)
+    def test_inference_errors_match_scalar_reference(self, values, centers):
+        defuzz = DefuzzConfig(centers)
+        expected = scores_or_error(lambda: [reference(values, defuzz)])
+        assert isinstance(expected, tuple)
+        assert scores_or_error(lambda: score_columns(np.array(values).reshape(-1, 1), defuzz)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(matrix_cases())
     def test_columns_match_scalar_reference(self, case):
-        matrix, partition, rules, defuzz, block = case
+        matrix, defuzz, block = case
         with mock.patch.object(selection, "_SCORE_BLOCK", block):
-            fast = score_columns(matrix, partition, rules, defuzz)
+            fast = score_columns(matrix, defuzz)
         assert len(fast) == matrix.shape[1]
         for j, score in enumerate(fast):
-            assert_bitwise(score, relevance_inference(matrix[:, j].tolist(), partition, rules, defuzz))
-
-    def test_fsum_fallback_runs_inside_blocks(self):
-        # three sets overlap at every interior value, so each per-value sum
-        # has more than two nonzero terms and takes math.fsum
-        partition = FuzzyPartition(
-            (
-                MembershipFunction.left_shoulder(0.0, 0.9),
-                MembershipFunction.triangle(0.1, 0.5, 0.9),
-                MembershipFunction.right_shoulder(0.1, 0.95),
-            )
-        )
-        rng = np.random.default_rng(8)
-        matrix = rng.uniform(0.15, 0.85, size=(9, 7))
-        defuzz = DefuzzConfig((0.1, 0.7, 0.8))
-        degrees = selection._degrees(np.ascontiguousarray(matrix.T), partition)
-        assert (np.count_nonzero(degrees, axis=0) > 2).all()
-        with mock.patch.object(selection, "_SCORE_BLOCK", 20):
-            fast = score_columns(matrix, partition, defuzz=defuzz)
-        for j in range(7):
-            assert_bitwise(fast[j], relevance_inference(matrix[:, j].tolist(), partition, defuzz=defuzz))
+            assert_bitwise(score, reference(matrix[:, j].tolist(), defuzz))
 
     @pytest.mark.parametrize(
         "shape", [(70, 470), (selection._SCORE_BLOCK + 3, 2)], ids=["two-blocks", "column-per-block"]
     )
     def test_full_block_size_matches_scalar_reference(self, shape):
         # n * F crosses the real block size, or n alone exceeds it
-        partition = make_uniform_partition(5)
         defuzz = DefuzzConfig((0.0, 0.1, 0.3, 0.9, 1.0))
         matrix = np.random.default_rng(9).uniform(-0.05, 1.05, size=shape)
-        fast = score_columns(matrix, partition, defuzz=defuzz)
+        fast = score_columns(matrix, defuzz)
         for j in range(shape[1]):
-            assert_bitwise(fast[j], relevance_inference(matrix[:, j].tolist(), partition, defuzz=defuzz))
+            assert_bitwise(fast[j], reference(matrix[:, j].tolist(), defuzz))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -356,21 +324,19 @@ class TestVectorizedKernel:
                 max_size=6,
             )
         ),
-        st.sampled_from([None, RuleBase.identity(2)]),
-        st.sampled_from([None, (0.0, 1.0)]),
+        st.sampled_from([Y, DefuzzConfig((0.0, 1.0)), DefuzzConfig((0.5,))]),
     )
-    def test_column_errors_match_the_column_loop(self, columns, rules, centers):
+    def test_column_errors_match_the_column_loop(self, columns, defuzz):
         matrix = np.array(columns).T
-        defuzz = DefuzzConfig(centers) if centers is not None else None
-        expected = scores_or_error(
-            lambda: [relevance_inference(c, PARTITION, rules, defuzz) for c in columns]
-        )
+        expected = scores_or_error(lambda: [reference(c, defuzz) for c in columns])
         with mock.patch.object(selection, "_SCORE_BLOCK", 4):
-            got = scores_or_error(lambda: score_columns(matrix, PARTITION, rules, defuzz))
+            got = scores_or_error(lambda: score_columns(matrix, defuzz))
         assert got == expected
 
-    @pytest.mark.parametrize("rules, defuzz", [(None, None), (RULES, Y)], ids=["inference", "explicit"])
-    def test_columns_without_rows_or_columns(self, rules, defuzz):
+    @pytest.mark.parametrize(
+        "defuzz", [Y, DefuzzConfig((0.0, 0.1, 0.3, 0.9, 1.0))], ids=["inference", "explicit"]
+    )
+    def test_columns_without_rows_or_columns(self, defuzz):
         with pytest.raises(ContractViolationError, match="at least one instance value"):
-            score_columns(np.empty((0, 3)), PARTITION, rules, defuzz)
-        assert score_columns(np.empty((4, 0)), PARTITION, rules, defuzz) == []
+            score_columns(np.empty((0, 3)), defuzz)
+        assert score_columns(np.empty((4, 0)), defuzz) == []
