@@ -6,16 +6,25 @@ Dialect: UTF-8 with an optional byte-order mark, first line is the header
 optional sign and exponent.  A column named exactly ``target`` is split
 off and carried along; it never influences scoring.
 
-:func:`load_table` parses rows in bulk: a data line of exactly one cell per
-column, each made of ASCII numeric characters, goes straight into a float
-array.  A line that does not fit, fails to parse or parses to a non-finite
-value goes through the per-cell reference parser, which raises the
-diagnostic or accepts the line.  Both give bit-identical values, since
-numpy parses a numeric string with ``float``.
+:func:`load_table` streams the file: it reads the header line, then hands
+``numpy.loadtxt`` one data line at a time, each first checked against a
+gate of exactly one non-blank cell per column made of ASCII numeric
+characters.  Neither the text nor a list of its lines is ever held, and the
+table is the only full-size buffer: the target is its last column, and the
+dataset's rows and target are views of it.  Any miss sends the whole file
+to the reference parser: a header it would reject, no data rows, a line the
+gate rejects (an empty line, a non-ASCII byte), a cell ``loadtxt`` cannot
+convert, a value that is not finite, or an input that cannot be read twice,
+such as a pipe.  The reference decodes the whole text, parses the lines
+that fit in bulk and every other line cell by cell, and raises the
+diagnostic or accepts the file.  Both give bit-identical values, since
+``loadtxt`` and ``float`` both convert with ``PyOS_string_to_double``.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -26,24 +35,32 @@ import numpy as np
 from .errors import DataFormatError
 
 _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
-# A cell of the bulk path: characters of ASCII decimal numerics and the
+# A cell of the bulk paths: characters of ASCII decimal numerics and the
 # spaces or tabs that str.strip and float both remove.  Over these characters
 # float() accepts exactly what _NUMBER_RE accepts after stripping: no
 # underscores, no inf or nan; anything else raises ValueError.
 _BULK_CELL = r"[0-9eE+\-. \t]*"
+# A cell of the streamed path: the same, with at least one character that is
+# not blank, since loadtxt skips an empty line.
+_STREAMED_CELL = rb"[ \t]*[0-9eE+\-.]" + _BULK_CELL.encode()
 
 TARGET_COLUMN = "target"
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
-    array = np.array(array, dtype=float)
+    array = np.asarray(array, dtype=float)
     array.flags.writeable = False
     return array
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Rectangular numeric table: feature columns plus an optional target."""
+    """Rectangular numeric table: feature columns plus an optional target.
+
+    A float64 array handed in as ``rows`` or ``target`` is frozen in place,
+    marked read-only rather than copied, so the caller must not write to its
+    memory through another view; anything else is converted to a new array.
+    """
 
     feature_names: tuple[str, ...]
     rows: np.ndarray
@@ -123,27 +140,8 @@ def _parse_row(
     return [_parse_cell(cell, row_number, i + 1, names[i]) for i, cell in enumerate(cells)]
 
 
-def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
-    """Parse a CSV file into a :class:`Dataset`.
-
-    Missing (empty) cells are a hard error unless ``drop_incomplete_rows``
-    is set, in which case the whole row is skipped.  Row and column numbers
-    in diagnostics are 1-based; the header is row 1.
-    """
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    if text.startswith("\ufeff"):
-        text = text[1:]  # a byte-order mark is no part of the first name
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-    if not lines:
-        raise DataFormatError(f"{path}: empty file")
-
-    names = [cell.strip() for cell in lines[0].split(",")]
+def _parse_header(path: str | Path, line: str) -> list[str]:
+    names = [cell.strip() for cell in line.split(",")]
     if any(name == "" for name in names):
         raise DataFormatError(f"{path}: header contains an empty column name")
     for column_number, name in enumerate(names, start=1):
@@ -155,11 +153,35 @@ def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
     if len(set(names)) != len(names):
         duplicates = sorted({n for n in names if names.count(n) > 1})
         raise DataFormatError(f"{path}: duplicate header names {duplicates}")
-
-    target_index = names.index(TARGET_COLUMN) if TARGET_COLUMN in names else None
-    feature_names = [n for i, n in enumerate(names) if i != target_index]
-    if not feature_names:
+    if names == [TARGET_COLUMN]:
         raise DataFormatError(f"{path}: no feature columns besides {TARGET_COLUMN!r}")
+    return names
+
+
+def _columns(names: list[str]) -> list[int]:
+    """Column numbers in file order, the target column moved last."""
+    return sorted(range(len(names)), key=lambda i: names[i] == TARGET_COLUMN)
+
+
+def _reference_table(
+    path: str | Path, handle: io.BufferedReader, drop_incomplete_rows: bool
+) -> tuple[list[str], np.ndarray]:
+    """Header names and table, columns ordered by :func:`_columns`, parsed
+    line by line from the decoded text of ``handle``: every diagnostic comes
+    from here."""
+    try:
+        text = handle.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    if text.startswith("\ufeff"):
+        text = text[1:]  # a byte-order mark is no part of the first name
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    if not lines:
+        raise DataFormatError(f"{path}: empty file")
+    names = _parse_header(path, lines[0])
 
     data = lines[1:]
     table = np.empty((len(data), len(names)))
@@ -183,18 +205,75 @@ def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
             keep[i] = False
         else:
             table[i] = parsed
-    if not keep.all():
-        table = table[keep]
-
-    if len(table) == 0:
+    if not keep.any():
         raise DataFormatError(f"{path}: no data rows")
-    if target_index is None:
-        return Dataset(feature_names=tuple(feature_names), rows=table)
-    return Dataset(
-        feature_names=tuple(feature_names),
-        rows=np.delete(table, target_index, axis=1),
-        target=table[:, target_index],
-    )
+    return names, table[np.ix_(keep, _columns(names))]
+
+
+def _line(raw: bytes) -> bytes:
+    """``raw`` without its newline and one carriage return before it."""
+    return raw.removesuffix(b"\n").removesuffix(b"\r")
+
+
+def _streamed_table(
+    path: str | Path, handle: io.BufferedReader
+) -> tuple[list[str], np.ndarray] | None:
+    """Header names and table, columns ordered by :func:`_columns`, in one
+    pass over ``handle``; ``None`` on any miss."""
+    try:
+        header = _line(handle.readline().removeprefix(codecs.BOM_UTF8)).decode("utf-8")
+        names = _parse_header(path, header)
+    except (UnicodeDecodeError, DataFormatError):
+        return None  # the reference may find a UTF-8 error further on first
+    if not handle.peek(1):
+        return None  # no data rows, which loadtxt would only warn about
+    full_row = re.compile(
+        _STREAMED_CELL + rb"(?:," + _STREAMED_CELL + rb"){%d}" % (len(names) - 1)
+    ).fullmatch
+
+    def data_lines():
+        # binary lines split on \n only, as the reference does
+        for raw in handle:
+            line = _line(raw)
+            if not full_row(line):
+                raise ValueError("line needs the reference parser")
+            yield line
+
+    try:
+        table = np.loadtxt(
+            data_lines(),
+            delimiter=",",
+            comments=None,
+            usecols=_columns(names),
+            ndmin=2,
+            encoding="ascii",
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(table).all():
+        return None
+    return names, table
+
+
+def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
+    """Parse a CSV file into a :class:`Dataset`.
+
+    Missing (empty) cells are a hard error unless ``drop_incomplete_rows``
+    is set, in which case the whole row is skipped.  Row and column numbers
+    in diagnostics are 1-based; the header is row 1.
+    """
+    with open(path, "rb") as handle:
+        found = None
+        # a miss reads the file again from the start, which a pipe cannot
+        if handle.seekable():
+            found = _streamed_table(path, handle)
+            handle.seek(0)
+        names, table = found or _reference_table(path, handle, drop_incomplete_rows)
+    feature_names = tuple(name for name in names if name != TARGET_COLUMN)
+    if len(feature_names) == len(names):
+        return Dataset(feature_names=feature_names, rows=table)
+    # views of the one table: the target column is its last
+    return Dataset(feature_names=feature_names, rows=table[:, :-1], target=table[:, -1])
 
 
 def _column_extremes(rows: np.ndarray, reduce) -> np.ndarray:
@@ -223,7 +302,8 @@ def normalize(dataset: Dataset) -> NormalizedDataset:
     hi = _column_extremes(rows, np.max)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         span = hi - lo
-        scaled = (rows - lo) / span
+        scaled = rows - lo
+        scaled /= span
         overflow = np.flatnonzero(~np.isfinite(span))
         if overflow.size:
             # the span of a finite column can overflow; halved operands cannot

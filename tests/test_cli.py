@@ -18,7 +18,7 @@ DATA = Path(__file__).resolve().parent / "data"
 TOY = "a,b,c\n1,9,4\n2,3,4\n3,6,4\n"
 
 
-def run_cli(args, env_extra=None, cwd=None, timeout=None):
+def run_cli(args, env_extra=None, cwd=None, timeout=None, stdin=None):
     env = os.environ.copy()
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("FUZZKEY_KEY_FILE", None)
@@ -26,6 +26,7 @@ def run_cli(args, env_extra=None, cwd=None, timeout=None):
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "fuzzkey", *args],
+        input=stdin,
         capture_output=True,
         env=env,
         cwd=cwd,
@@ -73,14 +74,27 @@ class TestSelect:
         assert proc.stdout == b""
 
     @pytest.mark.parametrize(
-        "content", [b"a,b\n1\n", b"a,b\n1,\xff\n"], ids=["short-row", "non-utf8"]
+        "content",
+        [b"a,b\n1\n", b"a,b\n1,\xff\n", b"a,b\n", b"a\n1\n\n2\n"],
+        ids=["short-row", "non-utf8", "header-only", "empty-line"],
     )
     def test_bad_csv_exits_3(self, tmp_path, content):
+        # a subprocess, so that a warning printed to stderr would show
         bad = tmp_path / "bad.csv"
         bad.write_bytes(content)
         proc = run_cli(["select", str(bad), "--k", "1"])
         assert proc.returncode == 3
+        assert proc.stdout == b""
         assert_one_error_line(proc)
+
+    def test_csv_from_a_pipe_reads_like_a_file(self, toy_csv):
+        # the streamed pass cannot reread a pipe after a miss
+        proc = run_cli(["select", "/dev/stdin", "--k", "2"], stdin=TOY.encode())
+        assert proc.returncode == 0
+        assert proc.stdout == run_cli(["select", str(toy_csv), "--k", "2"]).stdout
+        proc = run_cli(["select", "/dev/stdin", "--k", "2"], stdin=TOY.encode() + b"1,2,x\n")
+        assert proc.returncode == 3
+        assert proc.stderr == b"fuzzkey: row 5, column 3 (c): not a number: 'x'\n"
 
     def test_bad_config_value_exits_4(self, toy_csv):
         proc = run_cli(["select", str(toy_csv), "--sets", "1"])

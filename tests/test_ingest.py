@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzkey import DataFormatError, Dataset, load_table, normalize
-from fuzzkey.ingest import _parse_cell
+from fuzzkey import ingest
+from fuzzkey.ingest import _parse_cell, _reference_table, _streamed_table
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -79,6 +81,20 @@ class TestLoadTable:
     def test_byte_order_mark_is_no_part_of_the_first_name(self, tmp_path):
         d = load_table(write(tmp_path, "\ufeffa,b\n1,2\n"))
         assert d.feature_names == ("a", "b")
+
+    def test_empty_line_is_a_missing_value(self, tmp_path):
+        # loadtxt skips an empty line; in a one-column table it is a missing cell
+        path = write(tmp_path, "a\n1\n\n2\n")
+        with pytest.raises(DataFormatError) as got:
+            load_table(path)
+        assert str(got.value) == f"{path}: row 3, column 1: missing value"
+        assert load_table(path, drop_incomplete_rows=True).rows.tolist() == [[1.0], [2.0]]
+
+    def test_lone_carriage_return_does_not_split_a_line(self, tmp_path):
+        path = write(tmp_path, "a\n1\r2\n")
+        with pytest.raises(DataFormatError) as got:
+            load_table(path)
+        assert str(got.value) == "row 2, column 1 (a): not a number: '1\\r2'"
 
     @pytest.mark.parametrize("name", ["x\ty", "\u00e9t\u00e9", "\ufeffa"], ids=["tab", "non-ascii", "second-bom"])
     def test_header_name_must_be_ascii_without_tabs(self, tmp_path, name):
@@ -185,6 +201,132 @@ class TestBulkParsing:
         assert load_table(path).rows[1, 0].hex() == expected.hex()
 
 
+ODD_CELLS = ["", " ", "\t", "1e999", "-1e999", "1e-400", "-1e-400", "1 2", " 7 ", "nan", "1_0", "x"]
+
+
+def rarely(odds):
+    """True about once in ``odds`` draws."""
+    return st.sampled_from([False] * (odds - 1) + [True])
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes the streamed path takes, and the misses around it."""
+    n_features = draw(st.integers(min_value=1, max_value=4))
+    names = [f"c{j}" for j in range(n_features)]
+    target_at = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n_features)))
+    if target_at is not None:
+        names.insert(target_at, "target")
+    if draw(rarely(8)):
+        # empty, duplicate, non-ASCII, tabbed or padded; ["target"] has no features
+        at = draw(st.integers(min_value=0, max_value=len(names) - 1))
+        names[at] = draw(st.sampled_from(["", "c0", "\u00e9t\u00e9", "x\ty", " c9 ", "target"]))
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(min_value=-(10**6), max_value=10**6).map(str),
+    )
+    cell = rarely(20).flatmap(lambda odd: st.sampled_from(ODD_CELLS) if odd else number)
+    rows = draw(st.lists(st.lists(cell, min_size=len(names), max_size=len(names)), max_size=6))
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    if rows and draw(rarely(6)):
+        at = draw(st.integers(min_value=1, max_value=len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "1", "1,2,3,4,5,6", "1\r2"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    data = text.encode("utf-8")
+    if draw(rarely(8)):
+        # anywhere, also after a malformed line: the reference reports it first
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe9"])) + data[at:]
+    return data
+
+
+def reference(path, drop_incomplete_rows):
+    with open(path, "rb") as handle:
+        return _reference_table(path, handle, drop_incomplete_rows)
+
+
+def streamed(path):
+    with open(path, "rb") as handle:
+        return _streamed_table(path, handle)
+
+
+class TestStreaming:
+    """load_table and its streamed pass against the reference parser."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(csv_files(), st.booleans())
+    @example(b"a\n1\n\n2\n", False)  # loadtxt skips an empty line
+    @example(b"a\n1\r2\n", False)  # universal newlines split this line
+    @example(b"a,b\n1,x\n2,\xff\n", True)  # the UTF-8 error is reported first
+    def test_matches_the_reference(self, tmp_path_factory, data, drop_incomplete_rows):
+        path = tmp_path_factory.mktemp("stream") / "data.csv"
+        path.write_bytes(data)
+        try:
+            names, table = reference(path, drop_incomplete_rows)
+        except DataFormatError as exc:
+            assert streamed(path) is None
+            with pytest.raises(DataFormatError) as got:
+                load_table(path, drop_incomplete_rows)
+            assert str(got.value) == str(exc)
+            return
+        found = streamed(path)
+        if found is not None:
+            assert found[0] == names
+            assert found[1].tobytes() == table.tobytes()
+        d = load_table(path, drop_incomplete_rows)
+        features = [name for name in names if name != "target"]
+        assert d.feature_names == tuple(features)
+        assert d.rows.tobytes() == table[:, : len(features)].tobytes()
+        if len(features) == len(names):
+            assert d.target is None
+        else:
+            assert d.target.tobytes() == table[:, -1].tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b,target\n1,2,3\n4,5,6\n",
+            "\ufefftarget,a,b\r\n1,2,3\r\n4,5,6\r\n",
+            "a,target,b\n1, 2 ,3\n4,\t5,6",
+            "a\n1e-400\n-0\n",
+        ],
+        ids=["target-last", "bom-crlf-target-first", "no-final-newline", "one-column"],
+    )
+    def test_clean_files_never_reach_the_reference(self, tmp_path, monkeypatch, text):
+        path = write(tmp_path, text)
+        expected = load_table(path)
+
+        def unreachable(*args):
+            raise AssertionError("the reference parser ran on a clean file")
+
+        monkeypatch.setattr(ingest, "_reference_table", unreachable)
+        d = load_table(path)
+        assert d.feature_names == expected.feature_names
+        assert d.rows.tobytes() == expected.rows.tobytes()
+        assert (d.target is None) == (expected.target is None)
+        if d.target is not None:
+            assert d.target.tobytes() == expected.target.tobytes()
+
+    def test_load_and_normalize_peak_near_the_matrix(self, tmp_path):
+        # the text, a list of its lines and copies of the table used to
+        # coexist: about 8.6 matrices at this size
+        table = np.random.default_rng(4).standard_normal((4000, 25))
+        names = [f"x{i}" for i in range(24)] + ["target"]
+        lines = [",".join(names)] + [",".join(map(repr, row)) for row in table.tolist()]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            normalized = normalize(load_table(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert normalized.target.tobytes() == table[:, -1].tobytes()
+        assert peak <= 3.5 * table.nbytes
+
+
 # ties, subnormals and spans that overflow
 extreme_cell = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]),
@@ -201,6 +343,17 @@ def columns_of(n):
         st.lists(st.sampled_from([0.0, -0.0, 0.0, -0.0, -0.25, -1.0]), min_size=n, max_size=n),
         extreme_cell.map(lambda v: [v] * n),  # a constant column
     )
+
+
+class TestDataset:
+    def test_float64_arrays_are_frozen_in_place(self):
+        rows, target = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.0, 1.0])
+        d = Dataset(("a", "b"), rows, target)
+        assert np.shares_memory(d.rows, rows) and np.shares_memory(d.target, target)
+        with pytest.raises(ValueError, match="read-only"):
+            d.rows[0, 0] = 9.0
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = 9.0
 
 
 class TestNormalize:
