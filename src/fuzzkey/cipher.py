@@ -6,8 +6,16 @@ plaintext is shifted by key byte ``t mod len(key)``.  ``byte-shift`` mode
 works on whole bytes modulo 256; ``letters`` mode works on the A-Z alphabet
 modulo 26.
 
-Both the transform and the tag run as numpy kernels, bit-identical to the
-per-byte definitions given in their docstrings.
+Both the shift and the tag run as numpy kernels, bit-identical to the
+per-byte definitions given in their docstrings.  The shift works in place on
+one writable buffer, and the envelope header is built by
+:func:`envelope_header` and parsed by :func:`parse_envelope_header` alone.
+:func:`seal_in_place` and :func:`open_in_place` run the write and read paths
+on that buffer, so the command line holds one copy of the payload; the
+``bytes`` functions (:func:`encrypt`, :func:`decrypt`, :func:`seal`,
+:func:`open_envelope`, :class:`CipherEnvelope`) copy their input into a
+buffer and run the same code.  Opening verifies the tag before any byte is
+shifted.
 
 SECURITY: this is an educational construction.  It is NOT secure against
 modern cryptanalysis (or even classical frequency analysis) and must never
@@ -46,8 +54,8 @@ _MASK64 = (1 << 64) - 1
 _ORD_A = 0x41
 _LETTERS = 26
 
-# the tag is folded this many message bytes at a time, which bounds its
-# temporaries whatever the message length
+# the tag is folded, and letters are checked, this many message bytes at a
+# time, which bounds their temporaries whatever the message length
 _TAG_BLOCK = 1 << 16
 
 
@@ -55,7 +63,10 @@ def _is_letters(data: bytes | np.ndarray) -> bool:
     """True iff every byte is in A-Z (vacuously for empty input)."""
     codes = np.frombuffer(data, dtype=np.uint8)
     # uint8 subtraction wraps bytes below "A" to 191 and above
-    return bool(((codes - _ORD_A) < _LETTERS).all())
+    return all(
+        ((codes[start : start + _TAG_BLOCK] - _ORD_A) < _LETTERS).all()
+        for start in range(0, len(codes), _TAG_BLOCK)
+    )
 
 
 @dataclass(frozen=True)
@@ -89,37 +100,44 @@ def _cycled(op: np.ufunc, data: np.ndarray, key: np.ndarray, phase: int, out: np
     op(data[whole:], key[: len(data) - whole], out=out[whole:])
 
 
-def _transform(data: bytes, key: CipherKey, sign: int) -> bytes:
-    """Position ``i`` becomes ``(b + sign * k[i % n]) mod 256`` in byte-shift
-    mode and ``((b - 65) + sign * (k[i % n] - 65)) mod 26 + 65`` in letters
-    mode."""
-    source = np.frombuffer(data, dtype=np.uint8)
+def _shift(buf, key: CipherKey, sign: int) -> None:
+    """In place, position ``i`` of the writable buffer ``buf`` becomes
+    ``(b + sign * k[i % n]) mod 256`` in byte-shift mode and
+    ``((b - 65) + sign * (k[i % n] - 65)) mod 26 + 65`` in letters mode.
+
+    In letters mode a byte outside A-Z raises before any byte changes.
+    """
+    codes = np.frombuffer(buf, dtype=np.uint8)
     key_codes = np.frombuffer(key.data, dtype=np.uint8).astype(np.int64)
     if key.mode == MODE_BYTE_SHIFT:
-        out = source.copy()
         shifts = sign * key_codes % 256
     else:
-        if not _is_letters(source):
+        if not _is_letters(codes):
             raise InvalidPlaintextError("letters mode accepts only uppercase A-Z input")
-        out = source - _ORD_A
+        codes -= _ORD_A
         # each shift is reduced into [0, 26), so letter plus shift stays
         # below 51 and uint8 cannot wrap before the final mod 26
         shifts = sign * (key_codes - _ORD_A) % _LETTERS
-    _cycled(np.add, out, shifts.astype(np.uint8), 0, out)
+    _cycled(np.add, codes, shifts.astype(np.uint8), 0, codes)
     if key.mode == MODE_LETTERS:
-        out %= _LETTERS
-        out += _ORD_A
-    return out.tobytes()
+        codes %= _LETTERS
+        codes += _ORD_A
+
+
+def _shifted(data: bytes, key: CipherKey, sign: int) -> bytes:
+    buf = bytearray(data)
+    _shift(buf, key, sign)
+    return bytes(buf)
 
 
 def encrypt(plaintext: bytes, key: CipherKey) -> bytes:
     """Shift each plaintext byte by the cycling key; output length equals input length."""
-    return _transform(plaintext, key, +1)
+    return _shifted(plaintext, key, +1)
 
 
 def decrypt(ciphertext: bytes, key: CipherKey) -> bytes:
     """Exact inverse of :func:`encrypt` (modular subtraction)."""
-    return _transform(ciphertext, key, -1)
+    return _shifted(ciphertext, key, -1)
 
 
 def _descending_powers(count: int) -> np.ndarray:
@@ -206,6 +224,58 @@ def verify_tag(message: bytes, key: CipherKey, tag: int) -> bool:
     return make_tag(message, key) == tag
 
 
+def envelope_header(mode: str, tag: int | None, version: int = ENVELOPE_VERSION) -> bytes:
+    """Bit-exact FZK1 header: magic, version, mode, flags, and the 8-byte
+    big-endian tag when there is one.  The ciphertext follows it."""
+    flags = _FLAG_TAG if tag is not None else 0x00
+    header = MAGIC + bytes([version, _MODE_CODES[mode], flags])
+    if tag is not None:
+        header += struct.pack(">Q", tag)
+    return header
+
+
+def parse_envelope_header(data) -> tuple[str, int | None, int]:
+    """``(mode, tag, offset)`` of the envelope in the bytes-like ``data``,
+    whose ciphertext starts at ``offset``; nothing is copied, so a
+    ``memoryview`` parses without slicing out the body."""
+    if len(data) < 7:
+        raise DataFormatError(f"envelope truncated: {len(data)} bytes")
+    if data[:4] != MAGIC:
+        raise DataFormatError(f"bad magic {bytes(data[:4])!r}, expected {MAGIC!r}")
+    version, mode_code, flags = data[4], data[5], data[6]
+    if version != ENVELOPE_VERSION:
+        raise DataFormatError(f"unsupported envelope version {version}")
+    if mode_code not in _CODE_MODES:
+        raise DataFormatError(f"unknown mode byte 0x{mode_code:02x}")
+    if flags & ~_FLAG_TAG:
+        raise DataFormatError(f"unknown flag bits 0x{flags:02x}")
+    if not flags & _FLAG_TAG:
+        return _CODE_MODES[mode_code], None, 7
+    if len(data) < 15:
+        raise DataFormatError("envelope truncated inside the tag field")
+    (tag,) = struct.unpack_from(">Q", data, 7)
+    return _CODE_MODES[mode_code], tag, 15
+
+
+def seal_in_place(buf, key: CipherKey, with_tag: bool = True) -> int | None:
+    """Encrypt the writable buffer ``buf`` in place and return the tag over
+    the ciphertext, or ``None`` without one.  ``envelope_header(key.mode,
+    tag)`` followed by ``buf`` is the envelope."""
+    _shift(buf, key, +1)
+    return make_tag(buf, key) if with_tag else None
+
+
+def open_in_place(buf, key: CipherKey, mode: str, tag: int | None) -> None:
+    """Check the key's mode, verify ``tag`` (when present) over the
+    ciphertext in the writable buffer ``buf``, then decrypt it in place.  A
+    failed check leaves ``buf`` unchanged."""
+    if key.mode != mode:
+        raise InvalidKeyError(f"key mode {key.mode!r} does not match envelope mode {mode!r}")
+    if tag is not None and not verify_tag(buf, key, tag):
+        raise IntegrityError("integrity check failed")
+    _shift(buf, key, -1)
+
+
 @dataclass(frozen=True)
 class CipherEnvelope:
     """Versioned container for ciphertext, mode and an optional tag."""
@@ -223,53 +293,28 @@ class CipherEnvelope:
         object.__setattr__(self, "ciphertext", bytes(self.ciphertext))
 
     def to_bytes(self) -> bytes:
-        """Bit-exact layout: magic, version, mode, flags, optional 8-byte
-        big-endian tag, ciphertext."""
-        flags = _FLAG_TAG if self.tag is not None else 0x00
-        header = MAGIC + bytes([self.version, _MODE_CODES[self.mode], flags])
-        if self.tag is not None:
-            header += struct.pack(">Q", self.tag)
-        return header + self.ciphertext
+        """Bit-exact layout: :func:`envelope_header`, then the ciphertext."""
+        return envelope_header(self.mode, self.tag, self.version) + self.ciphertext
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CipherEnvelope":
-        if len(data) < 7:
-            raise DataFormatError(f"envelope truncated: {len(data)} bytes")
-        if data[:4] != MAGIC:
-            raise DataFormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-        version, mode_code, flags = data[4], data[5], data[6]
-        if version != ENVELOPE_VERSION:
-            raise DataFormatError(f"unsupported envelope version {version}")
-        if mode_code not in _CODE_MODES:
-            raise DataFormatError(f"unknown mode byte 0x{mode_code:02x}")
-        if flags & ~_FLAG_TAG:
-            raise DataFormatError(f"unknown flag bits 0x{flags:02x}")
-        offset = 7
-        tag = None
-        if flags & _FLAG_TAG:
-            if len(data) < offset + 8:
-                raise DataFormatError("envelope truncated inside the tag field")
-            (tag,) = struct.unpack(">Q", data[offset : offset + 8])
-            offset += 8
-        return cls(ciphertext=data[offset:], mode=_CODE_MODES[mode_code], tag=tag, version=version)
+        view = memoryview(data)
+        mode, tag, offset = parse_envelope_header(view)
+        return cls(ciphertext=view[offset:], mode=mode, tag=tag)
 
 
 def seal(plaintext: bytes, key: CipherKey, with_tag: bool = True) -> CipherEnvelope:
     """Encrypt and wrap; the tag, when enabled, covers the ciphertext."""
-    ciphertext = encrypt(plaintext, key)
-    tag = make_tag(ciphertext, key) if with_tag else None
+    ciphertext = bytearray(plaintext)
+    tag = seal_in_place(ciphertext, key, with_tag)
     return CipherEnvelope(ciphertext=ciphertext, mode=key.mode, tag=tag)
 
 
 def open_envelope(envelope: CipherEnvelope, key: CipherKey) -> bytes:
     """Verify the tag (when present) and decrypt."""
-    if key.mode != envelope.mode:
-        raise InvalidKeyError(
-            f"key mode {key.mode!r} does not match envelope mode {envelope.mode!r}"
-        )
-    if envelope.tag is not None and not verify_tag(envelope.ciphertext, key, envelope.tag):
-        raise IntegrityError("integrity check failed")
-    return decrypt(envelope.ciphertext, key)
+    plaintext = bytearray(envelope.ciphertext)
+    open_in_place(plaintext, key, envelope.mode, envelope.tag)
+    return bytes(plaintext)
 
 
 def serialize_selection(result, feature_names: list[str] | None = None) -> bytes:

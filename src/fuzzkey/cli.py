@@ -19,9 +19,15 @@ import math
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
-from .cipher import MODE_LETTERS, CipherEnvelope, CipherKey, open_envelope, seal
+from .cipher import (
+    MODE_LETTERS,
+    CipherKey,
+    envelope_header,
+    open_in_place,
+    parse_envelope_header,
+    seal_in_place,
+)
 from .errors import (
     ConfigurationError,
     DataFormatError,
@@ -34,6 +40,9 @@ from .network import cost
 from .pipeline import RELEVANCE_MODE, PipelineConfig, analyze, load_config_file, render_report
 
 KEY_FILE_ENV = "FUZZKEY_KEY_FILE"
+# a key file longer than this exits 4; reading stops one byte past it, so a
+# device such as /dev/zero cannot make the read run without end
+MAX_KEY_BYTES = 1 << 20
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -152,7 +161,10 @@ def _load_key(mode: str) -> CipherKey:
         raise ConfigurationError(
             f"{KEY_FILE_ENV} is not set; keys are read from a file, never from arguments"
         )
-    data = Path(path).read_bytes()
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_KEY_BYTES + 1)
+    if len(data) > MAX_KEY_BYTES:
+        raise InvalidKeyError(f"key file {path} is longer than {MAX_KEY_BYTES} bytes")
     if data.endswith(b"\r\n"):
         data = data[:-2]
     elif data.endswith(b"\n"):
@@ -162,18 +174,47 @@ def _load_key(mode: str) -> CipherKey:
     return CipherKey(data, mode)
 
 
-def _write_bytes(payload: bytes, output: str | None) -> None:
+def _read_payload(path: str) -> bytearray:
+    """The whole file in one writable buffer, read into it without a copy.
+
+    The size from ``fstat`` only presizes the buffer: reading goes on to the
+    end of the file, as a pipe reports size 0.
+    """
+    with open(path, "rb", buffering=0) as handle:
+        buf = bytearray(os.fstat(handle.fileno()).st_size)
+        filled = 0
+        with memoryview(buf) as view:
+            while filled < len(buf) and (count := handle.readinto(view[filled:])):
+                filled += count
+        del buf[filled:]
+        while chunk := handle.read(1 << 16):
+            buf += chunk
+    return buf
+
+
+def _write_bytes(output: str | None, *parts) -> None:
+    """Write the bytes-like ``parts`` one after another to ``output``, or to
+    stdout without one."""
     if output:
-        Path(output).write_bytes(payload)
+        with open(output, "wb") as handle:
+            for part in parts:
+                handle.write(part)
     else:
-        sys.stdout.buffer.write(payload)
+        for part in parts:
+            sys.stdout.buffer.write(part)
         sys.stdout.buffer.flush()
+
+
+def _write_envelope(payload: bytearray, key: CipherKey, with_tag: bool, output: str | None) -> None:
+    """Seal ``payload`` in place and write the envelope: header, then body."""
+    tag = seal_in_place(payload, key, with_tag)
+    _write_bytes(output, envelope_header(key.mode, tag), payload)
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     outcome = analyze(args.dataset, cfg, drop_incomplete_rows=args.drop_incomplete_rows)
-    _write_bytes(render_report(outcome, cfg), args.output)
+    _write_bytes(args.output, render_report(outcome, cfg))
     return EXIT_OK
 
 
@@ -185,26 +226,25 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         raise ConfigurationError("pipeline cannot use the letters cipher; use byte")
     key = _load_key(cfg.cipher_mode)
     outcome = analyze(args.dataset, cfg, drop_incomplete_rows=args.drop_incomplete_rows)
-    envelope = seal(outcome.selection_bytes(), key, with_tag=cfg.tag)
-    Path(args.output).write_bytes(envelope.to_bytes())
-    _write_bytes(render_report(outcome, cfg), None)
+    _write_envelope(bytearray(outcome.selection_bytes()), key, cfg.tag, args.output)
+    _write_bytes(None, render_report(outcome, cfg))
     return EXIT_OK
 
 
 def _cmd_encrypt(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     key = _load_key(cfg.cipher_mode)
-    plaintext = Path(args.input).read_bytes()
-    envelope = seal(plaintext, key, with_tag=cfg.tag)
-    _write_bytes(envelope.to_bytes(), args.output)
+    _write_envelope(_read_payload(args.input), key, cfg.tag, args.output)
     return EXIT_OK
 
 
 def _cmd_decrypt(args: argparse.Namespace) -> int:
-    envelope = CipherEnvelope.from_bytes(Path(args.input).read_bytes())
-    key = _load_key(envelope.mode)
-    plaintext = open_envelope(envelope, key)
-    _write_bytes(plaintext, args.output)
+    envelope = _read_payload(args.input)
+    mode, tag, offset = parse_envelope_header(envelope)
+    key = _load_key(mode)
+    body = memoryview(envelope)[offset:]
+    open_in_place(body, key, mode, tag)
+    _write_bytes(args.output, body)
     return EXIT_OK
 
 
@@ -248,7 +288,7 @@ def _cmd_membership(args: argparse.Namespace) -> int:
         mv = fuzzify(x, partition)
         crisp = defuzzify_centroid(evaluate_rules(mv, rules), defuzz)
         lines.append("\t".join(f"{v:.9f}" for v in (x, *mv.degrees, crisp)))
-    _write_bytes(("\n".join(lines) + "\n").encode("ascii"), args.output)
+    _write_bytes(args.output, ("\n".join(lines) + "\n").encode("ascii"))
     return EXIT_OK
 
 
@@ -265,7 +305,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         f"mf_evals = {stats.mf_evals}\n"
         f"hidden_ops = {stats.hidden_ops}\n"
     )
-    _write_bytes(payload.encode("ascii"), None)
+    _write_bytes(None, payload.encode("ascii"))
     return EXIT_OK
 
 

@@ -110,15 +110,15 @@ class NormalizedDataset(Dataset):
             raise DataFormatError("normalized values must lie in [0, 1]")
 
 
-def _parse_cell(cell: str, row_number: int, column_number: int, name: str) -> float:
+def _parse_cell(path: str | Path, cell: str, row_number: int, column_number: int, name: str) -> float:
     if not _NUMBER_RE.fullmatch(cell):
         raise DataFormatError(
-            f"row {row_number}, column {column_number} ({name}): not a number: {cell!r}"
+            f"{path}: row {row_number}, column {column_number} ({name}): not a number: {cell!r}"
         )
     value = float(cell)
     if not math.isfinite(value):
         raise DataFormatError(
-            f"row {row_number}, column {column_number} ({name}): value is not finite: {cell!r}"
+            f"{path}: row {row_number}, column {column_number} ({name}): value is not finite: {cell!r}"
         )
     return value
 
@@ -137,7 +137,7 @@ def _parse_row(
             return None
         column_number = cells.index("") + 1
         raise DataFormatError(f"{path}: row {row_number}, column {column_number}: missing value")
-    return [_parse_cell(cell, row_number, i + 1, names[i]) for i, cell in enumerate(cells)]
+    return [_parse_cell(path, cell, row_number, i + 1, names[i]) for i, cell in enumerate(cells)]
 
 
 def _parse_header(path: str | Path, line: str) -> list[str]:

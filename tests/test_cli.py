@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzkey import DefuzzConfig, cli, fuzzy, pipeline, selection
+from fuzzkey import CipherKey, DefuzzConfig, cipher, cli, fuzzy, pipeline, seal, selection
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 DATA = Path(__file__).resolve().parent / "data"
@@ -94,7 +95,7 @@ class TestSelect:
         assert proc.stdout == run_cli(["select", str(toy_csv), "--k", "2"]).stdout
         proc = run_cli(["select", "/dev/stdin", "--k", "2"], stdin=TOY.encode() + b"1,2,x\n")
         assert proc.returncode == 3
-        assert proc.stderr == b"fuzzkey: row 5, column 3 (c): not a number: 'x'\n"
+        assert proc.stderr == b"fuzzkey: /dev/stdin: row 5, column 3 (c): not a number: 'x'\n"
 
     def test_bad_config_value_exits_4(self, toy_csv):
         proc = run_cli(["select", str(toy_csv), "--sets", "1"])
@@ -233,6 +234,20 @@ class TestEncryptDecrypt:
         proc = run_cli(["encrypt", str(plain)])
         assert proc.returncode == 4
 
+    def test_key_file_longer_than_the_cap_exits_4(self, tmp_path, monkeypatch):
+        plain = tmp_path / "plain.txt"
+        plain.write_bytes(b"data")
+        key_path = tmp_path / "key.bin"
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", str(key_path))
+        key_path.write_bytes(b"k" * (cli.MAX_KEY_BYTES + 1))
+        code, out, err = run_in_process(["encrypt", str(plain)])
+        assert (code, out) == (4, b"")
+        assert err == f"fuzzkey: key file {key_path} is longer than {cli.MAX_KEY_BYTES} bytes\n"
+        key_path.write_bytes(b"k" * cli.MAX_KEY_BYTES)
+        code, out, err = run_in_process(["encrypt", str(plain)])
+        assert (code, err) == (0, "")
+        assert out == seal(b"data", CipherKey(b"k" * cli.MAX_KEY_BYTES)).to_bytes()
+
     def test_letters_mode_rejects_binary_plaintext_exit_3(self, tmp_path):
         key_path = tmp_path / "key.txt"
         key_path.write_bytes(b"SECRET")
@@ -286,6 +301,24 @@ class TestGoldenEnvelope:
         assert proc.returncode == 5
         assert_one_error_line(proc)
         assert proc.stdout == b""
+
+    def test_pipe_input_reads_like_a_file(self, golden_payload, golden_env):
+        # a pipe reports size 0, and the payload spans several pipe buffers
+        proc = run_cli(["encrypt", "/dev/stdin"], golden_env, stdin=golden_payload)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == self.GOLDEN.read_bytes()
+        proc = run_cli(["decrypt", "/dev/stdin"], golden_env, stdin=self.GOLDEN.read_bytes())
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == golden_payload
+
+    def test_output_may_name_the_input(self, tmp_path, monkeypatch, golden_payload, golden_env):
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", golden_env["FUZZKEY_KEY_FILE"])
+        path = tmp_path / "data.bin"
+        path.write_bytes(golden_payload)
+        assert run_in_process(["encrypt", str(path), "--output", str(path)]) == (0, b"", "")
+        assert path.read_bytes() == self.GOLDEN.read_bytes()
+        assert run_in_process(["decrypt", str(path), "--output", str(path)]) == (0, b"", "")
+        assert path.read_bytes() == golden_payload
 
 
 class TestPipeline:
@@ -442,6 +475,85 @@ class TestHostileCsv:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("fuzzkey: ")
         assert "not a number" in lines[0]
+
+
+def hostile_envelopes():
+    """(mutation, exit code) parameters for a tagged byte-shift envelope: every
+    truncation up to 16 bytes, each header field broken, and every bit of
+    the tag and of the first and last ciphertext bytes flipped."""
+
+    def replaced(offset, value):
+        return lambda raw: raw[:offset] + bytes([value]) + raw[offset + 1 :]
+
+    def flipped(offset, bit):
+        return lambda raw: replaced(offset, raw[offset] ^ 1 << bit)(raw)
+
+    cases = [(f"truncated-{n}", lambda raw, n=n: raw[:n], 3 if n < 15 else 5) for n in range(17)]
+    cases += [
+        ("bad-magic", lambda raw: b"FZK2" + raw[4:], 3),
+        ("version-0", replaced(4, 0), 3),
+        ("version-2", replaced(4, 2), 3),
+        ("mode-2", replaced(5, 2), 3),
+        ("mode-ff", replaced(5, 0xFF), 3),
+    ]
+    cases += [(f"flag-bit-{bit}", flipped(6, bit), 3) for bit in range(1, 8)]
+    cases += [(f"tag-bit-{i}", flipped(7 + i // 8, i % 8), 5) for i in range(64)]
+    cases += [(f"first-byte-bit-{bit}", flipped(15, bit), 5) for bit in range(8)]
+    cases += [(f"last-byte-bit-{bit}", flipped(-1, bit), 5) for bit in range(8)]
+    return [pytest.param(mutate, code, id=name) for name, mutate, code in cases]
+
+
+class TestHostileEnvelope:
+    KEY = b"hunter2"
+    ENVELOPE = seal(b"0\ttemp\t0.500000000\n1\trpm\t0.250000000\n", CipherKey(KEY)).to_bytes()
+
+    @pytest.mark.parametrize("mutate, expected", hostile_envelopes())
+    def test_decrypt_fails_before_shifting_or_writing(self, tmp_path, monkeypatch, mutate, expected):
+        def shifted(*_):
+            raise AssertionError("a byte was shifted before every check passed")
+
+        monkeypatch.setattr(cipher, "_shift", shifted)
+        key_path = tmp_path / "key.bin"
+        key_path.write_bytes(self.KEY)
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", str(key_path))
+        path = tmp_path / "hostile.fzk"
+        path.write_bytes(mutate(self.ENVELOPE))
+        output = tmp_path / "plain.bin"
+        for extra in ([], ["--output", str(output)]):
+            code, out, err = run_in_process(["decrypt", str(path), *extra])
+            assert (code, out) == (expected, b"")
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("fuzzkey: ")
+        assert not output.exists()
+
+
+class TestEnvelopeMemory:
+    SIZE = 4 << 20
+
+    @pytest.mark.parametrize("mode", ["byte", "letters"])
+    def test_peak_is_one_payload_plus_tag_blocks(self, tmp_path, monkeypatch, mode):
+        # the payload is held once; the rest is the tag's block temporaries
+        payload = os.urandom(self.SIZE)
+        key = b"hunter2"
+        if mode == "letters":
+            payload, key = payload.translate(bytes(65 + i % 26 for i in range(256))), b"FUZZKEY"
+        paths = {name: tmp_path / name for name in ("plain.bin", "sealed.fzk", "opened.bin", "key")}
+        paths["plain.bin"].write_bytes(payload)
+        paths["key"].write_bytes(key)
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", str(paths["key"]))
+        for argv in (
+            ["encrypt", str(paths["plain.bin"]), "--cipher", mode, "--output", str(paths["sealed.fzk"])],
+            ["decrypt", str(paths["sealed.fzk"]), "--output", str(paths["opened.bin"])],
+        ):
+            tracemalloc.start()
+            try:
+                code = cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak <= self.SIZE + (3 << 20), (argv[0], peak)
+        assert paths["opened.bin"].read_bytes() == payload
 
 
 class TestSetCap:
@@ -610,3 +722,4 @@ class TestReadme:
         assert caps == [str(pipeline.MAX_SETS)] * 2
         bound = re.findall(r"at most (\d+) points up to 3 sets, and at most (\d+) / S points", text)
         assert bound == [(str(cli.MAX_SWEEP_POINTS), str(3 * cli.MAX_SWEEP_POINTS))]
+        assert re.findall(r"A key file may hold at most (\d+) bytes", text) == [str(cli.MAX_KEY_BYTES)]

@@ -94,7 +94,7 @@ class TestLoadTable:
         path = write(tmp_path, "a\n1\r2\n")
         with pytest.raises(DataFormatError) as got:
             load_table(path)
-        assert str(got.value) == "row 2, column 1 (a): not a number: '1\\r2'"
+        assert str(got.value) == f"{path}: row 2, column 1 (a): not a number: '1\\r2'"
 
     @pytest.mark.parametrize("name", ["x\ty", "\u00e9t\u00e9", "\ufeffa"], ids=["tab", "non-ascii", "second-bom"])
     def test_header_name_must_be_ascii_without_tabs(self, tmp_path, name):
@@ -177,7 +177,7 @@ class TestBulkParsing:
                 load_table(path)
             return
         try:
-            expected = _parse_cell(stripped, 2, 1, "a")
+            expected = _parse_cell(path, stripped, 2, 1, "a")
         except DataFormatError as exc:
             with pytest.raises(DataFormatError) as got:
                 load_table(path)
@@ -192,7 +192,7 @@ class TestBulkParsing:
         # non-finite, non-ASCII or unparsable: each line takes the per-cell path
         path = write(tmp_path, f"a,b\n1,2\n{cell},3\n")
         try:
-            expected = _parse_cell(cell.strip(), 3, 1, "a")
+            expected = _parse_cell(path, cell.strip(), 3, 1, "a")
         except DataFormatError as exc:
             with pytest.raises(DataFormatError) as got:
                 load_table(path)
