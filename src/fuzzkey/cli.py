@@ -43,6 +43,9 @@ KEY_FILE_ENV = "FUZZKEY_KEY_FILE"
 # a key file longer than this exits 4; reading stops one byte past it, so a
 # device such as /dev/zero cannot make the read run without end
 MAX_KEY_BYTES = 1 << 20
+# an encrypt or decrypt input longer than this exits 3; reading stops one
+# byte past it
+MAX_PAYLOAD_BYTES = 1 << 30
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -178,17 +181,25 @@ def _read_payload(path: str) -> bytearray:
     """The whole file in one writable buffer, read into it without a copy.
 
     The size from ``fstat`` only presizes the buffer: reading goes on to the
-    end of the file, as a pipe reports size 0.
+    end of the file, as a pipe reports size 0, or to one byte past
+    :data:`MAX_PAYLOAD_BYTES`.
     """
+    too_long = DataFormatError(f"input {path} is longer than {MAX_PAYLOAD_BYTES} bytes")
+    limit = MAX_PAYLOAD_BYTES + 1
     with open(path, "rb", buffering=0) as handle:
-        buf = bytearray(os.fstat(handle.fileno()).st_size)
+        size = os.fstat(handle.fileno()).st_size
+        if size > MAX_PAYLOAD_BYTES:
+            raise too_long  # a regular file that long is never read
+        buf = bytearray(size)
         filled = 0
         with memoryview(buf) as view:
             while filled < len(buf) and (count := handle.readinto(view[filled:])):
                 filled += count
         del buf[filled:]
-        while chunk := handle.read(1 << 16):
+        while len(buf) < limit and (chunk := handle.read(min(1 << 16, limit - len(buf)))):
             buf += chunk
+    if len(buf) > MAX_PAYLOAD_BYTES:
+        raise too_long
     return buf
 
 

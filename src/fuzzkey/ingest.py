@@ -6,19 +6,20 @@ Dialect: UTF-8 with an optional byte-order mark, first line is the header
 optional sign and exponent.  A column named exactly ``target`` is split
 off and carried along; it never influences scoring.
 
-:func:`load_table` streams the file: it reads the header line, then hands
-``numpy.loadtxt`` one data line at a time, each first checked against a
-gate of exactly one non-blank cell per column made of ASCII numeric
-characters.  Neither the text nor a list of its lines is ever held, and the
-table is the only full-size buffer: the target is its last column, and the
-dataset's rows and target are views of it.  Any miss sends the whole file
-to the reference parser: a header it would reject, no data rows, a line the
-gate rejects (an empty line, a non-ASCII byte), a cell ``loadtxt`` cannot
-convert, a value that is not finite, or an input that cannot be read twice,
-such as a pipe.  The reference decodes the whole text, parses the lines
-that fit in bulk and every other line cell by cell, and raises the
-diagnostic or accepts the file.  Both give bit-identical values, since
-``loadtxt`` and ``float`` both convert with ``PyOS_string_to_double``.
+:func:`load_table` streams every input, a pipe read into memory first: it
+reads the header line, then hands ``numpy.loadtxt`` one data line at a
+time, each first checked against a gate of exactly one non-blank cell per
+column made of ASCII numeric characters.  With ``drop_incomplete_rows`` an
+ASCII line of one cell per column, one of them blank, is skipped instead.
+Neither the text nor a list of its lines is ever held, and the table is the
+only full-size buffer: the target is its last column, and the dataset's
+rows and target are views of it.  Any miss sends the whole input to the
+reference parser: a header it would reject, no data rows, a line the gate
+rejects (an empty line, a non-ASCII byte), a cell ``loadtxt`` cannot
+convert, or a value that is not finite.  The reference decodes the whole
+text, parses every line cell by cell, and raises the diagnostic or accepts
+the file.  Both give bit-identical values, since ``loadtxt`` and ``float``
+both convert with ``PyOS_string_to_double``.
 """
 
 from __future__ import annotations
@@ -35,14 +36,13 @@ import numpy as np
 from .errors import DataFormatError
 
 _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
-# A cell of the bulk paths: characters of ASCII decimal numerics and the
-# spaces or tabs that str.strip and float both remove.  Over these characters
+# A cell of the streamed pass: characters of ASCII decimal numerics and the
+# spaces or tabs that str.strip and float both remove, at least one of them
+# not blank, since loadtxt skips an empty line.  Over these characters
 # float() accepts exactly what _NUMBER_RE accepts after stripping: no
 # underscores, no inf or nan; anything else raises ValueError.
-_BULK_CELL = r"[0-9eE+\-. \t]*"
-# A cell of the streamed path: the same, with at least one character that is
-# not blank, since loadtxt skips an empty line.
-_STREAMED_CELL = rb"[ \t]*[0-9eE+\-.]" + _BULK_CELL.encode()
+_CELL = rb"[ \t]*[0-9eE+\-.][0-9eE+\-. \t]*"
+_BLANK = re.compile(rb"[ \t]*").fullmatch
 
 TARGET_COLUMN = "target"
 
@@ -164,50 +164,33 @@ def _columns(names: list[str]) -> list[int]:
 
 
 def _reference_table(
-    path: str | Path, handle: io.BufferedReader, drop_incomplete_rows: bool
+    path: str | Path, handle: io.BufferedIOBase, drop_incomplete_rows: bool
 ) -> tuple[list[str], np.ndarray]:
     """Header names and table, columns ordered by :func:`_columns`, parsed
-    line by line from the decoded text of ``handle``: every diagnostic comes
+    cell by cell from the decoded text of ``handle``: every diagnostic comes
     from here."""
     try:
-        text = handle.read().decode("utf-8")
+        with handle:  # closing frees a pipe's bytes, held in memory
+            text = handle.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    if text.startswith("\ufeff"):
-        text = text[1:]  # a byte-order mark is no part of the first name
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
+    # a byte-order mark is no part of the first name
+    lines = text.removeprefix("\ufeff").split("\n")
+    if lines[-1] == "":
         lines.pop()
-    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
-    names = _parse_header(path, lines[0])
-
-    data = lines[1:]
-    table = np.empty((len(data), len(names)))
-    full_row = re.compile(_BULK_CELL + f"(?:,{_BULK_CELL}){{{len(names) - 1}}}").fullmatch
-    recheck = []
-    for i, line in enumerate(data):
-        if full_row(line):
-            try:
-                # numpy parses each str cell with float(), so values are bit-identical
-                table[i] = line.split(",")
-                continue
-            except ValueError:
-                pass
-        recheck.append(i)
-    # lines are rechecked in file order, so the first bad line raises first
-    nonfinite = np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist()
-    keep = np.ones(len(data), dtype=bool)
-    for i in sorted(set(recheck).union(nonfinite)):
-        parsed = _parse_row(path, data[i], i + 2, names, drop_incomplete_rows)
-        if parsed is None:
-            keep[i] = False
-        else:
-            table[i] = parsed
-    if not keep.any():
+    names = _parse_header(path, lines[0].removesuffix("\r"))
+    table = np.empty((len(lines) - 1, len(names)))
+    n = 0
+    for row_number, line in enumerate(lines[1:], start=2):
+        parsed = _parse_row(path, line.removesuffix("\r"), row_number, names, drop_incomplete_rows)
+        if parsed is not None:
+            table[n] = parsed
+            n += 1
+    if not n:
         raise DataFormatError(f"{path}: no data rows")
-    return names, table[np.ix_(keep, _columns(names))]
+    return names, table[:n, _columns(names)]
 
 
 def _line(raw: bytes) -> bytes:
@@ -216,7 +199,7 @@ def _line(raw: bytes) -> bytes:
 
 
 def _streamed_table(
-    path: str | Path, handle: io.BufferedReader
+    path: str | Path, handle: io.BufferedIOBase, drop_incomplete_rows: bool
 ) -> tuple[list[str], np.ndarray] | None:
     """Header names and table, columns ordered by :func:`_columns`, in one
     pass over ``handle``; ``None`` on any miss."""
@@ -225,19 +208,25 @@ def _streamed_table(
         names = _parse_header(path, header)
     except (UnicodeDecodeError, DataFormatError):
         return None  # the reference may find a UTF-8 error further on first
-    if not handle.peek(1):
-        return None  # no data rows, which loadtxt would only warn about
-    full_row = re.compile(
-        _STREAMED_CELL + rb"(?:," + _STREAMED_CELL + rb"){%d}" % (len(names) - 1)
-    ).fullmatch
+    full_row = re.compile(_CELL + rb"(?:," + _CELL + rb"){%d}" % (len(names) - 1)).fullmatch
+
+    def incomplete(line: bytes) -> bool:
+        # the reference drops such a line before it parses any cell
+        cells = line.split(b",")
+        return line.isascii() and len(cells) == len(names) and any(map(_BLANK, cells))
 
     def data_lines():
         # binary lines split on \n only, as the reference does
+        streamed = False
         for raw in handle:
             line = _line(raw)
-            if not full_row(line):
+            if full_row(line):
+                streamed = True
+                yield line
+            elif not (drop_incomplete_rows and incomplete(line)):
                 raise ValueError("line needs the reference parser")
-            yield line
+        if not streamed:
+            raise ValueError("no data rows, which loadtxt would only warn about")
 
     try:
         table = np.loadtxt(
@@ -263,12 +252,11 @@ def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
     in diagnostics are 1-based; the header is row 1.
     """
     with open(path, "rb") as handle:
-        found = None
-        # a miss reads the file again from the start, which a pipe cannot
-        if handle.seekable():
-            found = _streamed_table(path, handle)
-            handle.seek(0)
-        names, table = found or _reference_table(path, handle, drop_incomplete_rows)
+        # a miss reads the input again from the start, which a pipe cannot
+        source = handle if handle.seekable() else io.BytesIO(handle.read())
+        found = _streamed_table(path, source, drop_incomplete_rows)
+        source.seek(0)
+        names, table = found or _reference_table(path, source, drop_incomplete_rows)
     feature_names = tuple(name for name in names if name != TARGET_COLUMN)
     if len(feature_names) == len(names):
         return Dataset(feature_names=feature_names, rows=table)
@@ -295,7 +283,8 @@ def normalize(dataset: Dataset) -> NormalizedDataset:
 
     Constant columns carry no ordering information and map to 0.5
     everywhere, which scores as the neutral midpoint downstream.  A column
-    whose span ``hi - lo`` overflows is rescaled with halved operands.
+    whose span ``hi - lo`` overflows is rescaled with halved operands.  The
+    target is copied, so no view keeps the loaded table alive.
     """
     rows = dataset.rows
     lo = _column_extremes(rows, np.min)
@@ -313,6 +302,6 @@ def normalize(dataset: Dataset) -> NormalizedDataset:
     return NormalizedDataset(
         feature_names=dataset.feature_names,
         rows=scaled,
-        target=dataset.target,
+        target=None if dataset.target is None else dataset.target.copy(),
         ranges=tuple(zip(lo.tolist(), hi.tolist())),
     )

@@ -35,6 +35,9 @@ MAX_SETS = 1000
 # the one relevance mode; the mode config key and --mode accept only this
 RELEVANCE_MODE = "inference"
 
+# a longer config file exits 4; reading stops one byte past it
+MAX_CONFIG_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -137,8 +140,13 @@ def _parse_cipher(raw: str) -> str:
 def load_config_file(path: str | Path, base: PipelineConfig | None = None) -> PipelineConfig:
     """Read a flat ``key = value`` file (``#`` comments) over ``base``."""
     cfg = base or PipelineConfig()
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_CONFIG_BYTES + 1)
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ConfigurationError(f"config file {path} is longer than {MAX_CONFIG_BYTES} bytes")
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        # decoded whole, so a byte offset counts a byte-order mark too
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
@@ -178,14 +186,13 @@ def load_config_file(path: str | Path, base: PipelineConfig | None = None) -> Pi
 class PipelineOutcome:
     """Everything one run produced, ready for reporting or encryption."""
 
-    dataset: Dataset
     normalized: NormalizedDataset
     scores: list[RelevanceScore]
     result: SelectionResult
     stats: PropagationStats
 
     def selection_bytes(self) -> bytes:
-        return cipher_mod.serialize_selection(self.result, list(self.dataset.feature_names))
+        return cipher_mod.serialize_selection(self.result, list(self.normalized.feature_names))
 
 
 def analyze(
@@ -196,13 +203,15 @@ def analyze(
     """Run the selection pipeline on a CSV path or an in-memory dataset.
 
     Scoring runs single-threaded, one blocked kernel call over the whole
-    normalized matrix, under the uniform partition and identity rules.
+    normalized matrix, under the uniform partition and identity rules.  The
+    outcome keeps only the normalized copy, so a table loaded from a path is
+    released when this returns.
     """
     cfg = cfg.validated()
     # checks the set cap before any data is read
     defuzz = cfg.defuzz_config()
     dataset = source if isinstance(source, Dataset) else load_table(source, drop_incomplete_rows)
-    normalized = dataset if isinstance(dataset, NormalizedDataset) else normalize(dataset)
+    normalized = normalize(dataset)
 
     column_scores = score_columns(normalized.rows, defuzz)
     scores = [RelevanceScore(i, score) for i, score in enumerate(column_scores)]
@@ -213,23 +222,22 @@ def analyze(
         result = select_threshold(scores, cfg.tau)
 
     return PipelineOutcome(
-        dataset=dataset,
         normalized=normalized,
         scores=scores,
         result=result,
-        stats=cost(dataset.n_features, cfg.sets, cfg.layers, normalized.n_rows),
+        stats=cost(normalized.n_features, cfg.sets, cfg.layers, normalized.n_rows),
     )
 
 
 def render_report(outcome: PipelineOutcome, cfg: PipelineConfig) -> bytes:
     """Deterministic text report; see README for the section schema."""
     cfg = cfg.validated()
-    names = outcome.dataset.feature_names
+    names = outcome.normalized.feature_names
     lines = [REPORT_HEADER]
     lines.append("[dataset]")
-    lines.append(f"features = {outcome.dataset.n_features}")
+    lines.append(f"features = {outcome.normalized.n_features}")
     lines.append(f"rows = {outcome.normalized.n_rows}")
-    lines.append(f"target = {'present' if outcome.dataset.target is not None else 'absent'}")
+    lines.append(f"target = {'present' if outcome.normalized.target is not None else 'absent'}")
     lines.append("[config]")
     lines.append(f"sets = {cfg.sets}")
     lines.append(f"layers = {cfg.layers}")

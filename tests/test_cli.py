@@ -89,7 +89,7 @@ class TestSelect:
         assert_one_error_line(proc)
 
     def test_csv_from_a_pipe_reads_like_a_file(self, toy_csv):
-        # the streamed pass cannot reread a pipe after a miss
+        # a pipe is read into memory, so the reference can reread it after a miss
         proc = run_cli(["select", "/dev/stdin", "--k", "2"], stdin=TOY.encode())
         assert proc.returncode == 0
         assert proc.stdout == run_cli(["select", str(toy_csv), "--k", "2"]).stdout
@@ -247,6 +247,51 @@ class TestEncryptDecrypt:
         code, out, err = run_in_process(["encrypt", str(plain)])
         assert (code, err) == (0, "")
         assert out == seal(b"data", CipherKey(b"k" * cli.MAX_KEY_BYTES)).to_bytes()
+
+    def test_input_longer_than_the_cap_exits_3(self, tmp_path, monkeypatch):
+        cap = 1000
+        monkeypatch.setattr(cli, "MAX_PAYLOAD_BYTES", cap)
+        key = CipherKey(b"hunter2")
+        (tmp_path / "key.bin").write_bytes(key.data)
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", str(tmp_path / "key.bin"))
+        plain, sealed, output = tmp_path / "plain.bin", tmp_path / "sealed.fzk", tmp_path / "out.bin"
+        header = len(seal(b"", key).to_bytes())
+        plain.write_bytes(b"p" * (cap + 1))
+        sealed.write_bytes(seal(b"p" * (cap + 1 - header), key).to_bytes())
+        # a pipe has no size to check first: its read stops one byte past the cap
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"p" * (cap + 100))
+        os.close(write_end)
+        try:
+            pipe = f"/dev/fd/{read_end}"
+            for command, path in [("encrypt", plain), ("decrypt", sealed), ("encrypt", pipe)]:
+                code, out, err = run_in_process([command, str(path), "--output", str(output)])
+                assert (code, out) == (3, b"")
+                assert err == f"fuzzkey: input {path} is longer than {cap} bytes\n"
+                assert not output.exists()
+            assert len(os.read(read_end, 1 << 16)) == 99
+        finally:
+            os.close(read_end)
+        # the cap itself is accepted
+        plain.write_bytes(b"p" * cap)
+        sealed.write_bytes(seal(b"p" * (cap - header), key).to_bytes())
+        assert run_in_process(["encrypt", str(plain)]) == (0, seal(b"p" * cap, key).to_bytes(), "")
+        assert run_in_process(["decrypt", str(sealed)]) == (0, b"p" * (cap - header), "")
+
+    def test_regular_file_longer_than_the_cap_is_never_read(self, tmp_path, monkeypatch, key_env):
+        monkeypatch.setattr(cli, "MAX_PAYLOAD_BYTES", 8 << 20)
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", key_env["FUZZKEY_KEY_FILE"])
+        plain = tmp_path / "sparse.bin"
+        with open(plain, "wb") as handle:
+            handle.truncate(32 << 20)
+        tracemalloc.start()
+        try:
+            code, out, err = run_in_process(["encrypt", str(plain)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, b"")
+        assert peak < 4 << 20  # the key read reserves its 1 MiB cap
 
     def test_letters_mode_rejects_binary_plaintext_exit_3(self, tmp_path):
         key_path = tmp_path / "key.txt"
@@ -527,6 +572,107 @@ class TestHostileEnvelope:
         assert not output.exists()
 
 
+HOSTILE_CONFIGS = {
+    "unknown-key": (b"colour = red\n", 4),
+    "bad-int": (b"sets = three\n", 4),
+    "bad-float": (b"tau = half\n", 4),
+    "bad-bool": (b"tag = maybe\n", 4),
+    "centers-length": (b"centers = 0,1\n", 4),
+    "empty-centers": (b"centers =\n", 4),
+    "centers-gap": (b"centers = 0,,1\n", 4),
+    "nul-byte": (b"sets = 3\x00\n", 4),
+    "crlf": (b"sets = 4\r\ntag = off\r\n", 0),
+    "bom": (b"\xef\xbb\xbfsets = 4\n", 0),
+    "at-the-cap": (b"#" * (pipeline.MAX_CONFIG_BYTES - 1) + b"\n", 0),
+    "cap-plus-one": (b"#" * pipeline.MAX_CONFIG_BYTES + b"\n", 4),
+}
+
+# key file -> exit codes of: encrypt, encrypt --cipher letters, decrypt of a
+# byte and of a letters envelope sealed under another key, pipeline
+HOSTILE_KEYS = {
+    "empty": (b"", [4, 4, 4, 4, 4]),
+    "lone-lf": (b"\n", [4, 4, 4, 4, 4]),
+    "lone-crlf": (b"\r\n", [4, 4, 4, 4, 4]),
+    "binary": (bytes(range(256)), [0, 4, 5, 4, 0]),
+    "lowercase": (b"secret", [0, 4, 5, 4, 0]),
+    "other-letters": (b"OTHER\r\n", [0, 0, 5, 5, 0]),
+    "cap-plus-one": (b"K" * (cli.MAX_KEY_BYTES + 1), [4, 4, 4, 4, 4]),
+}
+
+
+class TestHostileConfigAndKey:
+    """Every reader of a config file, a key file or ``--sets`` ends in a
+    documented exit code, with output only on success."""
+
+    KEY = CipherKey(b"SECRET", cipher.MODE_LETTERS)
+
+    @pytest.fixture
+    def paths(self, tmp_path, monkeypatch):
+        names = ("data.csv", "plain.txt", "byte.fzk", "letters.fzk", "key", "cfg", "out")
+        paths = {name: tmp_path / name for name in names}
+        paths["data.csv"].write_text(TOY)
+        paths["plain.txt"].write_bytes(b"PLAIN")
+        paths["byte.fzk"].write_bytes(seal(b"PLAIN", CipherKey(self.KEY.data)).to_bytes())
+        paths["letters.fzk"].write_bytes(seal(b"PLAIN", self.KEY).to_bytes())
+        paths["key"].write_bytes(self.KEY.data)
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", str(paths["key"]))
+        return paths
+
+    @staticmethod
+    def argv(paths, command):
+        return {
+            "select": ["select", str(paths["data.csv"]), "--output", str(paths["out"])],
+            "pipeline": ["pipeline", str(paths["data.csv"]), "--output", str(paths["out"])],
+            "encrypt": ["encrypt", str(paths["plain.txt"]), "--output", str(paths["out"])],
+            "membership": ["membership", "--x", "0.5", "--output", str(paths["out"])],
+            "stats": ["stats", "--features", "3"],
+        }[command]
+
+    @staticmethod
+    def assert_documented_exit(argv, output):
+        code, out, err = run_in_process(argv)
+        assert code in (0, 2, 3, 4, 5)
+        if code == 0:
+            assert err == ""
+        else:
+            assert out == b""
+            assert not output.exists()
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("fuzzkey: ")
+        if output.exists():
+            output.unlink()
+        return code
+
+    @pytest.mark.parametrize("content, expected", HOSTILE_CONFIGS.values(), ids=HOSTILE_CONFIGS)
+    @pytest.mark.parametrize("command", ["select", "pipeline", "encrypt", "membership", "stats"])
+    def test_config_files(self, paths, command, content, expected):
+        paths["cfg"].write_bytes(content)
+        argv = self.argv(paths, command) + ["--config", str(paths["cfg"])]
+        assert self.assert_documented_exit(argv, paths["out"]) == expected
+
+    @pytest.mark.parametrize("key, expected", HOSTILE_KEYS.values(), ids=HOSTILE_KEYS)
+    def test_key_files(self, paths, key, expected):
+        paths["key"].write_bytes(key)
+        codes = [
+            self.assert_documented_exit(argv, paths["out"])
+            for argv in (
+                self.argv(paths, "encrypt"),
+                self.argv(paths, "encrypt") + ["--cipher", "letters"],
+                ["decrypt", str(paths["byte.fzk"]), "--output", str(paths["out"])],
+                ["decrypt", str(paths["letters.fzk"]), "--output", str(paths["out"])],
+                self.argv(paths, "pipeline"),
+            )
+        ]
+        assert codes == expected
+
+    @pytest.mark.parametrize("sets", [pipeline.MAX_SETS, pipeline.MAX_SETS + 1])
+    @pytest.mark.parametrize("command", ["select", "pipeline", "membership", "stats"])
+    def test_sets_at_and_past_the_cap(self, paths, command, sets):
+        argv = self.argv(paths, command) + ["--sets", str(sets)]
+        code = self.assert_documented_exit(argv, paths["out"])
+        assert code == (0 if sets <= pipeline.MAX_SETS or command == "stats" else 4)
+
+
 class TestEnvelopeMemory:
     SIZE = 4 << 20
 
@@ -644,8 +790,12 @@ class TestMembership:
 class TestConfigFile:
     @pytest.mark.parametrize(
         "content, fragment",
-        [(b"sets = 3\n# caf\xe9\n", b"not UTF-8 text (byte 14)"), (b"colour = red\n", b"unknown key")],
-        ids=["non-utf8", "unknown-key"],
+        [
+            (b"sets = 3\n# caf\xe9\n", b"not UTF-8 text (byte 14)"),
+            (b"colour = red\n", b"unknown key"),
+            (b"#" * pipeline.MAX_CONFIG_BYTES + b"\n", b"is longer than 1048576 bytes"),
+        ],
+        ids=["non-utf8", "unknown-key", "longer-than-the-cap"],
     )
     def test_bad_config_file_exits_4(self, tmp_path, content, fragment):
         cfg = tmp_path / "bad.cfg"
@@ -716,10 +866,14 @@ class TestReadme:
                 assert documented[name].split("|") == list(choices), name
 
     def test_limits_match_the_code(self):
-        # the set cap and the sweep bound the README states
+        # the set cap, the sweep bound and the read caps the README states
         text = " ".join(README.read_text(encoding="utf-8").split())
         caps = re.findall(r"\(2\.\.(\d+)\)", text) + re.findall(r"take at most (\d+) sets", text)
         assert caps == [str(pipeline.MAX_SETS)] * 2
         bound = re.findall(r"at most (\d+) points up to 3 sets, and at most (\d+) / S points", text)
         assert bound == [(str(cli.MAX_SWEEP_POINTS), str(3 * cli.MAX_SWEEP_POINTS))]
         assert re.findall(r"A key file may hold at most (\d+) bytes", text) == [str(cli.MAX_KEY_BYTES)]
+        assert re.findall(r"A config file may hold at most (\d+) bytes", text) == [
+            str(pipeline.MAX_CONFIG_BYTES)
+        ]
+        assert re.findall(r"input may hold at most (\d+) bytes", text) == [str(cli.MAX_PAYLOAD_BYTES)]

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,12 @@ class TestLoadTable:
     def test_drop_incomplete_rows(self, tmp_path):
         d = load_table(write(tmp_path, "a,b\n1,\n3,4\n"), drop_incomplete_rows=True)
         assert d.rows.tolist() == [[3.0, 4.0]]
+
+    def test_dropping_every_row_leaves_no_data_rows(self, tmp_path):
+        path = write(tmp_path, "a,b\n1,\n, \t\n")
+        with pytest.raises(DataFormatError) as got:
+            load_table(path, drop_incomplete_rows=True)
+        assert str(got.value) == f"{path}: no data rows"
 
     def test_crlf_line_endings(self, tmp_path):
         d = load_table(write(tmp_path, "a,b\r\n1,2\r\n"))
@@ -167,8 +174,8 @@ class TestBulkParsing:
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="0123456789eE+-. \t", max_size=8))
     def test_numeric_characters_follow_the_per_cell_parser(self, tmp_path_factory, cell):
-        # the bulk path takes these characters; float() must accept exactly
-        # what the per-cell parser accepts, with the same value or message
+        # the streamed pass takes these characters; float() must accept
+        # exactly what the per-cell parser accepts, with the same value or message
         path = tmp_path_factory.mktemp("cell") / "cell.csv"
         path.write_bytes(f"a,b\n{cell},1\n".encode("ascii"))
         stripped = cell.strip()
@@ -189,7 +196,7 @@ class TestBulkParsing:
         "cell", ["1e999", "-1e999", "\u0661\u0662", "\u00a07", "1 2", "1e", "+-1", "."]
     )
     def test_rechecked_lines_match_the_per_cell_parser(self, tmp_path, cell):
-        # non-finite, non-ASCII or unparsable: each line takes the per-cell path
+        # non-finite, non-ASCII or unparsable: the file takes the per-cell parser
         path = write(tmp_path, f"a,b\n1,2\n{cell},3\n")
         try:
             expected = _parse_cell(path, cell.strip(), 3, 1, "a")
@@ -248,9 +255,9 @@ def reference(path, drop_incomplete_rows):
         return _reference_table(path, handle, drop_incomplete_rows)
 
 
-def streamed(path):
+def streamed(path, drop_incomplete_rows):
     with open(path, "rb") as handle:
-        return _streamed_table(path, handle)
+        return _streamed_table(path, handle, drop_incomplete_rows)
 
 
 class TestStreaming:
@@ -261,18 +268,19 @@ class TestStreaming:
     @example(b"a\n1\n\n2\n", False)  # loadtxt skips an empty line
     @example(b"a\n1\r2\n", False)  # universal newlines split this line
     @example(b"a,b\n1,x\n2,\xff\n", True)  # the UTF-8 error is reported first
+    @example(b"a,b\n\xff,\n2,3\n", True)  # also in a line the stream would drop
     def test_matches_the_reference(self, tmp_path_factory, data, drop_incomplete_rows):
         path = tmp_path_factory.mktemp("stream") / "data.csv"
         path.write_bytes(data)
         try:
             names, table = reference(path, drop_incomplete_rows)
         except DataFormatError as exc:
-            assert streamed(path) is None
+            assert streamed(path, drop_incomplete_rows) is None
             with pytest.raises(DataFormatError) as got:
                 load_table(path, drop_incomplete_rows)
             assert str(got.value) == str(exc)
             return
-        found = streamed(path)
+        found = streamed(path, drop_incomplete_rows)
         if found is not None:
             assert found[0] == names
             assert found[1].tobytes() == table.tobytes()
@@ -286,24 +294,45 @@ class TestStreaming:
             assert d.target.tobytes() == table[:, -1].tobytes()
 
     @pytest.mark.parametrize(
-        "text",
+        "text, how",
         [
-            "a,b,target\n1,2,3\n4,5,6\n",
-            "\ufefftarget,a,b\r\n1,2,3\r\n4,5,6\r\n",
-            "a,target,b\n1, 2 ,3\n4,\t5,6",
-            "a\n1e-400\n-0\n",
+            ("a,b,target\n1,2,3\n4,5,6\n", "file"),
+            ("\ufefftarget,a,b\r\n1,2,3\r\n4,5,6\r\n", "file"),
+            ("a,target,b\n1, 2 ,3\n4,\t5,6", "file"),
+            ("a\n1e-400\n-0\n", "file"),
+            ("a,target,b\r\n1,2,3\r\n4,5,6\r\n", "pipe"),
+            ("a,b\n1,\n, \t\n3,4\nx,\r\n\t,5\n6,7\n", "drop"),
         ],
-        ids=["target-last", "bom-crlf-target-first", "no-final-newline", "one-column"],
+        ids=[
+            "target-last",
+            "bom-crlf-target-first",
+            "no-final-newline",
+            "one-column",
+            "pipe",
+            "drop-incomplete-rows",
+        ],
     )
-    def test_clean_files_never_reach_the_reference(self, tmp_path, monkeypatch, text):
+    def test_clean_files_never_reach_the_reference(self, tmp_path, monkeypatch, text, how):
         path = write(tmp_path, text)
-        expected = load_table(path)
+        drop = how == "drop"
+        expected = load_table(path, drop)
+        if drop:
+            assert expected.rows.tolist() == [[3.0, 4.0], [6.0, 7.0]]
+        if how == "pipe":
+            read_end, write_end = os.pipe()
+            os.write(write_end, text.encode())
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
 
         def unreachable(*args):
             raise AssertionError("the reference parser ran on a clean file")
 
         monkeypatch.setattr(ingest, "_reference_table", unreachable)
-        d = load_table(path)
+        try:
+            d = load_table(path, drop)
+        finally:
+            if how == "pipe":
+                os.close(read_end)
         assert d.feature_names == expected.feature_names
         assert d.rows.tobytes() == expected.rows.tobytes()
         assert (d.target is None) == (expected.target is None)

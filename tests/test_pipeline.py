@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from fuzzkey import (
@@ -55,6 +57,15 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("sets = 3\nbogus = 1\n")
         with pytest.raises(ConfigurationError, match="bogus"):
+            load_config_file(path)
+
+    def test_byte_order_mark_is_no_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes("\ufeffsets = 5\n".encode())
+        assert load_config_file(path).sets == 5
+        # a byte offset still counts the mark
+        path.write_bytes(b"\xef\xbb\xbfsets = 5\n# caf\xe9\n")
+        with pytest.raises(ConfigurationError, match=r"not UTF-8 text \(byte 17\)"):
             load_config_file(path)
 
     def test_k_and_tau_conflict(self):
@@ -172,6 +183,23 @@ class TestAnalyze:
         )]
         assert positions == sorted(positions)
         assert report.endswith("\n")
+
+    def test_outcome_holds_only_the_normalized_matrix(self, tmp_path):
+        # the loaded table, whose target column the outcome used to view,
+        # is released when analyze returns
+        table = np.random.default_rng(5).standard_normal((4000, 25))
+        names = [f"x{i}" for i in range(24)] + ["target"]
+        lines = [",".join(names)] + [",".join(map(repr, row)) for row in table.tolist()]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            outcome = analyze(path, PipelineConfig(k=3))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert outcome.normalized.target.tobytes() == table[:, -1].tobytes()
+        assert held <= 1.1 * outcome.normalized.rows.nbytes
 
     def test_selection_bytes_match_report_block(self, csv_path):
         cfg = PipelineConfig(k=2)
