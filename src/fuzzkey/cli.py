@@ -8,8 +8,9 @@ plus encrypt in one pass, ``membership`` emits plot-ready membership rows,
 Key material is never accepted as an argument (process lists leak); set
 ``FUZZKEY_KEY_FILE`` to the path of a key file instead.
 
-Exit codes: 0 ok, 1 internal, 2 usage, 3 data format or I/O, 4
-configuration (including invalid keys), 5 integrity check failed.
+Exit codes: 0 ok, 1 internal, 2 usage, 3 data format or I/O (including
+running out of memory), 4 configuration (including invalid keys), 5
+integrity check failed.
 """
 
 from __future__ import annotations
@@ -339,6 +340,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTEGRITY
     except (DataFormatError, OSError) as exc:
         print(f"fuzzkey: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError:
+        # an input too large for the memory there is, such as a pipe, which
+        # is read whole, or a payload under its cap in a small address space
+        print("fuzzkey: out of memory", file=sys.stderr)
         return EXIT_DATA
     except ConfigurationError as exc:
         print(f"fuzzkey: {exc}", file=sys.stderr)

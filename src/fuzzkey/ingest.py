@@ -6,20 +6,18 @@ Dialect: UTF-8 with an optional byte-order mark, first line is the header
 optional sign and exponent.  A column named exactly ``target`` is split
 off and carried along; it never influences scoring.
 
-:func:`load_table` streams every input, a pipe read into memory first: it
-reads the header line, then hands ``numpy.loadtxt`` one data line at a
-time, each first checked against a gate of exactly one non-blank cell per
-column made of ASCII numeric characters.  With ``drop_incomplete_rows`` an
-ASCII line of one cell per column, one of them blank, is skipped instead.
-Neither the text nor a list of its lines is ever held, and the table is the
-only full-size buffer: the target is its last column, and the dataset's
-rows and target are views of it.  Any miss sends the whole input to the
-reference parser: a header it would reject, no data rows, a line the gate
-rejects (an empty line, a non-ASCII byte), a cell ``loadtxt`` cannot
-convert, or a value that is not finite.  The reference decodes the whole
-text, parses every line cell by cell, and raises the diagnostic or accepts
-the file.  Both give bit-identical values, since ``loadtxt`` and ``float``
-both convert with ``PyOS_string_to_double``.
+:func:`load_table` reads every input in one pass, a pipe read into memory
+first, and raises the first error in file order; no line may be longer
+than :data:`MAX_LINE_BYTES`.  A data line of one non-blank cell of ASCII
+numeric characters per column goes to ``numpy.loadtxt`` as it is.  Any
+other line is decoded and parsed cell by cell on its own, then goes on as
+the ``repr`` of its values, is dropped, or ends the pass with its
+diagnostic held.  The gate passes a few bad cells (``1e``, ``1 2``,
+``1e999``), so when ``loadtxt`` rejects a cell or reads a value that is not
+finite, the rows are parsed again cell by cell up to the first bad one.
+The table is the only full-size buffer: the target is its last column, and
+the dataset's rows and target are views of it.  Values are bit-identical
+either way, since ``loadtxt`` and ``float`` both use ``PyOS_string_to_double``.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ import codecs
 import io
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +41,9 @@ _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]
 # float() accepts exactly what _NUMBER_RE accepts after stripping: no
 # underscores, no inf or nan; anything else raises ValueError.
 _CELL = rb"[ \t]*[0-9eE+\-.][0-9eE+\-. \t]*"
-_BLANK = re.compile(rb"[ \t]*").fullmatch
+# a longer line, not counting its newline, is a data format error; reading
+# stops one byte past it, so an endless line such as /dev/zero ends too
+MAX_LINE_BYTES = 1 << 24
 
 TARGET_COLUMN = "target"
 
@@ -126,12 +127,11 @@ def _parse_cell(path: str | Path, cell: str, row_number: int, column_number: int
 def _parse_row(
     path: str | Path, line: str, row_number: int, names: list[str], drop_incomplete_rows: bool
 ) -> list[float] | None:
-    """Per-cell reference parser for one data line; ``None`` drops the line."""
+    """Per-cell parser for one data line; ``None`` drops the line."""
+    n_cells = line.count(",") + 1  # before a split, which would hold every cell of a long line
+    if n_cells != len(names):
+        raise DataFormatError(f"{path}: row {row_number}: expected {len(names)} cells, got {n_cells}")
     cells = [cell.strip() for cell in line.split(",")]
-    if len(cells) != len(names):
-        raise DataFormatError(
-            f"{path}: row {row_number}: expected {len(names)} cells, got {len(cells)}"
-        )
     if any(cell == "" for cell in cells):
         if drop_incomplete_rows:
             return None
@@ -163,70 +163,64 @@ def _columns(names: list[str]) -> list[int]:
     return sorted(range(len(names)), key=lambda i: names[i] == TARGET_COLUMN)
 
 
-def _reference_table(
+def _lines(
+    path: str | Path, handle: io.BufferedIOBase, row_number: int
+) -> Iterator[tuple[int, int, bytes]]:
+    """``(row number, byte offset, line)`` for each line left in ``handle``,
+    the line without its newline and one carriage return before it.  Lines
+    split on ``\\n`` only, and no read takes more than one byte past the cap."""
+    offset = handle.tell()
+    while raw := handle.readline(MAX_LINE_BYTES + 1):
+        line = raw.removesuffix(b"\n")
+        if len(line) > MAX_LINE_BYTES:
+            raise DataFormatError(f"{path}: row {row_number} is longer than {MAX_LINE_BYTES} bytes")
+        yield row_number, offset, line.removesuffix(b"\r")
+        row_number += 1
+        offset += len(raw)
+
+
+def _text(path: str | Path, line: bytes, offset: int) -> str:
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text (byte {offset + exc.start})") from None
+
+
+def _table(
     path: str | Path, handle: io.BufferedIOBase, drop_incomplete_rows: bool
 ) -> tuple[list[str], np.ndarray]:
-    """Header names and table, columns ordered by :func:`_columns`, parsed
-    cell by cell from the decoded text of ``handle``: every diagnostic comes
-    from here."""
-    try:
-        with handle:  # closing frees a pipe's bytes, held in memory
-            text = handle.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    # a byte-order mark is no part of the first name
-    lines = text.removeprefix("\ufeff").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise DataFormatError(f"{path}: empty file")
-    names = _parse_header(path, lines[0].removesuffix("\r"))
-    table = np.empty((len(lines) - 1, len(names)))
-    n = 0
-    for row_number, line in enumerate(lines[1:], start=2):
-        parsed = _parse_row(path, line.removesuffix("\r"), row_number, names, drop_incomplete_rows)
-        if parsed is not None:
-            table[n] = parsed
-            n += 1
-    if not n:
-        raise DataFormatError(f"{path}: no data rows")
-    return names, table[:n, _columns(names)]
-
-
-def _line(raw: bytes) -> bytes:
-    """``raw`` without its newline and one carriage return before it."""
-    return raw.removesuffix(b"\n").removesuffix(b"\r")
-
-
-def _streamed_table(
-    path: str | Path, handle: io.BufferedIOBase, drop_incomplete_rows: bool
-) -> tuple[list[str], np.ndarray] | None:
     """Header names and table, columns ordered by :func:`_columns`, in one
-    pass over ``handle``; ``None`` on any miss."""
-    try:
-        header = _line(handle.readline().removeprefix(codecs.BOM_UTF8)).decode("utf-8")
-        names = _parse_header(path, header)
-    except (UnicodeDecodeError, DataFormatError):
-        return None  # the reference may find a UTF-8 error further on first
+    pass over the seekable ``handle``; raises the first error in file order."""
+    if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        handle.seek(0)  # a byte-order mark is no part of the first name
+    lines = _lines(path, handle, 1)
+    header = next(lines, None)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file")
+    names = _parse_header(path, _text(path, header[2], header[1]))
+    start = handle.tell()
     full_row = re.compile(_CELL + rb"(?:," + _CELL + rb"){%d}" % (len(names) - 1)).fullmatch
-
-    def incomplete(line: bytes) -> bool:
-        # the reference drops such a line before it parses any cell
-        cells = line.split(b",")
-        return line.isascii() and len(cells) == len(names) and any(map(_BLANK, cells))
+    held = None
 
     def data_lines():
-        # binary lines split on \n only, as the reference does
+        nonlocal held
         streamed = False
-        for raw in handle:
-            line = _line(raw)
-            if full_row(line):
-                streamed = True
-                yield line
-            elif not (drop_incomplete_rows and incomplete(line)):
-                raise ValueError("line needs the reference parser")
+        try:
+            for row_number, offset, line in lines:
+                if full_row(line):
+                    streamed = True
+                    yield line
+                    continue
+                text = _text(path, line, offset)
+                values = _parse_row(path, text, row_number, names, drop_incomplete_rows)
+                if values is not None:
+                    streamed = True
+                    yield ",".join(map(repr, values)).encode()
+        except DataFormatError as exc:
+            held = exc  # ends the stream; a row above may still hold an earlier error
         if not streamed:
-            raise ValueError("no data rows, which loadtxt would only warn about")
+            # no row above to rescan, and loadtxt would only warn about no data
+            raise held or DataFormatError(f"{path}: no data rows")
 
     try:
         table = np.loadtxt(
@@ -238,9 +232,15 @@ def _streamed_table(
             encoding="ascii",
         )
     except ValueError:
-        return None
-    if not np.isfinite(table).all():
-        return None
+        table = None
+    if table is None or not np.isfinite(table).all():
+        # the gate passes some cells only the per-cell parser names, such as
+        # 1e, 1 2 and 1e999: a row at or above the held one raises here
+        handle.seek(start)
+        for row_number, offset, line in _lines(path, handle, 2):
+            _parse_row(path, _text(path, line, offset), row_number, names, drop_incomplete_rows)
+    if held is not None:
+        raise held
     return names, table
 
 
@@ -252,11 +252,9 @@ def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
     in diagnostics are 1-based; the header is row 1.
     """
     with open(path, "rb") as handle:
-        # a miss reads the input again from the start, which a pipe cannot
+        # a rescan reads the input again, which a pipe cannot
         source = handle if handle.seekable() else io.BytesIO(handle.read())
-        found = _streamed_table(path, source, drop_incomplete_rows)
-        source.seek(0)
-        names, table = found or _reference_table(path, source, drop_incomplete_rows)
+        names, table = _table(path, source, drop_incomplete_rows)
     feature_names = tuple(name for name in names if name != TARGET_COLUMN)
     if len(feature_names) == len(names):
         return Dataset(feature_names=feature_names, rows=table)

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import io
 import os
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzkey import CipherKey, DefuzzConfig, cipher, cli, fuzzy, pipeline, seal, selection
+from fuzzkey import CipherKey, DefuzzConfig, cipher, cli, fuzzy, ingest, pipeline, seal, selection
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 DATA = Path(__file__).resolve().parent / "data"
@@ -89,7 +90,7 @@ class TestSelect:
         assert_one_error_line(proc)
 
     def test_csv_from_a_pipe_reads_like_a_file(self, toy_csv):
-        # a pipe is read into memory, so the reference can reread it after a miss
+        # a pipe is read into memory, so a rescan can reread it
         proc = run_cli(["select", "/dev/stdin", "--k", "2"], stdin=TOY.encode())
         assert proc.returncode == 0
         assert proc.stdout == run_cli(["select", str(toy_csv), "--k", "2"]).stdout
@@ -501,6 +502,12 @@ class TestHostileCsv:
     def test_select_exits_with_a_documented_code(self, tmp_path_factory, data, args):
         path = tmp_path_factory.mktemp("hostile") / "data.csv"
         path.write_bytes(data)
+        self.select(path, *args)
+
+    @staticmethod
+    def select(path, *args):
+        """(code, stderr) of ``select`` on ``path``, which ends in a report and
+        no error, or in one error line and no output."""
         code, out, err = run_in_process(["select", str(path), *args])
         assert code in (0, 3, 4)
         if code == 0:
@@ -510,6 +517,50 @@ class TestHostileCsv:
             assert out == b""
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("fuzzkey: ")
+        return code, err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (codecs.BOM_UTF8, "empty file"),
+            (b"a,b\n1,2\n3,x\n\xff,4\n", "row 3, column 2 (b): not a number: 'x'"),
+            (b"\xef\xbb\xbfa,b\n1,2\n\xff,4\n3,x\n", "not UTF-8 text (byte 11)"),
+        ],
+        ids=["byte-order-mark-only", "utf-8-error-after-a-bad-line", "utf-8-error-before-a-bad-line"],
+    )
+    def test_the_first_error_in_file_order_is_named(self, tmp_path, data, message):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        assert self.select(path, "--k", "1") == (3, f"fuzzkey: {path}: {message}\n")
+
+    def test_dev_zero_ends_at_the_line_cap(self):
+        message = f"fuzzkey: /dev/zero: row 1 is longer than {ingest.MAX_LINE_BYTES} bytes\n"
+        assert self.select("/dev/zero", "--k", "1") == (3, message)
+
+    @pytest.mark.parametrize("extra, expected", [(0, 0), (1, 3)], ids=["at-the-cap", "cap-plus-one"])
+    def test_line_at_and_past_the_cap(self, tmp_path, monkeypatch, extra, expected):
+        monkeypatch.setattr(ingest, "MAX_LINE_BYTES", 32)
+        path = tmp_path / "data.csv"
+        line = "7" * (30 + extra) + ",3"
+        path.write_text(f"a,b\n1,2\n{line}\n")
+        code, err = self.select(path, "--k", "1")
+        assert code == expected
+        if expected:
+            assert err == f"fuzzkey: {path}: row 3 is longer than 32 bytes\n"
+
+    def test_long_comma_line_is_counted_before_it_is_split(self, tmp_path):
+        # a split would hold each of the line's 262 145 cells as a string
+        path = tmp_path / "data.csv"
+        line = b"12," * (1 << 18)
+        path.write_bytes(b"a,b\n1,2\n" + line + b"\n")
+        tracemalloc.start()
+        try:
+            code, err = self.select(path, "--k", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (3, f"fuzzkey: {path}: row 3: expected 2 cells, got {(1 << 18) + 1}\n")
+        assert peak < 8 * len(line)
 
     @pytest.mark.parametrize("cell", ["\u0661\u0662", "\uff15"], ids=["arabic-indic", "fullwidth"])
     def test_non_ascii_digits_exit_3(self, tmp_path, cell):
@@ -520,6 +571,18 @@ class TestHostileCsv:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("fuzzkey: ")
         assert "not a number" in lines[0]
+
+
+class TestOutOfMemory:
+    def test_memory_error_exits_3_with_one_line(self, toy_csv, monkeypatch, key_env):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", key_env["FUZZKEY_KEY_FILE"])
+        monkeypatch.setattr(cli, "analyze", exhausted)
+        monkeypatch.setattr(cli, "_read_payload", exhausted)
+        for argv in (["select", str(toy_csv)], ["encrypt", str(toy_csv)]):
+            assert run_in_process(argv) == (3, b"", "fuzzkey: out of memory\n")
 
 
 def hostile_envelopes():
@@ -877,3 +940,4 @@ class TestReadme:
             str(pipeline.MAX_CONFIG_BYTES)
         ]
         assert re.findall(r"input may hold at most (\d+) bytes", text) == [str(cli.MAX_PAYLOAD_BYTES)]
+        assert re.findall(r"A CSV line may hold at most (\d+) bytes", text) == [str(ingest.MAX_LINE_BYTES)]

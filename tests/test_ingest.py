@@ -1,3 +1,4 @@
+import codecs
 import math
 import os
 import tracemalloc
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fuzzkey import DataFormatError, Dataset, load_table, normalize
 from fuzzkey import ingest
-from fuzzkey.ingest import _parse_cell, _reference_table, _streamed_table
+from fuzzkey.ingest import _columns, _parse_cell, _parse_header, _parse_row
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -196,7 +197,7 @@ class TestBulkParsing:
         "cell", ["1e999", "-1e999", "\u0661\u0662", "\u00a07", "1 2", "1e", "+-1", "."]
     )
     def test_rechecked_lines_match_the_per_cell_parser(self, tmp_path, cell):
-        # non-finite, non-ASCII or unparsable: the file takes the per-cell parser
+        # non-finite, non-ASCII or unparsable: the line takes the per-cell parser
         path = write(tmp_path, f"a,b\n1,2\n{cell},3\n")
         try:
             expected = _parse_cell(path, cell.strip(), 3, 1, "a")
@@ -218,7 +219,7 @@ def rarely(odds):
 
 @st.composite
 def csv_files(draw):
-    """CSV bytes the streamed path takes, and the misses around it."""
+    """CSV bytes the gate passes, and the misses around them."""
     n_features = draw(st.integers(min_value=1, max_value=4))
     names = [f"c{j}" for j in range(n_features)]
     target_at = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n_features)))
@@ -244,46 +245,62 @@ def csv_files(draw):
         text = "\ufeff" + text
     data = text.encode("utf-8")
     if draw(rarely(8)):
-        # anywhere, also after a malformed line: the reference reports it first
+        # anywhere, also after a malformed line, which is then reported first
         at = draw(st.integers(min_value=0, max_value=len(data)))
         data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe9"])) + data[at:]
     return data
 
 
-def reference(path, drop_incomplete_rows):
-    with open(path, "rb") as handle:
-        return _reference_table(path, handle, drop_incomplete_rows)
-
-
-def streamed(path, drop_incomplete_rows):
-    with open(path, "rb") as handle:
-        return _streamed_table(path, handle, drop_incomplete_rows)
+def _reference_table(path, data, drop_incomplete_rows):
+    """Header names and table, columns ordered by ``_columns``, parsed cell
+    by cell from ``data``: each line is decoded on its own, so the first
+    error in file order is the one raised."""
+    body = data.removeprefix(codecs.BOM_UTF8)
+    offset = len(data) - len(body)
+    lines = body.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    if not lines:
+        raise DataFormatError(f"{path}: empty file")
+    rows = []
+    for row_number, line in enumerate(lines, start=1):
+        try:
+            text = line.decode("utf-8").removesuffix("\r")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text (byte {offset + exc.start})") from None
+        offset += len(line) + 1
+        if row_number == 1:
+            names = _parse_header(path, text)
+            continue
+        parsed = _parse_row(path, text, row_number, names, drop_incomplete_rows)
+        if parsed is not None:
+            rows.append(parsed)
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    return names, np.array(rows)[:, _columns(names)]
 
 
 class TestStreaming:
-    """load_table and its streamed pass against the reference parser."""
+    """load_table against the per-cell reference parser."""
 
     @settings(max_examples=400, deadline=None)
     @given(csv_files(), st.booleans())
     @example(b"a\n1\n\n2\n", False)  # loadtxt skips an empty line
     @example(b"a\n1\r2\n", False)  # universal newlines split this line
-    @example(b"a,b\n1,x\n2,\xff\n", True)  # the UTF-8 error is reported first
-    @example(b"a,b\n\xff,\n2,3\n", True)  # also in a line the stream would drop
+    @example(b"a,b\n1,x\n2,\xff\n", True)  # the earlier bad line is reported first
+    @example(b"a,b\n\xff,\n2,3\n", True)  # also in a line that would be dropped
+    @example(b"\xef\xbb\xbfa\n1\n\xe9\n", False)  # the offset counts the mark and the header
+    @example(b"a\n1e\nx\n", False)  # loadtxt rejects a cell above the held line
     def test_matches_the_reference(self, tmp_path_factory, data, drop_incomplete_rows):
         path = tmp_path_factory.mktemp("stream") / "data.csv"
         path.write_bytes(data)
         try:
-            names, table = reference(path, drop_incomplete_rows)
+            names, table = _reference_table(path, data, drop_incomplete_rows)
         except DataFormatError as exc:
-            assert streamed(path, drop_incomplete_rows) is None
             with pytest.raises(DataFormatError) as got:
                 load_table(path, drop_incomplete_rows)
             assert str(got.value) == str(exc)
             return
-        found = streamed(path, drop_incomplete_rows)
-        if found is not None:
-            assert found[0] == names
-            assert found[1].tobytes() == table.tobytes()
         d = load_table(path, drop_incomplete_rows)
         features = [name for name in names if name != "target"]
         assert d.feature_names == tuple(features)
@@ -324,20 +341,45 @@ class TestStreaming:
             os.close(write_end)
             path = f"/dev/fd/{read_end}"
 
-        def unreachable(*args):
-            raise AssertionError("the reference parser ran on a clean file")
+        parsed = []
 
-        monkeypatch.setattr(ingest, "_reference_table", unreachable)
+        def parse_row(path, line, row_number, names, drop_incomplete_rows):
+            values = _parse_row(path, line, row_number, names, drop_incomplete_rows)
+            parsed.append((row_number, values))
+            return values
+
+        monkeypatch.setattr(ingest, "_parse_row", parse_row)
         try:
             d = load_table(path, drop)
         finally:
             if how == "pipe":
                 os.close(read_end)
+        # only the lines the gate rejects reach the per-cell parser: none in
+        # a clean file, and in drop mode the dropped ones
+        assert parsed == ([(2, None), (3, None), (5, None), (6, None)] if drop else [])
         assert d.feature_names == expected.feature_names
         assert d.rows.tobytes() == expected.rows.tobytes()
         assert (d.target is None) == (expected.target is None)
         if d.target is not None:
             assert d.target.tobytes() == expected.target.tobytes()
+
+    @pytest.mark.parametrize("cell", ["1e", "1 2", "1e999"])
+    @pytest.mark.parametrize("at", ["row-2", "last-row"])
+    @pytest.mark.parametrize("held", ["bad-cell", "utf-8", "none"])
+    def test_rescan_names_a_cell_the_gate_passed(self, tmp_path, cell, at, held):
+        # loadtxt rejects the cell, or reads it as inf, after the bad line
+        # below it has ended the stream; the rescan names it first
+        rows = ["1,2"] * 4
+        rows[0 if at == "row-2" else -1] = f"{cell},2"
+        tail = {"bad-cell": b"x,2\n3,4\n", "utf-8": b"\xe9,2\n", "none": b""}[held]
+        path = tmp_path / "data.csv"
+        path.write_bytes("\n".join(["a,b", *rows, ""]).encode() + tail)
+        row_number = 2 if at == "row-2" else 5
+        with pytest.raises(DataFormatError) as got:
+            load_table(path)
+        with pytest.raises(DataFormatError) as expected:
+            _parse_cell(path, cell, row_number, 1, "a")
+        assert str(got.value) == str(expected.value)
 
     def test_load_and_normalize_peak_near_the_matrix(self, tmp_path):
         # the text, a list of its lines and copies of the table used to
