@@ -16,6 +16,7 @@ integrity check failed.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -165,8 +166,8 @@ def _load_key(mode: str) -> CipherKey:
         raise ConfigurationError(
             f"{KEY_FILE_ENV} is not set; keys are read from a file, never from arguments"
         )
-    with open(path, "rb") as handle:
-        data = handle.read(MAX_KEY_BYTES + 1)
+    with open(path, "rb", buffering=0) as handle:
+        data = _read_to(handle, bytearray(), MAX_KEY_BYTES + 1)
     if len(data) > MAX_KEY_BYTES:
         raise InvalidKeyError(f"key file {path} is longer than {MAX_KEY_BYTES} bytes")
     if data.endswith(b"\r\n"):
@@ -176,6 +177,14 @@ def _load_key(mode: str) -> CipherKey:
     if not data:
         raise InvalidKeyError(f"key file {path} is empty")
     return CipherKey(data, mode)
+
+
+def _read_to(handle: io.RawIOBase, buf: bytearray, limit: int) -> bytearray:
+    """Append to ``buf`` what is left in ``handle``, until ``buf`` holds
+    ``limit`` bytes; no read reserves more than 64 KiB."""
+    while len(buf) < limit and (chunk := handle.read(min(1 << 16, limit - len(buf)))):
+        buf += chunk
+    return buf
 
 
 def _read_payload(path: str) -> bytearray:
@@ -197,8 +206,7 @@ def _read_payload(path: str) -> bytearray:
             while filled < len(buf) and (count := handle.readinto(view[filled:])):
                 filled += count
         del buf[filled:]
-        while len(buf) < limit and (chunk := handle.read(min(1 << 16, limit - len(buf)))):
-            buf += chunk
+        _read_to(handle, buf, limit)
     if len(buf) > MAX_PAYLOAD_BYTES:
         raise too_long
     return buf

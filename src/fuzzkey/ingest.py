@@ -18,6 +18,8 @@ finite, the rows are parsed again cell by cell up to the first bad one.
 The table is the only full-size buffer: the target is its last column, and
 the dataset's rows and target are views of it.  Values are bit-identical
 either way, since ``loadtxt`` and ``float`` both use ``PyOS_string_to_double``.
+:func:`_load_normalized`, the loader ``analyze`` uses, rescales those rows
+in the table's own memory, so a run from a path holds one n x F matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import codecs
 import io
 import math
 import re
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,6 +57,13 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _all_finite(array: np.ndarray) -> bool:
+    """Whether every value is finite, with no temporary as large as
+    ``array``: ``np.min`` and ``np.max`` return NaN if any value is NaN."""
+    # min() raises on a zero-size array, whose values are all finite
+    return array.size == 0 or bool(np.isfinite(array.min()) and np.isfinite(array.max()))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Rectangular numeric table: feature columns plus an optional target.
@@ -79,7 +89,7 @@ class Dataset:
             )
         if rows.shape[0] < 1:
             raise DataFormatError("dataset must contain at least one row")
-        if not np.all(np.isfinite(rows)):
+        if not _all_finite(rows):
             raise DataFormatError("dataset values must all be finite")
 
     @property
@@ -107,7 +117,8 @@ class NormalizedDataset(Dataset):
         )
         if len(self.ranges) != self.n_features:
             raise DataFormatError("one (min, max) pair per feature required")
-        if not np.all((self.rows >= 0.0) & (self.rows <= 1.0)):
+        # finite by now, so the extremes bound every value
+        if self.rows.size and not (self.rows.min() >= 0.0 and self.rows.max() <= 1.0):
             raise DataFormatError("normalized values must lie in [0, 1]")
 
 
@@ -150,8 +161,9 @@ def _parse_header(path: str | Path, line: str) -> list[str]:
             raise DataFormatError(
                 f"{path}: column {column_number}: name {name!r} is not ASCII without tabs"
             )
-    if len(set(names)) != len(names):
-        duplicates = sorted({n for n in names if names.count(n) > 1})
+    counts = Counter(names)
+    if len(counts) != len(names):
+        duplicates = sorted(name for name, count in counts.items() if count > 1)
         raise DataFormatError(f"{path}: duplicate header names {duplicates}")
     if names == [TARGET_COLUMN]:
         raise DataFormatError(f"{path}: no feature columns besides {TARGET_COLUMN!r}")
@@ -233,7 +245,7 @@ def _table(
         )
     except ValueError:
         table = None
-    if table is None or not np.isfinite(table).all():
+    if table is None or not _all_finite(table):
         # the gate passes some cells only the per-cell parser names, such as
         # 1e, 1 2 and 1e999: a row at or above the held one raises here
         handle.seek(start)
@@ -244,6 +256,22 @@ def _table(
     return names, table
 
 
+def _loaded(
+    path: str | Path, drop_incomplete_rows: bool
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | None]:
+    """Feature names, rows and target (or ``None``) of a CSV file, the rows
+    and target writable views of one table."""
+    with open(path, "rb") as handle:
+        # a rescan reads the input again, which a pipe cannot
+        source = handle if handle.seekable() else io.BytesIO(handle.read())
+        names, table = _table(path, source, drop_incomplete_rows)
+    feature_names = tuple(name for name in names if name != TARGET_COLUMN)
+    if len(feature_names) == len(names):
+        return feature_names, table, None
+    # the target column is the table's last
+    return feature_names, table[:, :-1], table[:, -1]
+
+
 def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
     """Parse a CSV file into a :class:`Dataset`.
 
@@ -251,15 +279,17 @@ def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
     is set, in which case the whole row is skipped.  Row and column numbers
     in diagnostics are 1-based; the header is row 1.
     """
-    with open(path, "rb") as handle:
-        # a rescan reads the input again, which a pipe cannot
-        source = handle if handle.seekable() else io.BytesIO(handle.read())
-        names, table = _table(path, source, drop_incomplete_rows)
-    feature_names = tuple(name for name in names if name != TARGET_COLUMN)
-    if len(feature_names) == len(names):
-        return Dataset(feature_names=feature_names, rows=table)
-    # views of the one table: the target column is its last
-    return Dataset(feature_names=feature_names, rows=table[:, :-1], target=table[:, -1])
+    feature_names, rows, target = _loaded(path, drop_incomplete_rows)
+    return Dataset(feature_names=feature_names, rows=rows, target=target)
+
+
+def _load_normalized(path: str | Path, drop_incomplete_rows: bool) -> NormalizedDataset:
+    """``normalize(load_table(path, drop_incomplete_rows))``, equal bit for
+    bit, rescaled in the loaded table's memory before it is frozen: the
+    rows and target are read-only views of that one table."""
+    feature_names, rows, target = _loaded(path, drop_incomplete_rows)
+    ranges = _rescale(rows, rows)
+    return NormalizedDataset(feature_names=feature_names, rows=rows, target=target, ranges=ranges)
 
 
 def _column_extremes(rows: np.ndarray, reduce) -> np.ndarray:
@@ -276,30 +306,39 @@ def _column_extremes(rows: np.ndarray, reduce) -> np.ndarray:
     return extremes
 
 
-def normalize(dataset: Dataset) -> NormalizedDataset:
-    """Min-max rescale each feature into [0, 1].
-
-    Constant columns carry no ordering information and map to 0.5
-    everywhere, which scores as the neutral midpoint downstream.  A column
-    whose span ``hi - lo`` overflows is rescaled with halved operands.  The
-    target is copied, so no view keeps the loaded table alive.
-    """
-    rows = dataset.rows
+def _rescale(rows: np.ndarray, out: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """Min-max rescale each column of ``rows`` into ``out``, which may be
+    ``rows`` itself; returns each column's ``(min, max)``."""
     lo = _column_extremes(rows, np.min)
     hi = _column_extremes(rows, np.max)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         span = hi - lo
-        scaled = rows - lo
-        scaled /= span
+        # the span of a finite column can overflow; halved operands cannot.
+        # They are taken before the pass below can overwrite ``rows``
         overflow = np.flatnonzero(~np.isfinite(span))
-        if overflow.size:
-            # the span of a finite column can overflow; halved operands cannot
-            lo2, hi2 = lo[overflow] / 2, hi[overflow] / 2
-            scaled[:, overflow] = (rows[:, overflow] / 2 - lo2) / (hi2 - lo2)
-    scaled[:, hi == lo] = 0.5
+        lo2, hi2 = lo[overflow] / 2, hi[overflow] / 2
+        halved = (rows[:, overflow] / 2 - lo2) / (hi2 - lo2)
+        np.subtract(rows, lo, out=out)
+        out /= span
+        out[:, overflow] = halved
+    out[:, hi == lo] = 0.5
+    return tuple(zip(lo.tolist(), hi.tolist()))
+
+
+def normalize(dataset: Dataset) -> NormalizedDataset:
+    """Min-max rescale each feature into [0, 1], into a new matrix.
+
+    Constant columns carry no ordering information and map to 0.5
+    everywhere, which scores as the neutral midpoint downstream.  A column
+    whose span ``hi - lo`` overflows is rescaled with halved operands.  The
+    dataset's arrays are never written.  The target is copied, so no view
+    keeps the dataset's table alive.
+    """
+    scaled = np.empty_like(dataset.rows)
+    ranges = _rescale(dataset.rows, scaled)
     return NormalizedDataset(
         feature_names=dataset.feature_names,
         rows=scaled,
         target=None if dataset.target is None else dataset.target.copy(),
-        ranges=tuple(zip(lo.tolist(), hi.tolist())),
+        ranges=ranges,
     )

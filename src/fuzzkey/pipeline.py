@@ -14,7 +14,7 @@ from pathlib import Path
 from . import cipher as cipher_mod
 from .errors import ConfigurationError
 from .fuzzy import DefuzzConfig, FuzzyPartition, _checked_unit, make_uniform_partition
-from .ingest import Dataset, NormalizedDataset, load_table, normalize
+from .ingest import Dataset, NormalizedDataset, _load_normalized, normalize
 from .network import PropagationStats, cost
 from .selection import (
     RelevanceScore,
@@ -203,15 +203,19 @@ def analyze(
     """Run the selection pipeline on a CSV path or an in-memory dataset.
 
     Scoring runs single-threaded, one blocked kernel call over the whole
-    normalized matrix, under the uniform partition and identity rules.  The
-    outcome keeps only the normalized copy, so a table loaded from a path is
-    released when this returns.
+    normalized matrix, under the uniform partition and identity rules.  A
+    dataset is rescaled into a new matrix and never written.  A table loaded
+    from a path is rescaled in its own memory, so the run holds one n x F
+    matrix, and the outcome's normalized rows and target are read-only views
+    of that table.
     """
     cfg = cfg.validated()
     # checks the set cap before any data is read
     defuzz = cfg.defuzz_config()
-    dataset = source if isinstance(source, Dataset) else load_table(source, drop_incomplete_rows)
-    normalized = normalize(dataset)
+    if isinstance(source, Dataset):
+        normalized = normalize(source)
+    else:
+        normalized = _load_normalized(source, drop_incomplete_rows)
 
     column_scores = score_columns(normalized.rows, defuzz)
     scores = [RelevanceScore(i, score) for i, score in enumerate(column_scores)]

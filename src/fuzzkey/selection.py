@@ -35,6 +35,7 @@ from .fuzzy import (
     fuzzify,
     uniform_breakpoints,
 )
+from .ingest import _all_finite
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,8 @@ def score_columns(rows: np.ndarray | Sequence[Sequence[float]], defuzz: DefuzzCo
     n, n_features = x.shape
     if n == 0:
         raise ContractViolationError("relevance needs at least one instance value")
-    finite = np.isfinite(x)
-    if not finite.all():
+    if not _all_finite(x):
+        finite = np.isfinite(x)
         j = int(np.flatnonzero(~finite.all(axis=0))[0])
         value = float(x[np.flatnonzero(~finite[:, j])[0], j])
         raise ContractViolationError(f"expected a finite value, got {value!r}")

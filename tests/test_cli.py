@@ -249,6 +249,20 @@ class TestEncryptDecrypt:
         assert (code, err) == (0, "")
         assert out == seal(b"data", CipherKey(b"k" * cli.MAX_KEY_BYTES)).to_bytes()
 
+    def test_key_read_reserves_only_what_it_reads(self, tmp_path, monkeypatch):
+        key_path = tmp_path / "key.bin"
+        key_path.write_bytes(b"k" * 32 + b"\n")
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", str(key_path))
+        tracemalloc.start()
+        try:
+            key = cli._load_key(cipher.MODE_BYTE_SHIFT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert key.data == b"k" * 32
+        # one read of the whole 1 MiB cap reserved all of it
+        assert peak < 128 << 10
+
     def test_input_longer_than_the_cap_exits_3(self, tmp_path, monkeypatch):
         cap = 1000
         monkeypatch.setattr(cli, "MAX_PAYLOAD_BYTES", cap)
@@ -292,7 +306,7 @@ class TestEncryptDecrypt:
         finally:
             tracemalloc.stop()
         assert (code, out) == (3, b"")
-        assert peak < 4 << 20  # the key read reserves its 1 MiB cap
+        assert peak < 4 << 20  # half the 8 MiB cap, so no payload read fits
 
     def test_letters_mode_rejects_binary_plaintext_exit_3(self, tmp_path):
         key_path = tmp_path / "key.txt"

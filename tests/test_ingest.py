@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzkey import DataFormatError, Dataset, load_table, normalize
+from fuzzkey import (
+    DataFormatError,
+    Dataset,
+    NormalizedDataset,
+    PipelineConfig,
+    analyze,
+    load_table,
+    normalize,
+)
 from fuzzkey import ingest
 from fuzzkey.ingest import _columns, _parse_cell, _parse_header, _parse_row
 
@@ -42,6 +50,12 @@ class TestLoadTable:
     def test_duplicate_header(self, tmp_path):
         with pytest.raises(DataFormatError, match="duplicate"):
             load_table(write(tmp_path, "a,a\n1,2\n"))
+
+    def test_duplicate_header_names_are_listed_once_and_sorted(self, tmp_path):
+        path = write(tmp_path, "b,a,b,c,target,a,a\n1,2,3,4,5,6,7\n")
+        with pytest.raises(DataFormatError) as got:
+            load_table(path)
+        assert str(got.value) == f"{path}: duplicate header names ['a', 'b']"
 
     def test_zero_data_rows(self, tmp_path):
         with pytest.raises(DataFormatError, match="no data rows"):
@@ -426,6 +440,30 @@ class TestDataset:
         with pytest.raises(ValueError, match="read-only"):
             target[0] = 9.0
 
+    def test_zero_columns_are_valid(self):
+        # the finiteness and range checks take a zero-size array's extremes
+        d = Dataset((), np.empty((3, 0)))
+        assert (d.n_features, d.n_rows) == (0, 3)
+        nd = normalize(d)
+        assert nd.rows.shape == (3, 0) and nd.ranges == ()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_values_must_be_finite(self, bad):
+        rows = np.ones((3, 4))
+        rows[1, 2] = bad
+        with pytest.raises(DataFormatError) as got:
+            Dataset(tuple("abcd"), rows)
+        assert str(got.value) == "dataset values must all be finite"
+
+    def test_normalized_values_must_lie_in_the_unit_interval(self):
+        ranges = ((0.0, 1.0),) * 2
+        ends = NormalizedDataset(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), ranges=ranges)
+        assert ends.rows.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        for bad in (-5e-324, 1.0000000000000002):
+            with pytest.raises(DataFormatError) as got:
+                NormalizedDataset(("a", "b"), np.array([[0.5, 0.5], [bad, 0.5]]), ranges=ranges)
+            assert str(got.value) == "normalized values must lie in [0, 1]"
+
 
 class TestNormalize:
     def test_three_point_column(self):
@@ -477,7 +515,9 @@ class TestNormalize:
         d = Dataset(tuple(f"c{i}" for i in range(len(columns))), np.array(columns).T.copy())
         assert d.rows.flags.c_contiguous
         rows, ranges = per_column_normalize(d.rows)
+        original = d.rows.tobytes()
         nd = normalize(d)
+        assert d.rows.tobytes() == original and not np.shares_memory(nd.rows, d.rows)
         assert nd.rows.tobytes() == rows.tobytes()
         assert [(lo.hex(), hi.hex()) for lo, hi in nd.ranges] == [(lo.hex(), hi.hex()) for lo, hi in ranges]
 
@@ -496,3 +536,61 @@ def per_column_normalize(rows):
         else:
             columns.append((column / 2 - lo / 2) / (hi / 2 - lo / 2))
     return np.column_stack(columns), ranges
+
+
+@st.composite
+def csv_tables(draw):
+    """Feature columns from ``columns_of`` and, at any position or none, a
+    target column."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    features = draw(st.lists(columns_of(n), min_size=1, max_size=5))
+    target_at = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=len(features))))
+    target = None if target_at is None else draw(columns_of(n))
+    return features, target_at, target
+
+
+class TestLoadNormalized:
+    """analyze on a path rescales the loaded table in place; its normalized
+    dataset must equal normalize(load_table(path)) bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_tables(), st.sampled_from(["file", "drop", "pipe"]))
+    @example(([[1e308, -1e308, 5.0], [-0.0, 0.0, 0.0]], 1, [1.0, 2.0, 3.0]), "file")  # overflowing span
+    @example(([[1.7976931348623157e308, -1.0], [2.5, 2.5]], 2, [0.0, -0.0]), "drop")
+    @example(([[-1e308, 1e308], [7.0, -0.0]], None, None), "pipe")
+    def test_matches_normalize_of_load_table(self, tmp_path_factory, table, how):
+        features, target_at, target = table
+        columns, names = list(features), [f"c{i}" for i in range(len(features))]
+        if target_at is not None:
+            columns.insert(target_at, target)
+            names.insert(target_at, "target")
+        lines = [",".join(names)] + [",".join(map(repr, row)) for row in zip(*columns)]
+        drop = how == "drop"
+        if drop:
+            # rows with a missing cell, which drop mode skips
+            blank = ",".join(["1"] * (len(names) - 1) + [" "])
+            lines[1:1] = [blank]
+            lines.append(blank)
+        data = ("\n".join(lines) + "\n").encode()
+        path = tmp_path_factory.mktemp("inplace") / "data.csv"
+        path.write_bytes(data)
+        expected = normalize(load_table(path, drop))
+        if how == "pipe":
+            read_end, write_end = os.pipe()
+            os.write(write_end, data)
+            os.close(write_end)
+            try:
+                got = analyze(f"/dev/fd/{read_end}", PipelineConfig(k=1)).normalized
+            finally:
+                os.close(read_end)
+        else:
+            got = analyze(path, PipelineConfig(k=1), drop).normalized
+        assert got.feature_names == expected.feature_names
+        assert got.rows.tobytes() == expected.rows.tobytes()
+        assert [(lo.hex(), hi.hex()) for lo, hi in got.ranges] == [
+            (lo.hex(), hi.hex()) for lo, hi in expected.ranges
+        ]
+        if target is None:
+            assert got.target is None and expected.target is None
+        else:
+            assert got.target.tobytes() == expected.target.tobytes()

@@ -185,8 +185,8 @@ class TestAnalyze:
         assert report.endswith("\n")
 
     def test_outcome_holds_only_the_normalized_matrix(self, tmp_path):
-        # the loaded table, whose target column the outcome used to view,
-        # is released when analyze returns
+        # the normalized rows and target are views of the loaded table,
+        # rescaled in place: nothing else of the run is held when analyze returns
         table = np.random.default_rng(5).standard_normal((4000, 25))
         names = [f"x{i}" for i in range(24)] + ["target"]
         lines = [",".join(names)] + [",".join(map(repr, row)) for row in table.tolist()]
@@ -200,6 +200,35 @@ class TestAnalyze:
             tracemalloc.stop()
         assert outcome.normalized.target.tobytes() == table[:, -1].tobytes()
         assert held <= 1.1 * outcome.normalized.rows.nbytes
+
+    def test_path_run_peaks_near_one_table(self, tmp_path):
+        # the table is rescaled in its own memory: the parsed table and a
+        # normalized copy used to coexist, about 3.1 tables at this size
+        table = np.random.default_rng(6).standard_normal((2000, 200))
+        names = [f"x{i}" for i in range(199)] + ["target"]
+        lines = [",".join(names)] + [",".join(map(repr, row)) for row in table.tolist()]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            outcome = analyze(path, PipelineConfig(k=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.normalized.n_rows == 2000
+        assert peak <= 2.5 * table.nbytes
+
+    def test_path_outcome_views_one_read_only_table(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,target,b\n1,7,2\n3,8,5\n4,9,3\n")
+        normalized = analyze(path, PipelineConfig(k=1)).normalized
+        rows, target = normalized.rows, normalized.target
+        assert rows.tolist() == [[0.0, 0.0], [2 / 3, 1.0], [1.0, 1 / 3]]
+        assert target.tolist() == [7.0, 8.0, 9.0]
+        assert not rows.flags.writeable and not target.flags.writeable
+        # the target column is the table's last
+        assert rows.base is target.base and rows.base.shape == (3, 3)
+        assert np.shares_memory(rows.base, rows) and np.shares_memory(rows.base, target)
 
     def test_selection_bytes_match_report_block(self, csv_path):
         cfg = PipelineConfig(k=2)
