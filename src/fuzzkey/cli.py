@@ -16,7 +16,6 @@ integrity check failed.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import sys
@@ -39,7 +38,14 @@ from .errors import (
 )
 from .fuzzy import RuleBase, defuzzify_centroid, evaluate_rules, fuzzify
 from .network import cost
-from .pipeline import RELEVANCE_MODE, PipelineConfig, analyze, load_config_file, render_report
+from .pipeline import (
+    RELEVANCE_MODE,
+    PipelineConfig,
+    _read_to,
+    analyze,
+    load_config_file,
+    render_report,
+)
 
 KEY_FILE_ENV = "FUZZKEY_KEY_FILE"
 # a key file longer than this exits 4; reading stops one byte past it, so a
@@ -179,14 +185,6 @@ def _load_key(mode: str) -> CipherKey:
     return CipherKey(data, mode)
 
 
-def _read_to(handle: io.RawIOBase, buf: bytearray, limit: int) -> bytearray:
-    """Append to ``buf`` what is left in ``handle``, until ``buf`` holds
-    ``limit`` bytes; no read reserves more than 64 KiB."""
-    while len(buf) < limit and (chunk := handle.read(min(1 << 16, limit - len(buf)))):
-        buf += chunk
-    return buf
-
-
 def _read_payload(path: str) -> bytearray:
     """The whole file in one writable buffer, read into it without a copy.
 
@@ -278,21 +276,24 @@ def _sweep_values(spec: str, n_sets: int) -> list[float]:
         raise ConfigurationError(f"--sweep expects numbers, got {spec!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)) or step <= 0:
         raise ConfigurationError(f"--sweep needs finite bounds and a positive step, got {spec!r}")
-    # checked before any point is built; an overflowing span reads as inf
+    # a point within rounding of STOP counts, as STOP
+    end = stop + 1e-12
     limit = 3 * MAX_SWEEP_POINTS // max(n_sets, 3)
-    if (stop - start) / step >= limit:
-        raise ConfigurationError(
-            f"--sweep allows at most {limit} points with {n_sets} sets, got {spec!r}"
-        )
+    too_long = ConfigurationError(
+        f"--sweep allows at most {limit} points with {n_sets} sets, got {spec!r}"
+    )
+    # checked before any point is built, over the span the loop walks; an
+    # overflowing span reads as inf
+    if (end - start) / step >= limit:
+        raise too_long
     values = []
-    i = 0
-    while True:
+    # rounding can also stall start + i * step short of STOP, as in 1e300:1e300:1
+    for i in range(limit + 1):
         x = start + i * step
-        if x > stop + 1e-12:
-            break
+        if x > end:
+            return values
         values.append(min(x, stop))
-        i += 1
-    return values
+    raise too_long
 
 
 def _cmd_membership(args: argparse.Namespace) -> int:

@@ -15,19 +15,26 @@ the ``repr`` of its values, is dropped, or ends the pass with its
 diagnostic held.  The gate passes a few bad cells (``1e``, ``1 2``,
 ``1e999``), so when ``loadtxt`` rejects a cell or reads a value that is not
 finite, the rows are parsed again cell by cell up to the first bad one.
-The table is the only full-size buffer: the target is its last column, and
-the dataset's rows and target are views of it.  Values are bit-identical
-either way, since ``loadtxt`` and ``float`` both use ``PyOS_string_to_double``.
-:func:`_load_normalized`, the loader ``analyze`` uses, rescales those rows
-in the table's own memory, so a run from a path holds one n x F matrix.
+Values are bit-identical either way, since ``loadtxt`` and ``float`` both
+use ``PyOS_string_to_double``.
+
+``loadtxt`` parses the lines a chunk of about ``_SCORE_BLOCK`` values at a
+time, and each chunk is written column by column to an unlinked temporary
+file, 8 bytes per value, the target column last (:class:`_Spill`).
+:func:`load_table` reads that file back into one table, whose views are
+the dataset's rows and target.  ``analyze`` reads it back a block of
+columns at a time instead (:meth:`_Spill.normalized_blocks`), so a run
+from a path never holds the n x F matrix.
 """
 
 from __future__ import annotations
 
 import codecs
 import io
+import itertools
 import math
 import re
+import tempfile
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -47,6 +54,9 @@ _CELL = rb"[ \t]*[0-9eE+\-.][0-9eE+\-. \t]*"
 # a longer line, not counting its newline, is a data format error; reading
 # stops one byte past it, so an endless line such as /dev/zero ends too
 MAX_LINE_BYTES = 1 << 24
+# values per block: a parsed chunk of rows, a read-back block of columns and
+# a scoring block each hold about this many, so memory is bounded per block
+_SCORE_BLOCK = 1 << 15
 
 TARGET_COLUMN = "target"
 
@@ -199,10 +209,12 @@ def _text(path: str | Path, line: bytes, offset: int) -> str:
 
 
 def _table(
-    path: str | Path, handle: io.BufferedIOBase, drop_incomplete_rows: bool
-) -> tuple[list[str], np.ndarray]:
-    """Header names and table, columns ordered by :func:`_columns`, in one
-    pass over the seekable ``handle``; raises the first error in file order."""
+    path: str | Path, handle: io.BufferedIOBase, drop_incomplete_rows: bool, spill: io.BufferedRandom
+) -> tuple[list[str], list[int]]:
+    """Header names and the row count of each chunk of the table written to
+    ``spill``, in one pass over the seekable ``handle``; raises the first
+    error in file order.  A chunk of about ``_SCORE_BLOCK`` values goes to
+    ``spill`` one column after another, columns ordered by :func:`_columns`."""
     if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
         handle.seek(0)  # a byte-order mark is no part of the first name
     lines = _lines(path, handle, 1)
@@ -234,42 +246,93 @@ def _table(
             # no row above to rescan, and loadtxt would only warn about no data
             raise held or DataFormatError(f"{path}: no data rows")
 
-    try:
-        table = np.loadtxt(
-            data_lines(),
-            delimiter=",",
-            comments=None,
-            usecols=_columns(names),
-            ndmin=2,
-            encoding="ascii",
-        )
-    except ValueError:
-        table = None
-    if table is None or not _all_finite(table):
-        # the gate passes some cells only the per-cell parser names, such as
-        # 1e, 1 2 and 1e999: a row at or above the held one raises here
-        handle.seek(start)
-        for row_number, offset, line in _lines(path, handle, 2):
-            _parse_row(path, _text(path, line, offset), row_number, names, drop_incomplete_rows)
+    stream, columns, counts = data_lines(), _columns(names), []
+    while chunk := list(itertools.islice(stream, max(1, _SCORE_BLOCK // len(names)))):
+        try:
+            table = np.loadtxt(
+                chunk, delimiter=",", comments=None, usecols=columns, ndmin=2, encoding="ascii"
+            )
+        except ValueError:
+            table = None
+        if table is None or not _all_finite(table):
+            # the gate passes some cells only the per-cell parser names, such as
+            # 1e, 1 2 and 1e999: a row at or above the held one raises here
+            handle.seek(start)
+            for row_number, offset, line in _lines(path, handle, 2):
+                _parse_row(path, _text(path, line, offset), row_number, names, drop_incomplete_rows)
+            # a backstop: the rescan raises for every cell loadtxt refuses
+            raise held or DataFormatError(f"{path}: dataset values must all be finite")
+        spill.write(np.ascontiguousarray(table.T))
+        counts.append(len(table))
     if held is not None:
         raise held
-    return names, table
+    return names, counts
 
 
-def _loaded(
-    path: str | Path, drop_incomplete_rows: bool
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | None]:
-    """Feature names, rows and target (or ``None``) of a CSV file, the rows
-    and target writable views of one table."""
+class _Spill:
+    """A CSV file's table in an unlinked temporary file: chunks of rows, one
+    after another, each written one column after another in the order of
+    :func:`_columns`.  Any set of adjacent columns of a chunk is one read."""
+
+    def __init__(self, names: list[str], file: io.BufferedRandom, counts: list[int]) -> None:
+        self._names, self._file, self._counts = names, file, counts
+        self.feature_names = tuple(name for name in names if name != TARGET_COLUMN)
+        self.has_target = len(self.feature_names) < len(names)
+        self.n_rows = sum(counts)
+
+    def __enter__(self) -> "_Spill":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._file.close()
+
+    def _pieces(self, start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
+        """``(first row, piece)`` for each chunk, the piece its columns
+        ``start`` to ``stop`` as a (stop - start) x rows array."""
+        row = 0
+        for count in self._counts:
+            piece = np.empty((stop - start, count))
+            self._file.seek(piece.itemsize * (len(self._names) * row + start * count))
+            if self._file.readinto(piece) != piece.nbytes:
+                raise OSError("the temporary table file ended early")
+            yield row, piece
+            row += count
+
+    def table(self) -> np.ndarray:
+        """The whole n x F table, one row per CSV data row."""
+        table = np.empty((self.n_rows, len(self._names)))
+        for row, piece in self._pieces(0, len(self._names)):
+            table[row : row + piece.shape[1]] = piece.T
+        return table
+
+    def normalized_blocks(self) -> Iterator[tuple[np.ndarray, tuple[tuple[float, float], ...]]]:
+        """Each block of ``max(1, _SCORE_BLOCK // n)`` features, min-max
+        rescaled as a contiguous f x n array, with each feature's ``(min,
+        max)``; equal bit for bit to the matching columns and ranges of
+        ``normalize(load_table(path))``."""
+        n_features = len(self.feature_names)
+        width = max(1, _SCORE_BLOCK // self.n_rows)
+        for start in range(0, n_features, width):
+            block = np.empty((min(width, n_features - start), self.n_rows))
+            for row, piece in self._pieces(start, start + len(block)):
+                block[:, row : row + piece.shape[1]] = piece
+            # the table's columns are strided unless it has only one
+            ranges = _rescale(block.T, block.T, strided=len(self._names) > 1)
+            yield block, ranges
+
+
+def _spill(path: str | Path, drop_incomplete_rows: bool) -> _Spill:
+    """Parse a CSV file into a :class:`_Spill`, which the caller closes."""
     with open(path, "rb") as handle:
         # a rescan reads the input again, which a pipe cannot
         source = handle if handle.seekable() else io.BytesIO(handle.read())
-        names, table = _table(path, source, drop_incomplete_rows)
-    feature_names = tuple(name for name in names if name != TARGET_COLUMN)
-    if len(feature_names) == len(names):
-        return feature_names, table, None
-    # the target column is the table's last
-    return feature_names, table[:, :-1], table[:, -1]
+        file = tempfile.TemporaryFile()
+        try:
+            names, counts = _table(path, source, drop_incomplete_rows, file)
+        except BaseException:
+            file.close()
+            raise
+    return _Spill(names, file, counts)
 
 
 def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
@@ -279,38 +342,39 @@ def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
     is set, in which case the whole row is skipped.  Row and column numbers
     in diagnostics are 1-based; the header is row 1.
     """
-    feature_names, rows, target = _loaded(path, drop_incomplete_rows)
-    return Dataset(feature_names=feature_names, rows=rows, target=target)
+    with _spill(path, drop_incomplete_rows) as spill:
+        table = spill.table()
+    if not spill.has_target:
+        return Dataset(feature_names=spill.feature_names, rows=table)
+    # the target column is the table's last
+    return Dataset(feature_names=spill.feature_names, rows=table[:, :-1], target=table[:, -1])
 
 
-def _load_normalized(path: str | Path, drop_incomplete_rows: bool) -> NormalizedDataset:
-    """``normalize(load_table(path, drop_incomplete_rows))``, equal bit for
-    bit, rescaled in the loaded table's memory before it is frozen: the
-    rows and target are read-only views of that one table."""
-    feature_names, rows, target = _loaded(path, drop_incomplete_rows)
-    ranges = _rescale(rows, rows)
-    return NormalizedDataset(feature_names=feature_names, rows=rows, target=target, ranges=ranges)
-
-
-def _column_extremes(rows: np.ndarray, reduce) -> np.ndarray:
+def _column_extremes(rows: np.ndarray, reduce, strided: bool = False) -> np.ndarray:
     """``reduce`` over axis 0, equal bit for bit to ``float(reduce(column))``.
 
     Finite values that compare equal share their bits, except 0.0 and -0.0,
     and which of the two a reduction returns depends on its path through
-    memory.  So a column whose extreme compares equal to zero is reduced
-    again on its own.
+    memory: strided columns pick the same zero whatever their stride, and a
+    contiguous column may pick the other.  So a column whose extreme
+    compares equal to zero is reduced again on its own, through a strided
+    copy if ``strided`` is set: the column stands for one that was strided.
     """
     extremes = reduce(rows, axis=0)
     for i in np.flatnonzero(extremes == 0.0).tolist():
-        extremes[i] = reduce(rows[:, i])
+        column = rows[:, i]
+        extremes[i] = reduce(np.repeat(column, 2)[::2] if strided else column)
     return extremes
 
 
-def _rescale(rows: np.ndarray, out: np.ndarray) -> tuple[tuple[float, float], ...]:
+def _rescale(
+    rows: np.ndarray, out: np.ndarray, strided: bool = False
+) -> tuple[tuple[float, float], ...]:
     """Min-max rescale each column of ``rows`` into ``out``, which may be
-    ``rows`` itself; returns each column's ``(min, max)``."""
-    lo = _column_extremes(rows, np.min)
-    hi = _column_extremes(rows, np.max)
+    ``rows`` itself; returns each column's ``(min, max)``, taken as
+    :func:`_column_extremes` takes them."""
+    lo = _column_extremes(rows, np.min, strided)
+    hi = _column_extremes(rows, np.max, strided)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         span = hi - lo
         # the span of a finite column can overflow; halved operands cannot.
@@ -332,7 +396,9 @@ def normalize(dataset: Dataset) -> NormalizedDataset:
     everywhere, which scores as the neutral midpoint downstream.  A column
     whose span ``hi - lo`` overflows is rescaled with halved operands.  The
     dataset's arrays are never written.  The target is copied, so no view
-    keeps the dataset's table alive.
+    keeps the dataset's table alive.  A run from a path rescales each block
+    of columns it reads back with the same :func:`_rescale`, so its values
+    and ranges equal ``normalize(load_table(path))`` bit for bit.
     """
     scaled = np.empty_like(dataset.rows)
     ranges = _rescale(dataset.rows, scaled)

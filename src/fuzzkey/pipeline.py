@@ -7,6 +7,7 @@ order or worker count, so byte-identical reruns are a hard guarantee.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 from . import cipher as cipher_mod
 from .errors import ConfigurationError
 from .fuzzy import DefuzzConfig, FuzzyPartition, _checked_unit, make_uniform_partition
-from .ingest import Dataset, NormalizedDataset, _load_normalized, normalize
+from .ingest import Dataset, _spill, normalize
 from .network import PropagationStats, cost
 from .selection import (
     RelevanceScore,
@@ -137,11 +138,19 @@ def _parse_cipher(raw: str) -> str:
     return _CIPHER_WORDS[raw]
 
 
+def _read_to(handle: io.RawIOBase, buf: bytearray, limit: int) -> bytearray:
+    """Append to ``buf`` what is left in ``handle``, until ``buf`` holds
+    ``limit`` bytes; no read reserves more than 64 KiB."""
+    while len(buf) < limit and (chunk := handle.read(min(1 << 16, limit - len(buf)))):
+        buf += chunk
+    return buf
+
+
 def load_config_file(path: str | Path, base: PipelineConfig | None = None) -> PipelineConfig:
     """Read a flat ``key = value`` file (``#`` comments) over ``base``."""
     cfg = base or PipelineConfig()
-    with open(path, "rb") as handle:
-        data = handle.read(MAX_CONFIG_BYTES + 1)
+    with open(path, "rb", buffering=0) as handle:
+        data = _read_to(handle, bytearray(), MAX_CONFIG_BYTES + 1)
     if len(data) > MAX_CONFIG_BYTES:
         raise ConfigurationError(f"config file {path} is longer than {MAX_CONFIG_BYTES} bytes")
     try:
@@ -184,15 +193,20 @@ def load_config_file(path: str | Path, base: PipelineConfig | None = None) -> Pi
 
 @dataclass
 class PipelineOutcome:
-    """Everything one run produced, ready for reporting or encryption."""
+    """Everything one run produced, ready for reporting or encryption: the
+    shape of the dataset and each feature's ``(min, max)``, but none of its
+    values."""
 
-    normalized: NormalizedDataset
+    feature_names: tuple[str, ...]
+    ranges: tuple[tuple[float, float], ...]
+    n_rows: int
+    has_target: bool
     scores: list[RelevanceScore]
     result: SelectionResult
     stats: PropagationStats
 
     def selection_bytes(self) -> bytes:
-        return cipher_mod.serialize_selection(self.result, list(self.normalized.feature_names))
+        return cipher_mod.serialize_selection(self.result, list(self.feature_names))
 
 
 def analyze(
@@ -202,22 +216,32 @@ def analyze(
 ) -> PipelineOutcome:
     """Run the selection pipeline on a CSV path or an in-memory dataset.
 
-    Scoring runs single-threaded, one blocked kernel call over the whole
-    normalized matrix, under the uniform partition and identity rules.  A
-    dataset is rescaled into a new matrix and never written.  A table loaded
-    from a path is rescaled in its own memory, so the run holds one n x F
-    matrix, and the outcome's normalized rows and target are read-only views
-    of that table.
+    Scoring runs single-threaded, under the uniform partition and identity
+    rules.  A dataset is rescaled into a new matrix, never written, and
+    scored with one :func:`score_columns` call.  A CSV file takes two
+    passes with an unlinked temporary file between them: the first parses
+    it a chunk of rows at a time and writes each chunk column by column;
+    the second reads back one block of columns at a time, rescales it and
+    scores it with :func:`score_columns`.  So a run from a path holds about
+    one block and one chunk, never the n x F matrix; the temporary file
+    takes 8 bytes per value.  Either way the scores and ranges are equal bit
+    for bit.
     """
     cfg = cfg.validated()
     # checks the set cap before any data is read
     defuzz = cfg.defuzz_config()
     if isinstance(source, Dataset):
         normalized = normalize(source)
+        feature_names, ranges, n_rows = normalized.feature_names, normalized.ranges, normalized.n_rows
+        has_target = normalized.target is not None
+        column_scores = score_columns(normalized.rows, defuzz)
     else:
-        normalized = _load_normalized(source, drop_incomplete_rows)
-
-    column_scores = score_columns(normalized.rows, defuzz)
+        ranges, column_scores = [], []
+        with _spill(source, drop_incomplete_rows) as spill:
+            for block, block_ranges in spill.normalized_blocks():
+                ranges += block_ranges
+                column_scores += score_columns(block.T, defuzz)
+        feature_names, n_rows, has_target = spill.feature_names, spill.n_rows, spill.has_target
     scores = [RelevanceScore(i, score) for i, score in enumerate(column_scores)]
 
     if cfg.selection_kind == "topk":
@@ -226,22 +250,25 @@ def analyze(
         result = select_threshold(scores, cfg.tau)
 
     return PipelineOutcome(
-        normalized=normalized,
+        feature_names=feature_names,
+        ranges=tuple(ranges),
+        n_rows=n_rows,
+        has_target=has_target,
         scores=scores,
         result=result,
-        stats=cost(normalized.n_features, cfg.sets, cfg.layers, normalized.n_rows),
+        stats=cost(len(feature_names), cfg.sets, cfg.layers, n_rows),
     )
 
 
 def render_report(outcome: PipelineOutcome, cfg: PipelineConfig) -> bytes:
     """Deterministic text report; see README for the section schema."""
     cfg = cfg.validated()
-    names = outcome.normalized.feature_names
+    names = outcome.feature_names
     lines = [REPORT_HEADER]
     lines.append("[dataset]")
-    lines.append(f"features = {outcome.normalized.n_features}")
-    lines.append(f"rows = {outcome.normalized.n_rows}")
-    lines.append(f"target = {'present' if outcome.normalized.target is not None else 'absent'}")
+    lines.append(f"features = {len(names)}")
+    lines.append(f"rows = {outcome.n_rows}")
+    lines.append(f"target = {'present' if outcome.has_target else 'absent'}")
     lines.append("[config]")
     lines.append(f"sets = {cfg.sets}")
     lines.append(f"layers = {cfg.layers}")
@@ -257,7 +284,7 @@ def render_report(outcome: PipelineOutcome, cfg: PipelineConfig) -> bytes:
     lines.append(f"cipher = {cfg.cipher_mode}")
     lines.append(f"tag = {'on' if cfg.tag else 'off'}")
     lines.append("[normalization]")
-    for name, (lo, hi) in zip(names, outcome.normalized.ranges):
+    for name, (lo, hi) in zip(names, outcome.ranges):
         lines.append(f"{name}\t{lo!r}\t{hi!r}")
     lines.append("[scores]")
     for score in outcome.scores:
@@ -271,7 +298,7 @@ def render_report(outcome: PipelineOutcome, cfg: PipelineConfig) -> bytes:
     tail = "\n".join(
         [
             "[stats]",
-            f"propagations = {outcome.normalized.n_rows}",
+            f"propagations = {outcome.n_rows}",
             f"mf_evals = {outcome.stats.mf_evals}",
             f"hidden_ops = {outcome.stats.hidden_ops}",
         ]

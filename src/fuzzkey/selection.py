@@ -35,7 +35,7 @@ from .fuzzy import (
     fuzzify,
     uniform_breakpoints,
 )
-from .ingest import _all_finite
+from .ingest import _SCORE_BLOCK, _all_finite
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,6 @@ def relevance_inference(
         for v in values
     ]
     return math.fsum(crisp) / len(crisp)
-
-
-# values per kernel block: a block of f columns of n values runs as f x n
-# arrays, and so does each of its temporaries
-_SCORE_BLOCK = 1 << 15
 
 
 def _centroids(x: np.ndarray, points: np.ndarray, defuzz: DefuzzConfig) -> np.ndarray:
@@ -137,7 +132,9 @@ def score_columns(rows: np.ndarray | Sequence[Sequence[float]], defuzz: DefuzzCo
     for start in range(0, n_features, width):
         block = np.ascontiguousarray(x[:, start : start + width].T)
         per_value = _centroids(block, points, defuzz)
-        scores.extend(math.fsum(values) / n for values in per_value.tolist())
+        # a memoryview hands fsum one float at a time, where tolist() would
+        # build all f x n of them first
+        scores.extend(math.fsum(memoryview(values)) / n for values in per_value)
     return scores
 
 

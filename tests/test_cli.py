@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzkey import CipherKey, DefuzzConfig, cipher, cli, fuzzy, ingest, pipeline, seal, selection
+from fuzzkey import CipherKey, ConfigurationError, DefuzzConfig, cipher, cli, fuzzy, ingest, pipeline, seal
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 DATA = Path(__file__).resolve().parent / "data"
@@ -97,6 +98,22 @@ class TestSelect:
         proc = run_cli(["select", "/dev/stdin", "--k", "2"], stdin=TOY.encode() + b"1,2,x\n")
         assert proc.returncode == 3
         assert proc.stderr == b"fuzzkey: /dev/stdin: row 5, column 3 (c): not a number: 'x'\n"
+
+    def test_unwritable_temporary_directory_exits_3(self, toy_csv, tmp_path, monkeypatch, key_env):
+        # the parsed table goes to a temporary file; tempfile's directory,
+        # normally from TMPDIR, here sits under a regular file, which even
+        # root cannot write into
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        monkeypatch.setattr(tempfile, "tempdir", str(blocker / "tmp"))
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", key_env["FUZZKEY_KEY_FILE"])
+        sealed = tmp_path / "sel.fzk"
+        for argv in (["select", str(toy_csv)], ["pipeline", str(toy_csv), "--output", str(sealed)]):
+            code, out, err = run_in_process(argv)
+            assert (code, out) == (3, b"")
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("fuzzkey: ")
+        assert not sealed.exists()
 
     def test_bad_config_value_exits_4(self, toy_csv):
         proc = run_cli(["select", str(toy_csv), "--sets", "1"])
@@ -424,8 +441,9 @@ class TestGoldenPipeline:
 
     The table mixes signed zeros, ties, constant columns, magnitudes near
     1e300, a column whose span overflows and a target in the middle.  It is
-    scored in one kernel block, in 17 blocks the last of them partial, and
-    with fewer rows per block than the column has.
+    parsed in one chunk of rows and scored in one block; parsed in chunks of
+    two rows and scored in 17 blocks, the last of them partial; and parsed
+    a row at a time and scored a column at a time.
     """
 
     CSV = DATA / "fixture_40x400.csv"
@@ -435,7 +453,7 @@ class TestGoldenPipeline:
         self, tmp_path, monkeypatch, capsysbinary, golden_key, block
     ):
         if block is not None:
-            monkeypatch.setattr(selection, "_SCORE_BLOCK", block)
+            monkeypatch.setattr(ingest, "_SCORE_BLOCK", block)
         key_path = tmp_path / "key.bin"
         key_path.write_bytes(golden_key)
         monkeypatch.setenv("FUZZKEY_KEY_FILE", str(key_path))
@@ -491,10 +509,14 @@ def hostile_csvs(draw):
 
 
 def run_in_process(argv):
-    """``cli.main(argv)`` with its standard streams captured: (code, stdout, stderr)."""
+    """``cli.main(argv)`` with its standard streams captured: (code, stdout,
+    stderr), the code 2 of a usage error that argparse reports included."""
     out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     out.flush()
     return code, out.buffer.getvalue(), err.getvalue()
 
@@ -845,6 +867,52 @@ class TestMembership:
         lines = out.decode().splitlines()
         assert len(lines) == 1 + 1001 and len(lines[0].split("\t")) == 1000 + 2
 
+    @pytest.mark.parametrize("spec", ["0:0:1e-18", "0:0:1e-320", "1e300:1e300:1"])
+    def test_sweep_the_bound_check_missed_exits_4(self, spec):
+        # the loop walks 1e-12 past STOP, and rounding can stall it short of
+        # STOP: these printed 1000002 lines or never ended
+        proc = run_cli(["membership", f"--sweep={spec}"], timeout=60)
+        assert (proc.returncode, proc.stdout) == (4, b"")
+        message = f"fuzzkey: --sweep allows at most 1000000 points with 3 sets, got {spec!r}\n"
+        assert proc.stderr == message.encode()
+
+    @pytest.mark.parametrize("spec", ["0:0:1e-19", "0:0:1e-320"])
+    def test_sweep_the_bound_check_missed_builds_no_point(self, spec):
+        # the span check rejects these at once; the loop would give up only
+        # after a million points, megabytes of them
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="at most 1000000 points"):
+                cli._sweep_values(spec, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["--sweep", "0:1:0.25"], [
+                "x\tLow\tMedium\tHigh\tcentroid",
+                "0.000000000\t1.000000000\t0.000000000\t0.000000000\t0.000000000",
+                "0.250000000\t1.000000000\t0.000000000\t0.000000000\t0.000000000",
+                "0.500000000\t0.000000000\t1.000000000\t0.000000000\t0.500000000",
+                "0.750000000\t0.000000000\t0.000000000\t1.000000000\t1.000000000",
+                "1.000000000\t0.000000000\t0.000000000\t1.000000000\t1.000000000",
+            ]),
+            # 0.1 + 2 * 0.1 rounds past 0.3 and is written as 0.3
+            (["--sweep", "0.1:0.3:0.1", "--sets", "4"], [
+                "x\tSet1\tSet2\tSet3\tSet4\tcentroid",
+                "0.100000000\t1.000000000\t0.000000000\t0.000000000\t0.000000000\t0.000000000",
+                "0.200000000\t1.000000000\t0.000000000\t0.000000000\t0.000000000\t0.000000000",
+                "0.300000000\t0.500000000\t0.500000000\t0.000000000\t0.000000000\t0.166666667",
+            ]),
+        ],
+        ids=["quarters", "rounded-stop"],
+    )
+    def test_sweep_bytes(self, args, expected):
+        assert run_in_process(["membership", *args]) == (0, ("\n".join(expected) + "\n").encode(), "")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_x_exits_4(self, value):
         proc = run_cli(["membership", f"--x={value}"])
@@ -883,6 +951,20 @@ class TestConfigFile:
         assert fragment in proc.stderr
 
 
+    def test_config_read_reserves_only_what_it_reads(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"k = 2\n")
+        tracemalloc.start()
+        try:
+            loaded = pipeline.load_config_file(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.k == 2
+        # one read of the whole 1 MiB cap reserved all of it
+        assert peak < 128 << 10
+
+
 class TestStats:
     def test_counters(self):
         proc = run_cli(["stats", "--features", "4", "--sets", "3", "--layers", "4"])
@@ -913,6 +995,77 @@ class TestStats:
         code, out, err = run_in_process(["stats", "--features", "1", "--sets", str(10**18)])
         assert (code, err) == (0, "")
         assert f"mf_evals = {10**18}\n".encode() in out
+
+
+# membership and stats arguments -> exit code; 2 is argparse's usage error
+ARGUMENT_EXTREMES = {
+    "x-zero": (["membership", "--x", "0"], 0),
+    "x-negative-zero": (["membership", "--x", "-0"], 0),
+    "x-largest": (["membership", "--x", "1.7976931348623157e308"], 0),
+    "x-most-negative": (["membership", "--x=-1.7976931348623157e308"], 0),
+    "x-subnormal": (["membership", "--x", "5e-324"], 0),
+    "x-overflows": (["membership", "--x", "1e999"], 4),
+    "x-nan": (["membership", "--x", "nan"], 4),
+    "x-word": (["membership", "--x", "half"], 2),
+    "x-and-sweep": (["membership", "--x", "0.5", "--sweep", "0:1:1"], 2),
+    "neither-x-nor-sweep": (["membership"], 2),
+    "sets-2": (["membership", "--x", "0.5", "--sets", "2"], 0),
+    "sets-1": (["membership", "--x", "0.5", "--sets", "1"], 4),
+    "sets-0": (["membership", "--x", "0.5", "--sets", "0"], 4),
+    "sets-negative": (["membership", "--x", "0.5", "--sets", "-3"], 4),
+    "sets-past-the-cap": (["membership", "--x", "0.5", "--sets", "1001"], 4),
+    "sets-huge": (["membership", "--x", "0.5", "--sets", str(10**30)], 4),
+    "sets-fraction": (["membership", "--x", "0.5", "--sets", "2.5"], 2),
+    "sweep-one-point": (["membership", "--sweep", "0:0:1"], 0),
+    "sweep-backwards": (["membership", "--sweep", "1:0:0.5"], 0),
+    "sweep-step-past-stop": (["membership", "--sweep", "0:1:1e308"], 0),
+    "sweep-at-the-largest": (["membership", "--sweep", "1e308:1e308:1e308"], 0),
+    "sweep-1000-sets": (["membership", "--sets", "1000", "--sweep", "0:1:0.5"], 0),
+    "sweep-past-the-bound-at-1000-sets": (["membership", "--sets", "1000", "--sweep", "0:0:1e-16"], 4),
+    "sweep-tiny-step": (["membership", "--sweep", "0:0:5e-324"], 4),
+    "sweep-span-overflows": (["membership", "--sweep=-1e308:1e308:1e308"], 4),
+    "sweep-stalls": (["membership", "--sweep", "1e300:1e300:1"], 4),
+    "sweep-zero-step": (["membership", "--sweep", "0:1:0"], 4),
+    "sweep-negative-step": (["membership", "--sweep", "0:1:-0.5"], 4),
+    "sweep-nan-step": (["membership", "--sweep", "0:1:nan"], 4),
+    "sweep-infinite-stop": (["membership", "--sweep", "0:inf:1"], 4),
+    "sweep-words": (["membership", "--sweep", "a:b:c"], 4),
+    "sweep-two-parts": (["membership", "--sweep", "0:1"], 4),
+    "sweep-four-parts": (["membership", "--sweep", "0:1:1:1"], 4),
+    "sweep-empty-parts": (["membership", "--sweep", "::"], 4),
+    "sweep-empty": (["membership", "--sweep="], 4),
+    "features-1": (["stats", "--features", "1"], 0),
+    "features-0": (["stats", "--features", "0"], 4),
+    "features-negative": (["stats", "--features", "-1"], 4),
+    "features-huge": (["stats", "--features", str(10**30)], 0),
+    "features-word": (["stats", "--features", "many"], 2),
+    "features-missing": (["stats"], 2),
+    "stats-sets-1": (["stats", "--features", "3", "--sets", "1"], 4),
+    "stats-sets-negative": (["stats", "--features", "3", "--sets", "-5"], 4),
+    "stats-sets-huge": (["stats", "--features", "3", "--sets", str(10**30)], 0),
+    "layers-3": (["stats", "--features", "3", "--layers", "3"], 4),
+    "layers-huge": (["stats", "--features", str(10**30), "--layers", str(10**30)], 0),
+    "layers-fraction": (["stats", "--features", "3", "--layers", "4.5"], 2),
+}
+
+
+class TestArgumentExtremes:
+    """``membership`` and ``stats`` end in a documented exit code, with
+    output only on success; extreme sizes are met by validation only."""
+
+    @pytest.mark.parametrize("argv, expected", ARGUMENT_EXTREMES.values(), ids=ARGUMENT_EXTREMES)
+    def test_documented_exit(self, argv, expected):
+        code, out, err = run_in_process(argv)
+        assert code in (0, 2, 3, 4, 5) and code == expected
+        if code == 0:
+            assert err == ""
+        else:
+            assert out == b""
+            lines = err.splitlines()
+            if code == 2:  # argparse's usage line, then its error
+                assert lines[-1].startswith(f"fuzzkey {argv[0]}: error: ")
+            else:
+                assert len(lines) == 1 and lines[0].startswith("fuzzkey: ")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

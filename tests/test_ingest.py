@@ -2,6 +2,7 @@ import codecs
 import math
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -298,24 +299,27 @@ class TestStreaming:
     """load_table against the per-cell reference parser."""
 
     @settings(max_examples=400, deadline=None)
-    @given(csv_files(), st.booleans())
-    @example(b"a\n1\n\n2\n", False)  # loadtxt skips an empty line
-    @example(b"a\n1\r2\n", False)  # universal newlines split this line
-    @example(b"a,b\n1,x\n2,\xff\n", True)  # the earlier bad line is reported first
-    @example(b"a,b\n\xff,\n2,3\n", True)  # also in a line that would be dropped
-    @example(b"\xef\xbb\xbfa\n1\n\xe9\n", False)  # the offset counts the mark and the header
-    @example(b"a\n1e\nx\n", False)  # loadtxt rejects a cell above the held line
-    def test_matches_the_reference(self, tmp_path_factory, data, drop_incomplete_rows):
+    @given(csv_files(), st.booleans(), st.sampled_from([1, 2, 7, ingest._SCORE_BLOCK]))
+    @example(b"a\n1\n\n2\n", False, 1)  # loadtxt skips an empty line
+    @example(b"a\n1\r2\n", False, 1)  # universal newlines split this line
+    @example(b"a,b\n1,x\n2,\xff\n", True, 2)  # the earlier bad line is reported first
+    @example(b"a,b\n\xff,\n2,3\n", True, 2)  # also in a line that would be dropped
+    @example(b"\xef\xbb\xbfa\n1\n\xe9\n", False, 1)  # the offset counts the mark and the header
+    @example(b"a\n1e\nx\n", False, 1)  # loadtxt rejects a cell above the held line
+    @example(b"a\n1\n2\n1e\nx\n", False, 1)  # ... in a later chunk of rows
+    def test_matches_the_reference(self, tmp_path_factory, data, drop_incomplete_rows, block):
+        # ``block`` sets the chunks of rows the parser writes out, down to one row
         path = tmp_path_factory.mktemp("stream") / "data.csv"
         path.write_bytes(data)
         try:
             names, table = _reference_table(path, data, drop_incomplete_rows)
         except DataFormatError as exc:
-            with pytest.raises(DataFormatError) as got:
+            with pytest.raises(DataFormatError) as got, mock.patch.object(ingest, "_SCORE_BLOCK", block):
                 load_table(path, drop_incomplete_rows)
             assert str(got.value) == str(exc)
             return
-        d = load_table(path, drop_incomplete_rows)
+        with mock.patch.object(ingest, "_SCORE_BLOCK", block):
+            d = load_table(path, drop_incomplete_rows)
         features = [name for name in names if name != "target"]
         assert d.feature_names == tuple(features)
         assert d.rows.tobytes() == table[:, : len(features)].tobytes()
@@ -549,16 +553,40 @@ def csv_tables(draw):
     return features, target_at, target
 
 
-class TestLoadNormalized:
-    """analyze on a path rescales the loaded table in place; its normalized
-    dataset must equal normalize(load_table(path)) bit for bit."""
+def pipe_or_file(data, how, directory):
+    """A path to read ``data`` from: a file, or the read end of a pipe that
+    already holds it, which the caller closes with :func:`os.close`."""
+    if how != "pipe":
+        path = directory / "data.csv"
+        path.write_bytes(data)
+        return path, None
+    read_end, write_end = os.pipe()
+    os.write(write_end, data)
+    os.close(write_end)
+    return f"/dev/fd/{read_end}", read_end
+
+
+class TestTwoPass:
+    """analyze on a path parses the CSV into a temporary file and reads it
+    back a block of columns at a time; every block must equal the matching
+    columns of normalize(load_table(path)) bit for bit, whatever the block
+    size, and so must the scores and ranges."""
 
     @settings(max_examples=200, deadline=None)
-    @given(csv_tables(), st.sampled_from(["file", "drop", "pipe"]))
-    @example(([[1e308, -1e308, 5.0], [-0.0, 0.0, 0.0]], 1, [1.0, 2.0, 3.0]), "file")  # overflowing span
-    @example(([[1.7976931348623157e308, -1.0], [2.5, 2.5]], 2, [0.0, -0.0]), "drop")
-    @example(([[-1e308, 1e308], [7.0, -0.0]], None, None), "pipe")
-    def test_matches_normalize_of_load_table(self, tmp_path_factory, table, how):
+    @given(
+        csv_tables(),
+        st.sampled_from(["file", "drop", "pipe"]),
+        st.sampled_from([1, 2, 5, 13, ingest._SCORE_BLOCK]),
+    )
+    # overflowing spans
+    @example(([[1e308, -1e308, 5.0], [-0.0, 0.0, 0.0]], 1, [1.0, 2.0, 3.0]), "file", ingest._SCORE_BLOCK)
+    @example(([[1.7976931348623157e308, -1.0], [2.5, 2.5]], 2, [0.0, -0.0]), "drop", 2)
+    @example(([[-1e308, 1e308], [7.0, -0.0]], None, None), "pipe", 1)
+    # a contiguous reduction of this column picks the other zero
+    @example(([[0.0, -0.0] + [1.0] * 7], 1, [2.0] * 9), "file", ingest._SCORE_BLOCK)  # a,target: -0.0
+    @example(([[0.0, -0.0] + [1.0] * 7, [2.0] * 9], None, None), "file", ingest._SCORE_BLOCK)  # a,b: -0.0
+    @example(([[0.0, -0.0] + [1.0] * 7], None, None), "file", ingest._SCORE_BLOCK)  # a alone: 0.0
+    def test_blocks_and_scores_match_load_table(self, tmp_path_factory, table, how, block):
         features, target_at, target = table
         columns, names = list(features), [f"c{i}" for i in range(len(features))]
         if target_at is not None:
@@ -572,25 +600,39 @@ class TestLoadNormalized:
             lines[1:1] = [blank]
             lines.append(blank)
         data = ("\n".join(lines) + "\n").encode()
-        path = tmp_path_factory.mktemp("inplace") / "data.csv"
-        path.write_bytes(data)
-        expected = normalize(load_table(path, drop))
-        if how == "pipe":
-            read_end, write_end = os.pipe()
-            os.write(write_end, data)
-            os.close(write_end)
+        directory = tmp_path_factory.mktemp("twopass")
+        reference = load_table(pipe_or_file(data, "file", directory)[0], drop)
+        expected = normalize(reference)
+        cfg = PipelineConfig(k=1)
+        want = analyze(reference, cfg)
+        with mock.patch.object(ingest, "_SCORE_BLOCK", block):
+            path, read_end = pipe_or_file(data, how, directory)
             try:
-                got = analyze(f"/dev/fd/{read_end}", PipelineConfig(k=1)).normalized
+                with ingest._spill(path, drop) as spill:
+                    done = 0
+                    for rows, ranges in spill.normalized_blocks():
+                        assert rows.flags.c_contiguous
+                        assert rows.tobytes() == expected.rows[:, done : done + len(rows)].T.tobytes()
+                        assert [(lo.hex(), hi.hex()) for lo, hi in ranges] == [
+                            (lo.hex(), hi.hex()) for lo, hi in expected.ranges[done : done + len(rows)]
+                        ]
+                        done += len(rows)
+                    assert done == len(features)
             finally:
-                os.close(read_end)
-        else:
-            got = analyze(path, PipelineConfig(k=1), drop).normalized
-        assert got.feature_names == expected.feature_names
-        assert got.rows.tobytes() == expected.rows.tobytes()
+                if read_end is not None:
+                    os.close(read_end)
+            path, read_end = pipe_or_file(data, how, directory)
+            try:
+                got = analyze(path, cfg, drop)
+            finally:
+                if read_end is not None:
+                    os.close(read_end)
+        assert (got.feature_names, got.n_rows, got.has_target) == (
+            want.feature_names,
+            want.n_rows,
+            target is not None,
+        )
+        assert [s.score.hex() for s in got.scores] == [s.score.hex() for s in want.scores]
         assert [(lo.hex(), hi.hex()) for lo, hi in got.ranges] == [
-            (lo.hex(), hi.hex()) for lo, hi in expected.ranges
+            (lo.hex(), hi.hex()) for lo, hi in want.ranges
         ]
-        if target is None:
-            assert got.target is None and expected.target is None
-        else:
-            assert got.target.tobytes() == expected.target.tobytes()

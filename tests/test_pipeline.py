@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from fuzzkey import (
     ConfigurationError,
+    DataFormatError,
     DefuzzConfig,
     PipelineConfig,
     analyze,
@@ -18,6 +21,7 @@ from fuzzkey import (
     render_report,
     select_topk,
 )
+from fuzzkey import ingest, pipeline
 from fuzzkey.selection import RelevanceScore
 
 CSV = "t1,t2,t3\n1,10,3\n2,30,3\n3,20,3\n5,40,3\n"
@@ -184,51 +188,41 @@ class TestAnalyze:
         assert positions == sorted(positions)
         assert report.endswith("\n")
 
-    def test_outcome_holds_only_the_normalized_matrix(self, tmp_path):
-        # the normalized rows and target are views of the loaded table,
-        # rescaled in place: nothing else of the run is held when analyze returns
+    @staticmethod
+    def write_table(path, table):
+        names = [f"x{i}" for i in range(table.shape[1] - 1)] + ["target"]
+        with open(path, "w") as handle:
+            handle.write(",".join(names) + "\n")
+            for row in table.tolist():
+                handle.write(",".join(map(repr, row)) + "\n")
+
+    def test_outcome_holds_no_matrix(self, tmp_path):
+        # names, ranges and scores are all a run keeps of its dataset
         table = np.random.default_rng(5).standard_normal((4000, 25))
-        names = [f"x{i}" for i in range(24)] + ["target"]
-        lines = [",".join(names)] + [",".join(map(repr, row)) for row in table.tolist()]
-        path = tmp_path / "data.csv"
-        path.write_text("\n".join(lines) + "\n")
+        self.write_table(tmp_path / "data.csv", table)
         tracemalloc.start()
         try:
-            outcome = analyze(path, PipelineConfig(k=3))
+            outcome = analyze(tmp_path / "data.csv", PipelineConfig(k=3))
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert outcome.normalized.target.tobytes() == table[:, -1].tobytes()
-        assert held <= 1.1 * outcome.normalized.rows.nbytes
+        assert (len(outcome.feature_names), outcome.n_rows, outcome.has_target) == (24, 4000, True)
+        assert held <= 0.05 * table.nbytes
 
-    def test_path_run_peaks_near_one_table(self, tmp_path):
-        # the table is rescaled in its own memory: the parsed table and a
-        # normalized copy used to coexist, about 3.1 tables at this size
-        table = np.random.default_rng(6).standard_normal((2000, 200))
-        names = [f"x{i}" for i in range(199)] + ["target"]
-        lines = [",".join(names)] + [",".join(map(repr, row)) for row in table.tolist()]
-        path = tmp_path / "data.csv"
-        path.write_text("\n".join(lines) + "\n")
+    @pytest.mark.parametrize("shape", [(40_000, 50), (4_000, 500)], ids=["tall", "wide"])
+    def test_path_run_peak_is_a_fraction_of_the_table(self, tmp_path, shape):
+        # memory grows with rows plus a block, not with rows x features: a
+        # run that held the parsed table peaked at 1.2 tables at both shapes
+        table = np.random.default_rng(6).standard_normal(shape)
+        self.write_table(tmp_path / "data.csv", table)
         tracemalloc.start()
         try:
-            outcome = analyze(path, PipelineConfig(k=3))
+            outcome = analyze(tmp_path / "data.csv", PipelineConfig(k=3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert outcome.normalized.n_rows == 2000
-        assert peak <= 2.5 * table.nbytes
-
-    def test_path_outcome_views_one_read_only_table(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("a,target,b\n1,7,2\n3,8,5\n4,9,3\n")
-        normalized = analyze(path, PipelineConfig(k=1)).normalized
-        rows, target = normalized.rows, normalized.target
-        assert rows.tolist() == [[0.0, 0.0], [2 / 3, 1.0], [1.0, 1 / 3]]
-        assert target.tolist() == [7.0, 8.0, 9.0]
-        assert not rows.flags.writeable and not target.flags.writeable
-        # the target column is the table's last
-        assert rows.base is target.base and rows.base.shape == (3, 3)
-        assert np.shares_memory(rows.base, rows) and np.shares_memory(rows.base, target)
+        assert outcome.n_rows == shape[0]
+        assert peak <= 0.35 * table.nbytes
 
     def test_selection_bytes_match_report_block(self, csv_path):
         cfg = PipelineConfig(k=2)
@@ -236,3 +230,60 @@ class TestAnalyze:
         report = render_report(outcome, cfg).decode()
         block = report.split("[selected]\n", 1)[1].split("[stats]", 1)[0]
         assert block.encode() == outcome.selection_bytes()
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestSpill:
+    """A run from a path parses into a temporary file and closes it however
+    the run ends."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        files, make = [], tempfile.TemporaryFile
+
+        def temporary_file(*args, **kwargs):
+            files.append(make(*args, **kwargs))
+            return files[-1]
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+        return files
+
+    @pytest.mark.parametrize(
+        "last, fails",
+        [
+            ("7,8,9", None),
+            ("7,x,9", DataFormatError),  # the per-cell parser names it
+            ("7,1e999,9", DataFormatError),  # loadtxt reads inf; the rescan names it
+            ("7,8,9", "pass-1"),
+            ("7,8,9", "pass-2"),
+        ],
+        ids=["success", "bad-cell", "rescan", "memory-error-parsing", "memory-error-scoring"],
+    )
+    def test_closed_on_every_exit(self, tmp_path, monkeypatch, opened, last, fails):
+        path = tmp_path / "data.csv"
+        path.write_text("a,target,b\n" + "1,2,3\n4,5,6\n" * 20 + last + "\n")
+        monkeypatch.setattr(ingest, "_SCORE_BLOCK", 6)  # chunks of two rows
+        chunks, all_finite = [], ingest._all_finite
+
+        def exhausted(*args):
+            chunks.append(args)
+            if fails == "pass-2" or len(chunks) == 3:
+                raise MemoryError
+            return all_finite(*args)
+
+        if fails == "pass-1":
+            monkeypatch.setattr(ingest, "_all_finite", exhausted)  # after two chunks are written
+        elif fails == "pass-2":
+            monkeypatch.setattr(pipeline, "score_columns", exhausted)
+        before = open_fds()
+        if fails is None:
+            assert analyze(path, PipelineConfig(k=1)).n_rows == 41
+        else:
+            with pytest.raises(MemoryError if isinstance(fails, str) else fails):
+                analyze(path, PipelineConfig(k=1))
+        assert open_fds() == before
+        assert len(opened) == 1 and opened[0].closed
