@@ -351,8 +351,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fuzzkey: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError:
-        # an input too large for the memory there is, such as a pipe, which
-        # is read whole, or a payload under its cap in a small address space
+        # an input too large for the memory there is, such as a payload
+        # under its cap in a small address space
         print("fuzzkey: out of memory", file=sys.stderr)
         return EXIT_DATA
     except ConfigurationError as exc:

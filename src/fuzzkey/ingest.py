@@ -6,15 +6,16 @@ Dialect: UTF-8 with an optional byte-order mark, first line is the header
 optional sign and exponent.  A column named exactly ``target`` is split
 off and carried along; it never influences scoring.
 
-:func:`load_table` reads every input in one pass, a pipe read into memory
-first, and raises the first error in file order; no line may be longer
+:func:`load_table` reads every input, a pipe too, in one pass that never
+seeks, and raises the first error in file order; no line may be longer
 than :data:`MAX_LINE_BYTES`.  A data line of one non-blank cell of ASCII
 numeric characters per column goes to ``numpy.loadtxt`` as it is.  Any
 other line is decoded and parsed cell by cell on its own, then goes on as
 the ``repr`` of its values, is dropped, or ends the pass with its
 diagnostic held.  The gate passes a few bad cells (``1e``, ``1 2``,
 ``1e999``), so when ``loadtxt`` rejects a cell or reads a value that is not
-finite, the rows are parsed again cell by cell up to the first bad one.
+finite, that chunk's lines are parsed again cell by cell up to the first
+bad one.
 Values are bit-identical either way, since ``loadtxt`` and ``float`` both
 use ``PyOS_string_to_double``.
 
@@ -185,20 +186,23 @@ def _columns(names: list[str]) -> list[int]:
     return sorted(range(len(names)), key=lambda i: names[i] == TARGET_COLUMN)
 
 
-def _lines(
-    path: str | Path, handle: io.BufferedIOBase, row_number: int
-) -> Iterator[tuple[int, int, bytes]]:
-    """``(row number, byte offset, line)`` for each line left in ``handle``,
-    the line without its newline and one carriage return before it.  Lines
-    split on ``\\n`` only, and no read takes more than one byte past the cap."""
-    offset = handle.tell()
-    while raw := handle.readline(MAX_LINE_BYTES + 1):
+def _lines(path: str | Path, handle: io.BufferedIOBase) -> Iterator[tuple[int, int, bytes]]:
+    """``(row number, byte offset, line)`` for each line of ``handle`` from its
+    start, the line without its newline and one carriage return before it,
+    and the first without a byte-order mark, which the offsets count and the
+    cap does not.  Lines split on ``\\n`` only, and no read takes more than
+    one byte past the cap and a mark."""
+    raw = handle.readline(len(codecs.BOM_UTF8) + MAX_LINE_BYTES + 1)
+    offset = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    raw, row_number = raw[offset:], 1
+    while raw:
         line = raw.removesuffix(b"\n")
         if len(line) > MAX_LINE_BYTES:
             raise DataFormatError(f"{path}: row {row_number} is longer than {MAX_LINE_BYTES} bytes")
         yield row_number, offset, line.removesuffix(b"\r")
         row_number += 1
         offset += len(raw)
+        raw = handle.readline(MAX_LINE_BYTES + 1)
 
 
 def _text(path: str | Path, line: bytes, offset: int) -> str:
@@ -212,34 +216,31 @@ def _table(
     path: str | Path, handle: io.BufferedIOBase, drop_incomplete_rows: bool, spill: io.BufferedRandom
 ) -> tuple[list[str], list[int]]:
     """Header names and the row count of each chunk of the table written to
-    ``spill``, in one pass over the seekable ``handle``; raises the first
+    ``spill``, in one pass over ``handle`` that never seeks; raises the first
     error in file order.  A chunk of about ``_SCORE_BLOCK`` values goes to
     ``spill`` one column after another, columns ordered by :func:`_columns`."""
-    if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-        handle.seek(0)  # a byte-order mark is no part of the first name
-    lines = _lines(path, handle, 1)
+    lines = _lines(path, handle)
     header = next(lines, None)
     if header is None:
         raise DataFormatError(f"{path}: empty file")
     names = _parse_header(path, _text(path, header[2], header[1]))
-    start = handle.tell()
     full_row = re.compile(_CELL + rb"(?:," + _CELL + rb"){%d}" % (len(names) - 1)).fullmatch
-    held = None
+    held, numbers = None, []  # numbers: the row number of each line of the chunk
 
     def data_lines():
         nonlocal held
         streamed = False
         try:
             for row_number, offset, line in lines:
-                if full_row(line):
-                    streamed = True
-                    yield line
-                    continue
-                text = _text(path, line, offset)
-                values = _parse_row(path, text, row_number, names, drop_incomplete_rows)
-                if values is not None:
-                    streamed = True
-                    yield ",".join(map(repr, values)).encode()
+                if not full_row(line):
+                    text = _text(path, line, offset)
+                    values = _parse_row(path, text, row_number, names, drop_incomplete_rows)
+                    if values is None:
+                        continue
+                    line = ",".join(map(repr, values)).encode()
+                streamed = True
+                numbers.append(row_number)
+                yield line
         except DataFormatError as exc:
             held = exc  # ends the stream; a row above may still hold an earlier error
         if not streamed:
@@ -255,15 +256,16 @@ def _table(
         except ValueError:
             table = None
         if table is None or not _all_finite(table):
-            # the gate passes some cells only the per-cell parser names, such as
-            # 1e, 1 2 and 1e999: a row at or above the held one raises here
-            handle.seek(start)
-            for row_number, offset, line in _lines(path, handle, 2):
-                _parse_row(path, _text(path, line, offset), row_number, names, drop_incomplete_rows)
+            # the gate passes cells only the per-cell parser names (1e, 1 2, 1e999).
+            # Every earlier chunk parsed, so the first bad row is here or held.
+            # These lines are ASCII: gate characters, or the reprs of floats
+            for row_number, line in zip(numbers, chunk):
+                _parse_row(path, line.decode(), row_number, names, drop_incomplete_rows)
             # a backstop: the rescan raises for every cell loadtxt refuses
             raise held or DataFormatError(f"{path}: dataset values must all be finite")
         spill.write(np.ascontiguousarray(table.T))
         counts.append(len(table))
+        numbers.clear()
     if held is not None:
         raise held
     return names, counts
@@ -324,11 +326,9 @@ class _Spill:
 def _spill(path: str | Path, drop_incomplete_rows: bool) -> _Spill:
     """Parse a CSV file into a :class:`_Spill`, which the caller closes."""
     with open(path, "rb") as handle:
-        # a rescan reads the input again, which a pipe cannot
-        source = handle if handle.seekable() else io.BytesIO(handle.read())
         file = tempfile.TemporaryFile()
         try:
-            names, counts = _table(path, source, drop_incomplete_rows, file)
+            names, counts = _table(path, handle, drop_incomplete_rows, file)
         except BaseException:
             file.close()
             raise

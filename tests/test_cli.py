@@ -27,9 +27,11 @@ def run_cli(args, env_extra=None, cwd=None, timeout=None, stdin=None):
     env.pop("FUZZKEY_KEY_FILE", None)
     if env_extra:
         env.update(env_extra)
+    # ``stdin`` is bytes to write, or a file the child reads from
+    source = {"input": stdin} if isinstance(stdin, bytes) else {"stdin": stdin}
     return subprocess.run(
         [sys.executable, "-m", "fuzzkey", *args],
-        input=stdin,
+        **source,
         capture_output=True,
         env=env,
         cwd=cwd,
@@ -91,13 +93,36 @@ class TestSelect:
         assert_one_error_line(proc)
 
     def test_csv_from_a_pipe_reads_like_a_file(self, toy_csv):
-        # a pipe is read into memory, so a rescan can reread it
+        # a pipe streams like a file: nothing is read twice
         proc = run_cli(["select", "/dev/stdin", "--k", "2"], stdin=TOY.encode())
         assert proc.returncode == 0
         assert proc.stdout == run_cli(["select", str(toy_csv), "--k", "2"]).stdout
         proc = run_cli(["select", "/dev/stdin", "--k", "2"], stdin=TOY.encode() + b"1,2,x\n")
         assert proc.returncode == 3
         assert proc.stderr == b"fuzzkey: /dev/stdin: row 5, column 3 (c): not a number: 'x'\n"
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (TOY.encode() + b"1,2,1e999\n", "row 5, column 3 (c): value is not finite: '1e999'"),
+            (TOY.encode()[:-3], "row 4: expected 3 cells, got 2"),
+            (
+                ["head", "-c", str(ingest.MAX_LINE_BYTES + 2), "/dev/zero"],
+                f"row 1 is longer than {ingest.MAX_LINE_BYTES} bytes",
+            ),
+        ],
+        ids=["gate-passed-1e999-last", "cut-mid-row", "dev-zero-through-head"],
+    )
+    def test_hostile_pipe_exits_with_a_documented_code(self, source, message):
+        # a real pipe, which cannot be read twice
+        argv = ["select", "/dev/stdin", "--k", "1"]
+        if isinstance(source, bytes):
+            proc = run_cli(argv, stdin=source)
+        else:
+            with subprocess.Popen(source, stdout=subprocess.PIPE) as producer:
+                proc = run_cli(argv, stdin=producer.stdout)
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        assert proc.stderr.decode() == f"fuzzkey: /dev/stdin: {message}\n"
 
     def test_unwritable_temporary_directory_exits_3(self, toy_csv, tmp_path, monkeypatch, key_env):
         # the parsed table goes to a temporary file; tempfile's directory,
@@ -573,16 +598,23 @@ class TestHostileCsv:
         message = f"fuzzkey: /dev/zero: row 1 is longer than {ingest.MAX_LINE_BYTES} bytes\n"
         assert self.select("/dev/zero", "--k", "1") == (3, message)
 
-    @pytest.mark.parametrize("extra, expected", [(0, 0), (1, 3)], ids=["at-the-cap", "cap-plus-one"])
-    def test_line_at_and_past_the_cap(self, tmp_path, monkeypatch, extra, expected):
+    @pytest.mark.parametrize(
+        "extra, expected, row",
+        [(0, 0, 3), (1, 3, 3), (0, 0, 1), (1, 3, 1)],
+        ids=["at-the-cap", "cap-plus-one", "header-after-a-mark-at-the-cap", "header-after-a-mark-cap-plus-one"],
+    )
+    def test_line_at_and_past_the_cap(self, tmp_path, monkeypatch, extra, expected, row):
+        # the cap does not count a byte-order mark before the header
         monkeypatch.setattr(ingest, "MAX_LINE_BYTES", 32)
         path = tmp_path / "data.csv"
-        line = "7" * (30 + extra) + ",3"
-        path.write_text(f"a,b\n1,2\n{line}\n")
+        if row == 1:
+            path.write_text("\ufeff" + "a" * (30 + extra) + ",b\n1,2\n")
+        else:
+            path.write_text("a,b\n1,2\n" + "7" * (30 + extra) + ",3\n")
         code, err = self.select(path, "--k", "1")
         assert code == expected
         if expected:
-            assert err == f"fuzzkey: {path}: row 3 is longer than 32 bytes\n"
+            assert err == f"fuzzkey: {path}: row {row} is longer than 32 bytes\n"
 
     def test_long_comma_line_is_counted_before_it_is_split(self, tmp_path):
         # a split would hold each of the line's 262 145 cells as a string

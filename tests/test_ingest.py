@@ -1,7 +1,9 @@
 import codecs
 import math
 import os
+import threading
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -104,6 +106,28 @@ class TestLoadTable:
     def test_byte_order_mark_is_no_part_of_the_first_name(self, tmp_path):
         d = load_table(write(tmp_path, "\ufeffa,b\n1,2\n"))
         assert d.feature_names == ("a", "b")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (codecs.BOM_UTF8, "empty file"),
+            (codecs.BOM_UTF8 + b"\n1\n", "header contains an empty column name"),
+            (codecs.BOM_UTF8 + b"a,\xff\n1,2\n", "not UTF-8 text (byte 5)"),
+        ],
+        ids=["only-a-mark", "mark-then-newline", "utf-8-error-in-the-header"],
+    )
+    @pytest.mark.parametrize("how", ["file", "pipe"])
+    def test_byte_order_mark_is_read_with_the_header(self, tmp_path, data, message, how):
+        # no read goes back: the mark is stripped from the first line read,
+        # and the offset of a UTF-8 error still counts its three bytes
+        path, read_end = pipe_or_file(data, how, tmp_path)
+        try:
+            with pytest.raises(DataFormatError) as got:
+                load_table(path)
+        finally:
+            if read_end is not None:
+                os.close(read_end)
+        assert str(got.value) == f"{path}: {message}"
 
     def test_empty_line_is_a_missing_value(self, tmp_path):
         # loadtxt skips an empty line; in a one-column table it is a missing cell
@@ -307,6 +331,7 @@ class TestStreaming:
     @example(b"\xef\xbb\xbfa\n1\n\xe9\n", False, 1)  # the offset counts the mark and the header
     @example(b"a\n1e\nx\n", False, 1)  # loadtxt rejects a cell above the held line
     @example(b"a\n1\n2\n1e\nx\n", False, 1)  # ... in a later chunk of rows
+    @example(b"a,b\n1,2\n,3\n1e999,4\n", True, 4)  # a dropped row inside the rescanned chunk
     def test_matches_the_reference(self, tmp_path_factory, data, drop_incomplete_rows, block):
         # ``block`` sets the chunks of rows the parser writes out, down to one row
         path = tmp_path_factory.mktemp("stream") / "data.csv"
@@ -386,18 +411,64 @@ class TestStreaming:
     @pytest.mark.parametrize("held", ["bad-cell", "utf-8", "none"])
     def test_rescan_names_a_cell_the_gate_passed(self, tmp_path, cell, at, held):
         # loadtxt rejects the cell, or reads it as inf, after the bad line
-        # below it has ended the stream; the rescan names it first
+        # below it has ended the stream; the rescan names it first, from a
+        # file and from a pipe alike
         rows = ["1,2"] * 4
         rows[0 if at == "row-2" else -1] = f"{cell},2"
         tail = {"bad-cell": b"x,2\n3,4\n", "utf-8": b"\xe9,2\n", "none": b""}[held]
-        path = tmp_path / "data.csv"
-        path.write_bytes("\n".join(["a,b", *rows, ""]).encode() + tail)
+        data = "\n".join(["a,b", *rows, ""]).encode() + tail
         row_number = 2 if at == "row-2" else 5
+        for how in ("file", "pipe"):
+            path, read_end = pipe_or_file(data, how, tmp_path)
+            try:
+                with pytest.raises(DataFormatError) as got:
+                    load_table(path)
+            finally:
+                if read_end is not None:
+                    os.close(read_end)
+            with pytest.raises(DataFormatError) as expected:
+                _parse_cell(path, cell, row_number, 1, "a")
+            assert str(got.value) == str(expected.value)
+
+    def test_rescan_parses_only_the_failing_chunk(self, tmp_path, monkeypatch):
+        # two columns and a block of 6 values make chunks of 3 rows; 1e999
+        # sits in the last of 7 chunks, and the rows above it are never
+        # parsed cell by cell
+        rows = [f"{i},2" for i in range(20)] + ["1e999,2"]
+        path = write(tmp_path, "\n".join(["a,b", *rows, ""]))
+        parsed = []
+
+        def parse_row(path, line, row_number, names, drop_incomplete_rows):
+            parsed.append(row_number)
+            return _parse_row(path, line, row_number, names, drop_incomplete_rows)
+
+        monkeypatch.setattr(ingest, "_SCORE_BLOCK", 6)
+        monkeypatch.setattr(ingest, "_parse_row", parse_row)
         with pytest.raises(DataFormatError) as got:
             load_table(path)
-        with pytest.raises(DataFormatError) as expected:
-            _parse_cell(path, cell, row_number, 1, "a")
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == f"{path}: row 22, column 1 (a): value is not finite: '1e999'"
+        assert parsed == [20, 21, 22]
+
+    def test_a_pipe_streams(self):
+        # read whole first, the text alone would be 2.7 tables at this size.
+        # The table is far larger than one chunk, whose size is fixed
+        table = np.random.default_rng(7).standard_normal((40_000, 50))
+        names = [f"x{i}" for i in range(49)] + ["target"]
+        lines = [",".join(names)] + [",".join(map(repr, row)) for row in table.tolist()]
+        data = ("\n".join(lines) + "\n").encode()
+        del lines
+        peaks = []
+        for run in (load_table, lambda path: analyze(path, PipelineConfig(k=3))):
+            with pipe_from_thread(data) as path:
+                tracemalloc.start()
+                try:
+                    got = run(path)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert got.n_rows == len(table)
+        # load_table returns the table; analyze, as from a path, keeps none
+        assert peaks[0] <= 1.35 * table.nbytes and peaks[1] <= 0.35 * table.nbytes
 
     def test_load_and_normalize_peak_near_the_matrix(self, tmp_path):
         # the text, a list of its lines and copies of the table used to
@@ -564,6 +635,26 @@ def pipe_or_file(data, how, directory):
     os.write(write_end, data)
     os.close(write_end)
     return f"/dev/fd/{read_end}", read_end
+
+
+@contextmanager
+def pipe_from_thread(data):
+    """The path of a pipe that a thread fills with ``data``, which may be far
+    larger than the pipe's buffer."""
+    read_end, write_end = os.pipe()
+
+    def write():
+        with open(write_end, "wb") as handle:
+            handle.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+        writer.join(timeout=60)
+        assert not writer.is_alive()
 
 
 class TestTwoPass:
