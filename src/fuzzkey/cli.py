@@ -340,9 +340,17 @@ _COMMANDS = {
 }
 
 
+# the commands that write nothing to stdout when given --output
+_OUTPUT_ONLY = {"select", "encrypt", "decrypt", "membership"}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a closed stdout leaves sys.stdout None; refused before any work,
+        # so a pipeline run leaves no envelope at its --output
+        if sys.stdout is None and not (args.command in _OUTPUT_ONLY and args.output):
+            raise OSError("stdout is closed")
         return _COMMANDS[args.command](args)
     except IntegrityError as exc:
         print(f"fuzzkey: {exc}", file=sys.stderr)

@@ -8,20 +8,14 @@ off and carried along; it never influences scoring.
 
 :func:`load_table` reads every input, a pipe too, in one pass that never
 seeks, and raises the first error in file order; no line may be longer
-than :data:`MAX_LINE_BYTES`.  A data line of one non-blank cell of ASCII
-numeric characters per column goes to ``numpy.loadtxt`` as it is.  Any
-other line is decoded and parsed cell by cell on its own, then goes on as
-the ``repr`` of its values, is dropped, or ends the pass with its
-diagnostic held.  The gate passes a few bad cells (``1e``, ``1 2``,
-``1e999``), so when ``loadtxt`` rejects a cell or reads a value that is not
-finite, that chunk's lines are parsed again cell by cell up to the first
-bad one.
-Values are bit-identical either way, since ``loadtxt`` and ``float`` both
-use ``PyOS_string_to_double``.
+than :data:`MAX_LINE_BYTES`.  ``numpy.loadtxt`` reads each chunk of about
+``_SCORE_BLOCK`` values whole if it can; else the per-cell parser reads it
+line by line and names its first bad cell.  Wherever ``loadtxt`` reads a
+finite value, the per-cell parser reads the same bits: both use
+``PyOS_string_to_double``.
 
-``loadtxt`` parses the lines a chunk of about ``_SCORE_BLOCK`` values at a
-time, and each chunk is written column by column to an unlinked temporary
-file, 8 bytes per value, the target column last (:class:`_Spill`).
+Each chunk is written column by column to an unlinked temporary file, 8
+bytes per value, the target column last (:class:`_Spill`).
 :func:`load_table` reads that file back into one table, whose views are
 the dataset's rows and target.  ``analyze`` reads it back a block of
 columns at a time instead (:meth:`_Spill.normalized_blocks`), so a run
@@ -32,10 +26,10 @@ from __future__ import annotations
 
 import codecs
 import io
-import itertools
 import math
 import re
 import tempfile
+import warnings
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -46,12 +40,6 @@ import numpy as np
 from .errors import DataFormatError
 
 _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
-# A cell of the streamed pass: characters of ASCII decimal numerics and the
-# spaces or tabs that str.strip and float both remove, at least one of them
-# not blank, since loadtxt skips an empty line.  Over these characters
-# float() accepts exactly what _NUMBER_RE accepts after stripping: no
-# underscores, no inf or nan; anything else raises ValueError.
-_CELL = rb"[ \t]*[0-9eE+\-.][0-9eE+\-. \t]*"
 # a longer line, not counting its newline, is a data format error; reading
 # stops one byte past it, so an endless line such as /dev/zero ends too
 MAX_LINE_BYTES = 1 << 24
@@ -186,88 +174,99 @@ def _columns(names: list[str]) -> list[int]:
     return sorted(range(len(names)), key=lambda i: names[i] == TARGET_COLUMN)
 
 
-def _lines(path: str | Path, handle: io.BufferedIOBase) -> Iterator[tuple[int, int, bytes]]:
-    """``(row number, byte offset, line)`` for each line of ``handle`` from its
-    start, the line without its newline and one carriage return before it,
-    and the first without a byte-order mark, which the offsets count and the
-    cap does not.  Lines split on ``\\n`` only, and no read takes more than
-    one byte past the cap and a mark."""
-    raw = handle.readline(len(codecs.BOM_UTF8) + MAX_LINE_BYTES + 1)
-    offset = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
-    raw, row_number = raw[offset:], 1
-    while raw:
-        line = raw.removesuffix(b"\n")
-        if len(line) > MAX_LINE_BYTES:
-            raise DataFormatError(f"{path}: row {row_number} is longer than {MAX_LINE_BYTES} bytes")
-        yield row_number, offset, line.removesuffix(b"\r")
-        row_number += 1
-        offset += len(raw)
-        raw = handle.readline(MAX_LINE_BYTES + 1)
-
-
-def _text(path: str | Path, line: bytes, offset: int) -> str:
+def _text(path: str | Path, line: bytes, row_number: int, offset: int) -> str:
+    """Row ``row_number``, ``line`` from byte ``offset``, decoded without its
+    line ending; it may not be longer than the cap, not counting its newline."""
+    if len(line) - line.endswith(b"\n") > MAX_LINE_BYTES:
+        raise DataFormatError(f"{path}: row {row_number} is longer than {MAX_LINE_BYTES} bytes")
     try:
-        return line.decode("utf-8")
+        return line.decode("utf-8").removesuffix("\n").removesuffix("\r")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text (byte {offset + exc.start})") from None
 
 
-def _table(
-    path: str | Path, handle: io.BufferedIOBase, drop_incomplete_rows: bool, spill: io.BufferedRandom
-) -> tuple[list[str], list[int]]:
-    """Header names and the row count of each chunk of the table written to
-    ``spill``, in one pass over ``handle`` that never seeks; raises the first
-    error in file order.  A chunk of about ``_SCORE_BLOCK`` values goes to
-    ``spill`` one column after another, columns ordered by :func:`_columns`."""
-    lines = _lines(path, handle)
-    header = next(lines, None)
-    if header is None:
-        raise DataFormatError(f"{path}: empty file")
-    names = _parse_header(path, _text(path, header[2], header[1]))
-    full_row = re.compile(_CELL + rb"(?:," + _CELL + rb"){%d}" % (len(names) - 1)).fullmatch
-    held, numbers = None, []  # numbers: the row number of each line of the chunk
+def _dropped(line: bytes, commas: int) -> bool:
+    """Whether the per-cell parser drops ``line``: ASCII, so UTF-8, with
+    ``commas`` commas and an empty cell."""
+    cells = line.rstrip(b"\r\n")
+    empty = not cells or cells.startswith(b",") or cells.endswith(b",") or b",," in cells
+    return empty and line.isascii() and line.count(b",") == commas
 
-    def data_lines():
-        nonlocal held
-        streamed = False
-        try:
-            for row_number, offset, line in lines:
-                if not full_row(line):
-                    text = _text(path, line, offset)
-                    values = _parse_row(path, text, row_number, names, drop_incomplete_rows)
-                    if values is None:
-                        continue
-                    line = ",".join(map(repr, values)).encode()
-                streamed = True
-                numbers.append(row_number)
-                yield line
-        except DataFormatError as exc:
-            held = exc  # ends the stream; a row above may still hold an earlier error
-        if not streamed:
-            # no row above to rescan, and loadtxt would only warn about no data
-            raise held or DataFormatError(f"{path}: no data rows")
 
-    stream, columns, counts = data_lines(), _columns(names), []
-    while chunk := list(itertools.islice(stream, max(1, _SCORE_BLOCK // len(names)))):
+def _loaded(chunk: list[bytes], names: list[str], drop_incomplete_rows: bool) -> np.ndarray | None:
+    """The table of ``chunk`` as ``loadtxt`` reads it, columns ordered by
+    :func:`_columns`, or ``None`` unless each line holds one comma fewer than
+    there are columns and gives one row, and every value is finite.  In drop
+    mode the lines :func:`_dropped` names go first."""
+    commas, columns = len(names) - 1, _columns(names)
+    if drop_incomplete_rows:
+        chunk = [line for line in chunk if not _dropped(line, commas)]
+    # counted before loadtxt, whose usecols would ignore extra cells
+    if not all(line.count(b",") == commas for line in chunk):
+        return None
+    with warnings.catch_warnings():
+        # loadtxt warns when no line holds data; the row count refuses that
+        warnings.simplefilter("ignore")
         try:
             table = np.loadtxt(
                 chunk, delimiter=",", comments=None, usecols=columns, ndmin=2, encoding="ascii"
             )
         except ValueError:
-            table = None
-        if table is None or not _all_finite(table):
-            # the gate passes cells only the per-cell parser names (1e, 1 2, 1e999).
-            # Every earlier chunk parsed, so the first bad row is here or held.
-            # These lines are ASCII: gate characters, or the reprs of floats
-            for row_number, line in zip(numbers, chunk):
-                _parse_row(path, line.decode(), row_number, names, drop_incomplete_rows)
-            # a backstop: the rescan raises for every cell loadtxt refuses
-            raise held or DataFormatError(f"{path}: dataset values must all be finite")
-        spill.write(np.ascontiguousarray(table.T))
-        counts.append(len(table))
-        numbers.clear()
-    if held is not None:
-        raise held
+            return None
+    # loadtxt skips an empty line
+    return table if len(table) == len(chunk) and _all_finite(table) else None
+
+
+def _parsed(
+    path: str | Path, chunk: list[bytes], row_number: int, offset: int, names: list[str], drop: bool
+) -> np.ndarray:
+    """The table of ``chunk``, whose first line is row ``row_number`` at
+    byte ``offset``, parsed line by line with :func:`_parse_row`, columns
+    ordered by :func:`_columns`; raises the first error in file order."""
+    rows = []
+    for row_number, line in enumerate(chunk, start=row_number):
+        values = _parse_row(path, _text(path, line, row_number, offset), row_number, names, drop)
+        if values is not None:
+            rows.append(values)
+        offset += len(line)
+    return np.array(rows, dtype=float).reshape(-1, len(names))[:, _columns(names)]
+
+
+def _table(
+    path: str | Path, handle: io.BufferedIOBase, drop_incomplete_rows: bool, spill: io.BufferedRandom
+) -> tuple[list[str], list[int]]:
+    """Header names and the row count of each chunk of about ``_SCORE_BLOCK``
+    values, read by :func:`_loaded` or else :func:`_parsed` and written to
+    ``spill`` a column at a time; raises the first error in file order.  One
+    pass splits ``handle`` on ``\\n`` only, never seeks, and reads at most
+    one byte past the cap, plus a byte-order mark the cap does not count."""
+    header = handle.readline(len(codecs.BOM_UTF8) + MAX_LINE_BYTES + 1)
+    text = header.removeprefix(codecs.BOM_UTF8)
+    if not text:
+        raise DataFormatError(f"{path}: empty file")
+    names = _parse_header(path, _text(path, text, 1, len(header) - len(text)))
+    row_number, offset, counts, size = 2, len(header), [], max(1, _SCORE_BLOCK // len(names))
+    while True:
+        chunk = []
+        while len(chunk) < size and (line := handle.readline(MAX_LINE_BYTES + 1)):
+            chunk.append(line)
+            if len(line) > MAX_LINE_BYTES:
+                break
+        if not chunk:
+            break
+        # a line that may be past the cap ends its chunk, which only the
+        # per-cell parser reads, as it checks the cap
+        table = None if len(chunk[-1]) > MAX_LINE_BYTES else _loaded(chunk, names, drop_incomplete_rows)
+        if table is None:
+            # every earlier chunk was read whole, so the first error is here
+            table = _parsed(path, chunk, row_number, offset, names, drop_incomplete_rows)
+        if len(table):
+            spill.write(np.ascontiguousarray(table.T))
+            counts.append(len(table))
+        row_number += len(chunk)
+        offset += sum(map(len, chunk))
+    if not counts:
+        raise DataFormatError(f"{path}: no data rows")
     return names, counts
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -147,7 +148,8 @@ def _read_to(handle: io.RawIOBase, buf: bytearray, limit: int) -> bytearray:
 
 
 def load_config_file(path: str | Path, base: PipelineConfig | None = None) -> PipelineConfig:
-    """Read a flat ``key = value`` file (``#`` comments) over ``base``."""
+    """Read a flat ``key = value`` file over ``base``.  A ``#`` starts a
+    comment anywhere on a line, and lines end at LF, CRLF or CR only."""
     cfg = base or PipelineConfig()
     with open(path, "rb", buffering=0) as handle:
         data = _read_to(handle, bytearray(), MAX_CONFIG_BYTES + 1)
@@ -158,9 +160,10 @@ def load_config_file(path: str | Path, base: PipelineConfig | None = None) -> Pi
         text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
+    # str.splitlines would also end a line at a form feed or U+0085
+    for line_number, raw_line in enumerate(re.split("\r\n?|\n", text), start=1):
+        line = raw_line.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigurationError(f"{path}:{line_number}: expected key = value, got {line!r}")

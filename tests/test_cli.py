@@ -21,7 +21,7 @@ DATA = Path(__file__).resolve().parent / "data"
 TOY = "a,b,c\n1,9,4\n2,3,4\n3,6,4\n"
 
 
-def run_cli(args, env_extra=None, cwd=None, timeout=None, stdin=None):
+def run_cli(args, env_extra=None, cwd=None, timeout=None, stdin=None, close_stdout=False):
     env = os.environ.copy()
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("FUZZKEY_KEY_FILE", None)
@@ -29,8 +29,12 @@ def run_cli(args, env_extra=None, cwd=None, timeout=None, stdin=None):
         env.update(env_extra)
     # ``stdin`` is bytes to write, or a file the child reads from
     source = {"input": stdin} if isinstance(stdin, bytes) else {"stdin": stdin}
+    command = [sys.executable, "-m", "fuzzkey", *args]
+    if close_stdout:
+        # the shell starts the child with no file descriptor 1
+        command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
     return subprocess.run(
-        [sys.executable, "-m", "fuzzkey", *args],
+        command,
         **source,
         capture_output=True,
         env=env,
@@ -80,8 +84,8 @@ class TestSelect:
 
     @pytest.mark.parametrize(
         "content",
-        [b"a,b\n1\n", b"a,b\n1,\xff\n", b"a,b\n", b"a\n1\n\n2\n"],
-        ids=["short-row", "non-utf8", "header-only", "empty-line"],
+        [b"a,b\n1\n", b"a,b\n1,\xff\n", b"a,b\n", b"a\n1\n\n2\n", b"a\n\n"],
+        ids=["short-row", "non-utf8", "header-only", "empty-line", "only-an-empty-line"],
     )
     def test_bad_csv_exits_3(self, tmp_path, content):
         # a subprocess, so that a warning printed to stderr would show
@@ -586,10 +590,19 @@ class TestHostileCsv:
             (codecs.BOM_UTF8, "empty file"),
             (b"a,b\n1,2\n3,x\n\xff,4\n", "row 3, column 2 (b): not a number: 'x'"),
             (b"\xef\xbb\xbfa,b\n1,2\n\xff,4\n3,x\n", "not UTF-8 text (byte 11)"),
+            (b"a,b\n1,2\n3,x\n" + b"7" * 40 + b",3\n", "row 3, column 2 (b): not a number: 'x'"),
+            (b"a,b\n1,2\n3,4\n" + b"7" * 40 + b",3\n", "row 4 is longer than 32 bytes"),
         ],
-        ids=["byte-order-mark-only", "utf-8-error-after-a-bad-line", "utf-8-error-before-a-bad-line"],
+        ids=[
+            "byte-order-mark-only",
+            "utf-8-error-after-a-bad-line",
+            "utf-8-error-before-a-bad-line",
+            "bad-line-before-a-line-past-the-cap",
+            "line-past-the-cap-after-good-lines",
+        ],
     )
-    def test_the_first_error_in_file_order_is_named(self, tmp_path, data, message):
+    def test_the_first_error_in_file_order_is_named(self, tmp_path, monkeypatch, data, message):
+        monkeypatch.setattr(ingest, "MAX_LINE_BYTES", 32)
         path = tmp_path / "data.csv"
         path.write_bytes(data)
         assert self.select(path, "--k", "1") == (3, f"fuzzkey: {path}: {message}\n")
@@ -795,6 +808,24 @@ class TestHostileConfigAndKey:
             )
         ]
         assert codes == expected
+
+    @pytest.mark.parametrize(
+        "content, sets",
+        [
+            (b"# default\x0csets = 999\n", 3),
+            ("# note\x85sets = 1001\n".encode(), 3),
+            (b"sets = 4\rlayers = 5\r", 4),
+            (b"# sets = 6\r\nsets = 5 # not 6\r\n", 5),
+        ],
+        ids=["form-feed", "nel", "cr", "crlf-and-comments"],
+    )
+    def test_lines_end_only_at_lf_crlf_or_cr(self, paths, content, sets):
+        # str.splitlines also ends a line at a form feed or U+0085, which
+        # let a comment set a value
+        paths["cfg"].write_bytes(content)
+        code, out, err = run_in_process(["stats", "--features", "3", "--config", str(paths["cfg"])])
+        assert (code, err) == (0, "")
+        assert out.decode().splitlines()[1] == f"sets = {sets}"
 
     @pytest.mark.parametrize("sets", [pipeline.MAX_SETS, pipeline.MAX_SETS + 1])
     @pytest.mark.parametrize("command", ["select", "pipeline", "membership", "stats"])
@@ -1103,7 +1134,40 @@ class TestArgumentExtremes:
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+class TestClosedStdout:
+    """A command whose output goes to a closed stdout exits 3 with one line,
+    before any work."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["stats", "--features", "3"], ["select", "{csv}"], ["pipeline", "{csv}", "--output", "{out}"]],
+        ids=["stats", "select", "pipeline"],
+    )
+    def test_exits_3_and_writes_nothing(self, toy_csv, tmp_path, key_env, command):
+        out = tmp_path / "out"
+        argv = [arg.format(csv=toy_csv, out=out) for arg in command]
+        proc = run_cli(argv, env_extra=key_env, close_stdout=True)
+        assert (proc.returncode, proc.stderr) == (3, b"fuzzkey: stdout is closed\n")
+        assert not out.exists()
+
+    def test_output_file_needs_no_stdout(self, toy_csv, tmp_path):
+        out = tmp_path / "report.txt"
+        proc = run_cli(["select", str(toy_csv), "--output", str(out)], close_stdout=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert out.read_bytes() == run_cli(["select", str(toy_csv)]).stdout
+
+
 class TestReadme:
+    def test_config_example_parses(self, tmp_path):
+        # the README's config block, copied as written, with its comments
+        text = README.read_text(encoding="utf-8")
+        path = tmp_path / "fuzzkey.cfg"
+        path.write_text(text[text.index("### Config file") :].split("```")[1])
+        cfg = pipeline.load_config_file(path)
+        assert (cfg.sets, cfg.layers, cfg.k, cfg.tau) == (3, 4, 2, None)
+        assert (cfg.centers, cfg.empty_activation_value) == ((0.0, 0.5, 1.0), 0.0)
+        assert (cfg.cipher_mode, cfg.tag) == (cipher.MODE_BYTE_SHIFT, True)
+
     def test_flags_line_matches_the_parser(self):
         # the README lists the long options of select, pipeline and encrypt,
         # with the choices of each option that has them

@@ -3,6 +3,7 @@ import math
 import os
 import threading
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 from unittest import mock
 
@@ -191,6 +192,31 @@ def numeric_tables(draw):
     return names, target_at, rows
 
 
+NUMERIC = "0123456789eE+-. \t"
+# every ASCII character a cell can hold: a newline ends the line, a comma the cell
+ASCII_CELL = [chr(code) for code in range(128) if chr(code) not in "\n,"]
+
+
+def loadtxt_value(cell):
+    """The value ``loadtxt`` reads from ``cell`` as the first of two cells,
+    as the loader calls it, or None where it refuses the line or reads a
+    value that is not finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            table = np.loadtxt(
+                [f"{cell},1\n".encode("ascii")],
+                delimiter=",",
+                comments=None,
+                usecols=[0, 1],
+                ndmin=2,
+                encoding="ascii",
+            )
+        except ValueError:
+            return None
+    return float(table[0, 0]) if table.shape == (1, 2) and np.isfinite(table[0, 0]) else None
+
+
 class TestBulkParsing:
     """load_table against float() of every stripped cell, bit for bit."""
 
@@ -211,32 +237,50 @@ class TestBulkParsing:
         else:
             assert d.target.tobytes() == np.ascontiguousarray(values[:, target_at]).tobytes()
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.text(alphabet="0123456789eE+-. \t", max_size=8))
+    @settings(max_examples=600, deadline=None)
+    @given(st.text(alphabet=st.one_of(st.sampled_from(NUMERIC), st.sampled_from(ASCII_CELL)), max_size=8))
     def test_numeric_characters_follow_the_per_cell_parser(self, tmp_path_factory, cell):
-        # the streamed pass takes these characters; float() must accept
-        # exactly what the per-cell parser accepts, with the same value or message
+        # loadtxt reads a chunk whole when every value it reads is finite, so
+        # wherever it reads a finite value the per-cell parser must read the
+        # same bits; load_table gives the per-cell parser's value or message
         path = tmp_path_factory.mktemp("cell") / "cell.csv"
         path.write_bytes(f"a,b\n{cell},1\n".encode("ascii"))
+        read = loadtxt_value(cell)
         stripped = cell.strip()
         if stripped == "":
+            assert read is None
             with pytest.raises(DataFormatError, match="row 2, column 1: missing value"):
                 load_table(path)
             return
         try:
             expected = _parse_cell(path, stripped, 2, 1, "a")
         except DataFormatError as exc:
+            assert read is None
             with pytest.raises(DataFormatError) as got:
                 load_table(path)
             assert str(got.value) == str(exc)
             return
+        assert read is None or read.hex() == expected.hex()
         assert load_table(path).rows[0, 0].hex() == expected.hex()
+
+    @pytest.mark.parametrize("number", ["0", "-1", "+2.5", ".5e-3", "7.", "1e999"])
+    def test_loadtxt_reads_no_cell_the_per_cell_parser_refuses(self, number):
+        # every ASCII character a cell can hold, alone, doubled and at each
+        # place in a number
+        for char in ASCII_CELL:
+            cells = [char, char * 2, char + number + char]
+            cells += [number[:i] + char + number[i:] for i in range(len(number) + 1)]
+            for cell in cells:
+                read = loadtxt_value(cell)
+                if read is not None:
+                    assert _parse_cell("data.csv", cell.strip(), 2, 1, "a").hex() == read.hex(), cell
 
     @pytest.mark.parametrize(
         "cell", ["1e999", "-1e999", "\u0661\u0662", "\u00a07", "1 2", "1e", "+-1", "."]
     )
     def test_rechecked_lines_match_the_per_cell_parser(self, tmp_path, cell):
-        # non-finite, non-ASCII or unparsable: the line takes the per-cell parser
+        # non-finite, non-ASCII or unparsable: loadtxt refuses the chunk, and
+        # the per-cell parser reads it, or names the bad cell
         path = write(tmp_path, f"a,b\n1,2\n{cell},3\n")
         try:
             expected = _parse_cell(path, cell.strip(), 3, 1, "a")
@@ -248,7 +292,10 @@ class TestBulkParsing:
         assert load_table(path).rows[1, 0].hex() == expected.hex()
 
 
-ODD_CELLS = ["", " ", "\t", "1e999", "-1e999", "1e-400", "-1e-400", "1 2", " 7 ", "nan", "1_0", "x"]
+ODD_CELLS = [
+    *["", " ", "\t", "1e999", "-1e999", "1e-400", "-1e-400", "1 2", " 7 ", "nan", "1_0", "x"],
+    *["inf", "-Infinity", "0x10", '"1"', "1\x00", "\x0b1", "\x1c", "\u00a07"],
+]
 
 
 def rarely(odds):
@@ -258,7 +305,7 @@ def rarely(odds):
 
 @st.composite
 def csv_files(draw):
-    """CSV bytes the gate passes, and the misses around them."""
+    """CSV bytes loadtxt reads, and the misses around them."""
     n_features = draw(st.integers(min_value=1, max_value=4))
     names = [f"c{j}" for j in range(n_features)]
     target_at = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n_features)))
@@ -329,9 +376,10 @@ class TestStreaming:
     @example(b"a,b\n1,x\n2,\xff\n", True, 2)  # the earlier bad line is reported first
     @example(b"a,b\n\xff,\n2,3\n", True, 2)  # also in a line that would be dropped
     @example(b"\xef\xbb\xbfa\n1\n\xe9\n", False, 1)  # the offset counts the mark and the header
-    @example(b"a\n1e\nx\n", False, 1)  # loadtxt rejects a cell above the held line
+    @example(b"a\n1e\nx\n", False, 1)  # loadtxt rejects a cell above another bad line
     @example(b"a\n1\n2\n1e\nx\n", False, 1)  # ... in a later chunk of rows
-    @example(b"a,b\n1,2\n,3\n1e999,4\n", True, 4)  # a dropped row inside the rescanned chunk
+    @example(b"a,b\n1,2\n,3\n1e999,4\n", True, 4)  # a dropped row inside a refused chunk
+    @example(b"a,b\n1,,2\n3,4\n", True, 4)  # too many cells: no incomplete row to drop
     def test_matches_the_reference(self, tmp_path_factory, data, drop_incomplete_rows, block):
         # ``block`` sets the chunks of rows the parser writes out, down to one row
         path = tmp_path_factory.mktemp("stream") / "data.csv"
@@ -397,9 +445,11 @@ class TestStreaming:
         finally:
             if how == "pipe":
                 os.close(read_end)
-        # only the lines the gate rejects reach the per-cell parser: none in
-        # a clean file, and in drop mode the dropped ones
-        assert parsed == ([(2, None), (3, None), (5, None), (6, None)] if drop else [])
+        # no line of a clean file reaches the per-cell parser. In drop mode
+        # the comma filter misses the blank cell of "\t,5", so loadtxt
+        # refuses the chunk and the per-cell parser reads all of it
+        dropped = [(2, None), (3, None), (4, [3.0, 4.0]), (5, None), (6, None), (7, [6.0, 7.0])]
+        assert parsed == (dropped if drop else [])
         assert d.feature_names == expected.feature_names
         assert d.rows.tobytes() == expected.rows.tobytes()
         assert (d.target is None) == (expected.target is None)
@@ -410,9 +460,9 @@ class TestStreaming:
     @pytest.mark.parametrize("at", ["row-2", "last-row"])
     @pytest.mark.parametrize("held", ["bad-cell", "utf-8", "none"])
     def test_rescan_names_a_cell_the_gate_passed(self, tmp_path, cell, at, held):
-        # loadtxt rejects the cell, or reads it as inf, after the bad line
-        # below it has ended the stream; the rescan names it first, from a
-        # file and from a pipe alike
+        # loadtxt rejects the cell, or reads it as inf, and the per-cell
+        # parser names it before the bad line below it, from a file and
+        # from a pipe alike
         rows = ["1,2"] * 4
         rows[0 if at == "row-2" else -1] = f"{cell},2"
         tail = {"bad-cell": b"x,2\n3,4\n", "utf-8": b"\xe9,2\n", "none": b""}[held]
@@ -432,8 +482,7 @@ class TestStreaming:
 
     def test_rescan_parses_only_the_failing_chunk(self, tmp_path, monkeypatch):
         # two columns and a block of 6 values make chunks of 3 rows; 1e999
-        # sits in the last of 7 chunks, and the rows above it are never
-        # parsed cell by cell
+        # sits in the last of 7 chunks, and loadtxt reads the rows above it
         rows = [f"{i},2" for i in range(20)] + ["1e999,2"]
         path = write(tmp_path, "\n".join(["a,b", *rows, ""]))
         parsed = []
