@@ -210,6 +210,12 @@ def _read_payload(path: str) -> bytearray:
     return buf
 
 
+def _check_stdout() -> None:
+    # a closed stdout leaves sys.stdout None
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
+
+
 def _write_bytes(output: str | None, *parts) -> None:
     """Write the bytes-like ``parts`` one after another to ``output``, or to
     stdout without one."""
@@ -218,6 +224,7 @@ def _write_bytes(output: str | None, *parts) -> None:
             for part in parts:
                 handle.write(part)
     else:
+        _check_stdout()
         for part in parts:
             sys.stdout.buffer.write(part)
         sys.stdout.buffer.flush()
@@ -237,6 +244,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
+    # the report goes to stdout after the envelope; with no stdout to take
+    # it, no envelope is written either
+    _check_stdout()
     cfg = _merge_config(args)
     if cfg.cipher_mode == MODE_LETTERS:
         # Serialized selections always hold digits and tabs, which letters
@@ -340,17 +350,9 @@ _COMMANDS = {
 }
 
 
-# the commands that write nothing to stdout when given --output
-_OUTPUT_ONLY = {"select", "encrypt", "decrypt", "membership"}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # a closed stdout leaves sys.stdout None; refused before any work,
-        # so a pipeline run leaves no envelope at its --output
-        if sys.stdout is None and not (args.command in _OUTPUT_ONLY and args.output):
-            raise OSError("stdout is closed")
         return _COMMANDS[args.command](args)
     except IntegrityError as exc:
         print(f"fuzzkey: {exc}", file=sys.stderr)

@@ -187,10 +187,10 @@ def _text(path: str | Path, line: bytes, row_number: int, offset: int) -> str:
 
 def _dropped(line: bytes, commas: int) -> bool:
     """Whether the per-cell parser drops ``line``: ASCII, so UTF-8, with
-    ``commas`` commas and an empty cell."""
-    cells = line.rstrip(b"\r\n")
-    empty = not cells or cells.startswith(b",") or cells.endswith(b",") or b",," in cells
-    return empty and line.isascii() and line.count(b",") == commas
+    ``commas`` commas and a cell that ``bytes.strip``, a subset of
+    ``str.strip``, leaves empty: without whitespace, ``,line,`` holds ``,,``."""
+    cells = b"," + line.translate(None, b" \t\n\r\x0b\x0c") + b","
+    return b",," in cells and line.isascii() and line.count(b",") == commas
 
 
 def _loaded(chunk: list[bytes], names: list[str], drop_incomplete_rows: bool) -> np.ndarray | None:

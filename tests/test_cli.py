@@ -1135,8 +1135,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestClosedStdout:
-    """A command whose output goes to a closed stdout exits 3 with one line,
-    before any work."""
+    """A command whose output goes to a closed stdout exits 3 with one line;
+    pipeline checks before any work, so it leaves no envelope."""
 
     @pytest.mark.parametrize(
         "command",
