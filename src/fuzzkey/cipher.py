@@ -7,15 +7,17 @@ works on whole bytes modulo 256; ``letters`` mode works on the A-Z alphabet
 modulo 26.
 
 Both the shift and the tag run as numpy kernels, bit-identical to the
-per-byte definitions given in their docstrings.  The shift works in place on
-one writable buffer, and the envelope header is built by
+per-byte definitions given in their docstrings.  Each kernel takes a message
+in parts: the shift works in place on one writable block starting at a given
+key phase, and the tag fold carries ``t`` from one part into the next, so
+:func:`make_tag` is a fold from :data:`TAG_SEED`.  :func:`shift_blocks` and
+:class:`TagFold` run them over a message given as a sequence of blocks, which
+is how the command line streams a payload; the ``bytes`` functions
+(:func:`encrypt`, :func:`decrypt`, :func:`seal`, :func:`open_envelope`,
+:class:`CipherEnvelope`) run the same kernels on one buffer.
+:func:`check_ciphertext` makes every check that opening makes, so a caller
+verifies the tag before any byte is shifted.  The envelope header is built by
 :func:`envelope_header` and parsed by :func:`parse_envelope_header` alone.
-:func:`seal_in_place` and :func:`open_in_place` run the write and read paths
-on that buffer, so the command line holds one copy of the payload; the
-``bytes`` functions (:func:`encrypt`, :func:`decrypt`, :func:`seal`,
-:func:`open_envelope`, :class:`CipherEnvelope`) copy their input into a
-buffer and run the same code.  Opening verifies the tag before any byte is
-shifted.
 
 SECURITY: this is an educational construction.  It is NOT secure against
 modern cryptanalysis (or even classical frequency analysis) and must never
@@ -25,6 +27,7 @@ protect real secrets.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +49,8 @@ _CODE_MODES = {code: mode for mode, code in _MODE_CODES.items()}
 MAGIC = b"FZK1"
 ENVELOPE_VERSION = 1
 _FLAG_TAG = 0x01
+# the longest header: magic, version, mode, flags and the tag
+MAX_HEADER_BYTES = 15
 
 TAG_SEED = 14695981039346656037
 TAG_MULTIPLIER = 1099511628211
@@ -100,10 +105,12 @@ def _cycled(op: np.ufunc, data: np.ndarray, key: np.ndarray, phase: int, out: np
     op(data[whole:], key[: len(data) - whole], out=out[whole:])
 
 
-def _shift(buf, key: CipherKey, sign: int) -> None:
+def _shift(buf, key: CipherKey, sign: int, phase: int = 0) -> None:
     """In place, position ``i`` of the writable buffer ``buf`` becomes
-    ``(b + sign * k[i % n]) mod 256`` in byte-shift mode and
-    ``((b - 65) + sign * (k[i % n] - 65)) mod 26 + 65`` in letters mode.
+    ``(b + sign * k[j % n]) mod 256`` in byte-shift mode and
+    ``((b - 65) + sign * (k[j % n] - 65)) mod 26 + 65`` in letters mode,
+    where ``j = phase + i``: ``buf`` continues a message at key position
+    ``phase``.
 
     In letters mode a byte outside A-Z raises before any byte changes.
     """
@@ -118,10 +125,20 @@ def _shift(buf, key: CipherKey, sign: int) -> None:
         # each shift is reduced into [0, 26), so letter plus shift stays
         # below 51 and uint8 cannot wrap before the final mod 26
         shifts = sign * (key_codes - _ORD_A) % _LETTERS
-    _cycled(np.add, codes, shifts.astype(np.uint8), 0, codes)
+    _cycled(np.add, codes, shifts.astype(np.uint8), phase, codes)
     if key.mode == MODE_LETTERS:
         codes %= _LETTERS
         codes += _ORD_A
+
+
+def shift_blocks(blocks: Iterable, key: CipherKey, sign: int) -> Iterator:
+    """Shift each writable block in place, as the next part of one message,
+    and yield it: ``sign`` +1 encrypts and -1 decrypts."""
+    phase = 0
+    for block in blocks:
+        _shift(block, key, sign, phase)
+        phase = (phase + len(block)) % len(key.data)
+        yield block
 
 
 def _shifted(data: bytes, key: CipherKey, sign: int) -> bytes:
@@ -187,6 +204,47 @@ def _low_bytes(mixed: np.ndarray, first: int) -> np.ndarray:
     return low
 
 
+def _fold_block(t: int, block: np.ndarray, key_codes: np.ndarray, phase: int, powers: np.ndarray) -> int:
+    """``t`` after the fold of :func:`make_tag` takes in ``block``, whose
+    first byte meets key byte ``phase``; ``powers`` is
+    ``_descending_powers(m)`` for some ``m >= len(block)``.
+
+    The multiplier P is odd, so each bit of the low bytes ``l_i`` of ``t`` is
+    a prefix XOR fixed by the bits below it; then ``d_i = (l_i ^ b_i) - l_i``
+    makes the block linear: ``t_L = t_0 P**L + P sum(d_i P**(L-1-i)) mod 2**64``.
+    """
+    mixed = np.empty(len(block), dtype=np.uint8)
+    _cycled(np.bitwise_xor, block, key_codes, phase, mixed)
+    low = _low_bytes(mixed, t & 0xFF)
+    offsets = (low ^ mixed).astype(np.int64)
+    offsets -= low
+    # uint64 dot products wrap like the fold; the carry stays in Python
+    # ints, whose arithmetic neither wraps nor warns
+    folded = int(np.dot(offsets.view(np.uint64), powers[len(powers) - len(block) :]))
+    return (t * pow(TAG_MULTIPLIER, len(block), 1 << 64) + TAG_MULTIPLIER * folded) & _MASK64
+
+
+class TagFold:
+    """The fold of :func:`make_tag` over a message given in parts: call
+    :meth:`update` with each part in order, then read :attr:`tag`."""
+
+    def __init__(self, key: CipherKey) -> None:
+        self.tag = TAG_SEED
+        self._key_codes = np.frombuffer(key.data, dtype=np.uint8)
+        # built once, as long as the longest block _fold_block takes
+        self._powers = _descending_powers(_TAG_BLOCK)
+        self._phase = 0
+
+    def update(self, part) -> None:
+        """Fold in ``part`` in blocks of ``_TAG_BLOCK`` bytes, carrying ``t``
+        and the key phase from the part before."""
+        data = np.frombuffer(part, dtype=np.uint8)
+        for start in range(0, len(data), _TAG_BLOCK):
+            block = data[start : start + _TAG_BLOCK]
+            self.tag = _fold_block(self.tag, block, self._key_codes, self._phase, self._powers)
+            self._phase = (self._phase + len(block)) % len(self._key_codes)
+
+
 def make_tag(message: bytes, key: CipherKey) -> int:
     """Keyed 64-bit integrity tag (fold-and-multiply over key-mixed bytes).
 
@@ -195,28 +253,10 @@ def make_tag(message: bytes, key: CipherKey) -> int:
     Deterministic and length-sensitive; the empty message maps to the seed
     constant.  This detects accidental and casual corruption; it is not a
     cryptographic MAC.
-
-    It runs in blocks of ``_TAG_BLOCK`` bytes with no per-byte loop.  The
-    multiplier P is odd, so each bit of the low bytes ``l_i`` of ``t`` is a
-    prefix XOR fixed by the bits below it; then ``d_i = (l_i ^ b_i) - l_i``
-    makes a block linear: ``t_L = t_0 P**L + P sum(d_i P**(L-1-i)) mod 2**64``.
     """
-    data = np.frombuffer(message, dtype=np.uint8)
-    key_codes = np.frombuffer(key.data, dtype=np.uint8)
-    powers = _descending_powers(min(len(data), _TAG_BLOCK))
-    t = TAG_SEED
-    for start in range(0, len(data), _TAG_BLOCK):
-        block = data[start : start + _TAG_BLOCK]
-        mixed = np.empty(len(block), dtype=np.uint8)
-        _cycled(np.bitwise_xor, block, key_codes, start % len(key_codes), mixed)
-        low = _low_bytes(mixed, t & 0xFF)
-        offsets = (low ^ mixed).astype(np.int64)
-        offsets -= low
-        # uint64 dot products wrap like the fold; the carry stays in Python
-        # ints, whose arithmetic neither wraps nor warns
-        folded = int(np.dot(offsets.view(np.uint64), powers[len(powers) - len(block) :]))
-        t = (t * pow(TAG_MULTIPLIER, len(block), 1 << 64) + TAG_MULTIPLIER * folded) & _MASK64
-    return t
+    fold = TagFold(key)
+    fold.update(message)
+    return fold.tag
 
 
 def verify_tag(message: bytes, key: CipherKey, tag: int) -> bool:
@@ -251,29 +291,28 @@ def parse_envelope_header(data) -> tuple[str, int | None, int]:
         raise DataFormatError(f"unknown flag bits 0x{flags:02x}")
     if not flags & _FLAG_TAG:
         return _CODE_MODES[mode_code], None, 7
-    if len(data) < 15:
+    if len(data) < MAX_HEADER_BYTES:
         raise DataFormatError("envelope truncated inside the tag field")
     (tag,) = struct.unpack_from(">Q", data, 7)
-    return _CODE_MODES[mode_code], tag, 15
+    return _CODE_MODES[mode_code], tag, MAX_HEADER_BYTES
 
 
-def seal_in_place(buf, key: CipherKey, with_tag: bool = True) -> int | None:
-    """Encrypt the writable buffer ``buf`` in place and return the tag over
-    the ciphertext, or ``None`` without one.  ``envelope_header(key.mode,
-    tag)`` followed by ``buf`` is the envelope."""
-    _shift(buf, key, +1)
-    return make_tag(buf, key) if with_tag else None
-
-
-def open_in_place(buf, key: CipherKey, mode: str, tag: int | None) -> None:
-    """Check the key's mode, verify ``tag`` (when present) over the
-    ciphertext in the writable buffer ``buf``, then decrypt it in place.  A
-    failed check leaves ``buf`` unchanged."""
-    if key.mode != mode:
-        raise InvalidKeyError(f"key mode {key.mode!r} does not match envelope mode {mode!r}")
-    if tag is not None and not verify_tag(buf, key, tag):
+def check_ciphertext(blocks: Iterable, key: CipherKey, tag: int | None) -> None:
+    """Make the checks that opening makes before it shifts a byte, over a
+    ciphertext given as ``blocks``, each read once and left unchanged:
+    :class:`IntegrityError` unless ``tag`` (when present) verifies, then, in
+    letters mode, :class:`InvalidPlaintextError` for a byte outside A-Z."""
+    fold = TagFold(key) if tag is not None else None
+    letters = True
+    for block in blocks:
+        if fold is not None:
+            fold.update(block)
+        if key.mode == MODE_LETTERS and letters:
+            letters = _is_letters(block)
+    if fold is not None and fold.tag != tag:
         raise IntegrityError("integrity check failed")
-    _shift(buf, key, -1)
+    if not letters:
+        raise InvalidPlaintextError("letters mode accepts only uppercase A-Z input")
 
 
 @dataclass(frozen=True)
@@ -306,14 +345,18 @@ class CipherEnvelope:
 def seal(plaintext: bytes, key: CipherKey, with_tag: bool = True) -> CipherEnvelope:
     """Encrypt and wrap; the tag, when enabled, covers the ciphertext."""
     ciphertext = bytearray(plaintext)
-    tag = seal_in_place(ciphertext, key, with_tag)
+    _shift(ciphertext, key, +1)
+    tag = make_tag(ciphertext, key) if with_tag else None
     return CipherEnvelope(ciphertext=ciphertext, mode=key.mode, tag=tag)
 
 
 def open_envelope(envelope: CipherEnvelope, key: CipherKey) -> bytes:
-    """Verify the tag (when present) and decrypt."""
+    """Check the key's mode, verify the tag (when present), then decrypt."""
+    if key.mode != envelope.mode:
+        raise InvalidKeyError(f"key mode {key.mode!r} does not match envelope mode {envelope.mode!r}")
+    check_ciphertext([envelope.ciphertext], key, envelope.tag)
     plaintext = bytearray(envelope.ciphertext)
-    open_in_place(plaintext, key, envelope.mode, envelope.tag)
+    _shift(plaintext, key, -1)
     return bytes(plaintext)
 
 

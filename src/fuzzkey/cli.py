@@ -8,6 +8,15 @@ plus encrypt in one pass, ``membership`` emits plot-ready membership rows,
 Key material is never accepted as an argument (process lists leak); set
 ``FUZZKEY_KEY_FILE`` to the path of a key file instead.
 
+``encrypt`` and ``decrypt`` stream their input in blocks of
+:data:`BLOCK_BYTES` through two passes, so their memory does not grow with
+the payload.  Pass 1 reads the whole input and makes every check: the
+letters-mode alphabet, the 1 GiB cap and the tag, which ``encrypt`` computes
+and ``decrypt`` verifies.  Only then does pass 2 read the input again, shift
+it and write it; a regular file is read twice, and any other input, such as a
+pipe, is copied to an unlinked temporary file in pass 1.  Every ``--output``
+appears only on success (see :func:`_output`).
+
 Exit codes: 0 ok, 1 internal, 2 usage, 3 data format or I/O (including
 running out of memory), 4 configuration (including invalid keys), 5
 integrity check failed.
@@ -16,18 +25,27 @@ integrity check failed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
+import stat
 import sys
+import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import replace
+from typing import BinaryIO
 
 from .cipher import (
+    MAX_HEADER_BYTES,
     MODE_LETTERS,
     CipherKey,
+    TagFold,
+    check_ciphertext,
     envelope_header,
-    open_in_place,
     parse_envelope_header,
-    seal_in_place,
+    seal,
+    shift_blocks,
 )
 from .errors import (
     ConfigurationError,
@@ -54,6 +72,9 @@ MAX_KEY_BYTES = 1 << 20
 # an encrypt or decrypt input longer than this exits 3; reading stops one
 # byte past it
 MAX_PAYLOAD_BYTES = 1 << 30
+# encrypt and decrypt read, shift and write their payload this many bytes at
+# a time: smaller blocks cost more calls, larger ones more memory
+BLOCK_BYTES = 1 << 18
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -185,29 +206,78 @@ def _load_key(mode: str) -> CipherKey:
     return CipherKey(data, mode)
 
 
-def _read_payload(path: str) -> bytearray:
-    """The whole file in one writable buffer, read into it without a copy.
+def _fill(handle: BinaryIO, view: memoryview) -> int:
+    """Read into ``view`` until it is full or ``handle`` ends; the count."""
+    filled = 0
+    while filled < len(view) and (count := handle.readinto(view[filled:])):
+        filled += count
+    return filled
 
-    The size from ``fstat`` only presizes the buffer: reading goes on to the
-    end of the file, as a pipe reports size 0, or to one byte past
-    :data:`MAX_PAYLOAD_BYTES`.
+
+class _Passes:
+    """An ``encrypt`` or ``decrypt`` input, read twice in blocks of
+    :data:`BLOCK_BYTES` through one buffer.
+
+    Pass 1 (:meth:`readinto`, :meth:`blocks`) reads the input to its end,
+    or to one byte past :data:`MAX_PAYLOAD_BYTES`, which raises.  Pass 2
+    (:meth:`reread`) reads the same bytes again from ``source``, or, when
+    ``spill`` is given, from the copy of them that pass 1 wrote there.
     """
-    too_long = DataFormatError(f"input {path} is longer than {MAX_PAYLOAD_BYTES} bytes")
-    limit = MAX_PAYLOAD_BYTES + 1
-    with open(path, "rb", buffering=0) as handle:
-        size = os.fstat(handle.fileno()).st_size
-        if size > MAX_PAYLOAD_BYTES:
-            raise too_long  # a regular file that long is never read
-        buf = bytearray(size)
-        filled = 0
-        with memoryview(buf) as view:
-            while filled < len(buf) and (count := handle.readinto(view[filled:])):
-                filled += count
-        del buf[filled:]
-        _read_to(handle, buf, limit)
-    if len(buf) > MAX_PAYLOAD_BYTES:
-        raise too_long
-    return buf
+
+    def __init__(self, path: str, source: BinaryIO, spill: BinaryIO | None) -> None:
+        self._path, self._source, self._spill = path, source, spill
+        self._block = memoryview(bytearray(BLOCK_BYTES))
+        self._size = 0  # bytes read in pass 1
+
+    def readinto(self, view: memoryview) -> int:
+        """Pass 1: fill ``view`` from the input, short only at its end, and
+        return the count."""
+        count = _fill(self._source, view[: MAX_PAYLOAD_BYTES + 1 - self._size])
+        self._size += count
+        if self._size > MAX_PAYLOAD_BYTES:
+            raise _too_long(self._path)
+        if self._spill is not None:
+            self._spill.write(view[:count])
+        return count
+
+    def blocks(self) -> Iterator[memoryview]:
+        """Pass 1: the rest of the input, a block at a time, each valid
+        until the next."""
+        while count := self.readinto(self._block):
+            yield self._block[:count]
+
+    def reread(self, start: int) -> Iterator[memoryview]:
+        """Pass 2: what pass 1 read from offset ``start`` on, in blocks as
+        :meth:`blocks` gives them."""
+        source = self._source if self._spill is None else self._spill
+        source.seek(start)
+        left = self._size - start
+        while left:
+            count = _fill(source, self._block[:left])
+            if not count:
+                raise DataFormatError(f"input {self._path} changed while it was read")
+            left -= count
+            yield self._block[:count]
+
+
+def _too_long(path: str) -> DataFormatError:
+    return DataFormatError(f"input {path} is longer than {MAX_PAYLOAD_BYTES} bytes")
+
+
+@contextmanager
+def _payload(path: str) -> Iterator[_Passes]:
+    """The input at ``path`` for two passes: a regular file is read twice,
+    and any other input, such as a pipe or a device, is copied to an
+    unlinked temporary file as pass 1 reads it."""
+    with open(path, "rb", buffering=0) as source:
+        info = os.fstat(source.fileno())
+        if stat.S_ISREG(info.st_mode):
+            if info.st_size > MAX_PAYLOAD_BYTES:
+                raise _too_long(path)  # a regular file that long is never read
+            yield _Passes(path, source, None)
+        else:
+            with tempfile.TemporaryFile() as spill:
+                yield _Passes(path, source, spill)
 
 
 def _check_stdout() -> None:
@@ -216,24 +286,54 @@ def _check_stdout() -> None:
         raise OSError("stdout is closed")
 
 
-def _write_bytes(output: str | None, *parts) -> None:
-    """Write the bytes-like ``parts`` one after another to ``output``, or to
-    stdout without one."""
-    if output:
-        with open(output, "wb") as handle:
-            for part in parts:
-                handle.write(part)
-    else:
+@contextmanager
+def _output(path: str | None) -> Iterator[BinaryIO]:
+    """A binary file for a command's output: ``path``, or stdout without one.
+
+    ``path`` changes only if the block exits without an exception.  The
+    block writes a new file in the target's directory, which then replaces
+    the target, and which any failure removes.  ``path`` is resolved through
+    symlinks first, so a symlink is written through.  An existing target
+    that is not a regular file, such as a FIFO or a device (``/dev/stdout``
+    among them), cannot be replaced and is written in place.  A new file
+    gets the mode that ``open(path, "wb")`` gives, ``0o666`` less the umask;
+    a replaced one keeps its permission bits.
+    """
+    if not path:
         _check_stdout()
-        for part in parts:
-            sys.stdout.buffer.write(part)
+        yield sys.stdout.buffer
         sys.stdout.buffer.flush()
+        return
+    try:
+        info = os.stat(path)
+    except FileNotFoundError:
+        info = None
+    if info is not None and not stat.S_ISREG(info.st_mode):
+        with open(path, "wb") as handle:
+            yield handle
+        return
+    target = os.path.realpath(path)
+    temporary = os.path.join(os.path.dirname(target), f".fuzzkey-{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = path  # the user's path, not the temporary one
+        raise
+    try:
+        with open(fd, "wb") as handle:
+            if info is not None:
+                os.fchmod(fd, stat.S_IMODE(info.st_mode))
+            yield handle
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
-def _write_envelope(payload: bytearray, key: CipherKey, with_tag: bool, output: str | None) -> None:
-    """Seal ``payload`` in place and write the envelope: header, then body."""
-    tag = seal_in_place(payload, key, with_tag)
-    _write_bytes(output, envelope_header(key.mode, tag), payload)
+def _write_bytes(output: str | None, data: bytes) -> None:
+    """Write ``data`` to ``output``, or to stdout without one."""
+    with _output(output) as handle:
+        handle.write(data)
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
@@ -244,8 +344,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    # the report goes to stdout after the envelope; with no stdout to take
-    # it, no envelope is written either
+    # the report goes to stdout; with no stdout to take it, no work is done
     _check_stdout()
     cfg = _merge_config(args)
     if cfg.cipher_mode == MODE_LETTERS:
@@ -254,25 +353,41 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         raise ConfigurationError("pipeline cannot use the letters cipher; use byte")
     key = _load_key(cfg.cipher_mode)
     outcome = analyze(args.dataset, cfg, drop_incomplete_rows=args.drop_incomplete_rows)
-    _write_envelope(bytearray(outcome.selection_bytes()), key, cfg.tag, args.output)
-    _write_bytes(None, render_report(outcome, cfg))
+    with _output(args.output) as handle:
+        handle.write(seal(outcome.selection_bytes(), key, cfg.tag).to_bytes())
+        # the envelope replaces its target only once the report is out
+        _write_bytes(None, render_report(outcome, cfg))
     return EXIT_OK
 
 
 def _cmd_encrypt(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     key = _load_key(cfg.cipher_mode)
-    _write_envelope(_read_payload(args.input), key, cfg.tag, args.output)
+    with _payload(args.input) as payload:
+        # pass 1 meets any byte letters mode refuses, and finds the tag,
+        # before a byte is written
+        fold = TagFold(key) if cfg.tag else None
+        for block in shift_blocks(payload.blocks(), key, +1):
+            if fold is not None:
+                fold.update(block)
+        with _output(args.output) as handle:
+            handle.write(envelope_header(key.mode, fold.tag if fold else None))
+            for block in shift_blocks(payload.reread(0), key, +1):
+                handle.write(block)
     return EXIT_OK
 
 
 def _cmd_decrypt(args: argparse.Namespace) -> int:
-    envelope = _read_payload(args.input)
-    mode, tag, offset = parse_envelope_header(envelope)
-    key = _load_key(mode)
-    body = memoryview(envelope)[offset:]
-    open_in_place(body, key, mode, tag)
-    _write_bytes(args.output, body)
+    with _payload(args.input) as payload:
+        head = memoryview(bytearray(MAX_HEADER_BYTES))
+        filled = payload.readinto(head)
+        mode, tag, offset = parse_envelope_header(head[:filled])
+        key = _load_key(mode)
+        # pass 1 verifies the whole body before a byte is shifted or written
+        check_ciphertext(itertools.chain([head[offset:filled]], payload.blocks()), key, tag)
+        with _output(args.output) as handle:
+            for block in shift_blocks(payload.reread(offset), key, -1):
+                handle.write(block)
     return EXIT_OK
 
 

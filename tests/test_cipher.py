@@ -25,7 +25,7 @@ from fuzzkey import (
     serialize_selection,
     verify_tag,
 )
-from fuzzkey.cipher import _TAG_BLOCK
+from fuzzkey.cipher import _TAG_BLOCK, TagFold, shift_blocks
 
 DATA = Path(__file__).resolve().parent / "data"
 TO_LETTERS = bytes(65 + i % 26 for i in range(256))
@@ -198,6 +198,25 @@ class TestTag:
     def test_matches_serial_reference(self, mode, data):
         message, key = data.draw(cipher_inputs(mode))
         assert make_tag(message, key) == _reference_tag(message, key)
+
+
+class TestParts:
+    """A message given in parts, split anywhere, folds and shifts as it
+    does whole."""
+
+    @pytest.mark.parametrize("mode", [MODE_BYTE_SHIFT, MODE_LETTERS])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_split_matches_the_whole_message(self, mode, data):
+        message, key = data.draw(cipher_inputs(mode))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(message)), max_size=6)))
+        parts = [message[start:stop] for start, stop in zip([0, *cuts], [*cuts, len(message)])]
+        fold = TagFold(key)
+        for part in parts:
+            fold.update(part)
+        assert fold.tag == make_tag(message, key)
+        shifted = shift_blocks([bytearray(part) for part in parts], key, +1)
+        assert b"".join(shifted) == encrypt(message, key)
 
 
 class TestEnvelope:

@@ -1,13 +1,16 @@
 import argparse
 import codecs
+import errno
 import io
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -21,7 +24,7 @@ DATA = Path(__file__).resolve().parent / "data"
 TOY = "a,b,c\n1,9,4\n2,3,4\n3,6,4\n"
 
 
-def run_cli(args, env_extra=None, cwd=None, timeout=None, stdin=None, close_stdout=False):
+def run_cli(args, env_extra=None, cwd=None, timeout=None, stdin=None, close_stdout=False, stdout=subprocess.PIPE):
     env = os.environ.copy()
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("FUZZKEY_KEY_FILE", None)
@@ -36,7 +39,8 @@ def run_cli(args, env_extra=None, cwd=None, timeout=None, stdin=None, close_stdo
     return subprocess.run(
         command,
         **source,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         env=env,
         cwd=cwd,
         timeout=timeout,
@@ -463,6 +467,21 @@ class TestPipeline:
         assert b"letters" in proc.stderr
         assert not env_file.exists()
 
+    def test_report_to_a_closed_pipe_leaves_no_envelope(self, tmp_path, key_env):
+        # stdout is a pipe whose reader has gone, so the report fails after
+        # the envelope is written; the envelope must not appear
+        env_file = tmp_path / "sel.fzk"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            args = ["pipeline", str(DATA / "fixture_5x20.csv"), "--k", "2", "--output", str(env_file)]
+            proc = run_cli(args, key_env, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert_one_error_line(proc)
+        assert sorted(os.listdir(tmp_path)) == ["key.bin"]
+
 
 class TestGoldenPipeline:
     """``pipeline --tau 0.5`` on 40 rows x 400 features, against the report
@@ -661,7 +680,7 @@ class TestOutOfMemory:
 
         monkeypatch.setenv("FUZZKEY_KEY_FILE", key_env["FUZZKEY_KEY_FILE"])
         monkeypatch.setattr(cli, "analyze", exhausted)
-        monkeypatch.setattr(cli, "_read_payload", exhausted)
+        monkeypatch.setattr(cli, "_payload", exhausted)
         for argv in (["select", str(toy_csv)], ["encrypt", str(toy_csv)]):
             assert run_in_process(argv) == (3, b"", "fuzzkey: out of memory\n")
 
@@ -836,12 +855,11 @@ class TestHostileConfigAndKey:
 
 
 class TestEnvelopeMemory:
-    SIZE = 4 << 20
-
+    @pytest.mark.parametrize("size", [4 << 20, 16 << 20], ids=["4MiB", "16MiB"])
     @pytest.mark.parametrize("mode", ["byte", "letters"])
-    def test_peak_is_one_payload_plus_tag_blocks(self, tmp_path, monkeypatch, mode):
-        # the payload is held once; the rest is the tag's block temporaries
-        payload = os.urandom(self.SIZE)
+    def test_peak_does_not_grow_with_the_payload(self, tmp_path, monkeypatch, mode, size):
+        # one block buffer and the tag's block temporaries, whatever the size
+        payload = os.urandom(size)
         key = b"hunter2"
         if mode == "letters":
             payload, key = payload.translate(bytes(65 + i % 26 for i in range(256))), b"FUZZKEY"
@@ -860,7 +878,7 @@ class TestEnvelopeMemory:
             finally:
                 tracemalloc.stop()
             assert code == 0
-            assert peak <= self.SIZE + (3 << 20), (argv[0], peak)
+            assert peak <= 2 << 20, (argv[0], peak)
         assert paths["opened.bin"].read_bytes() == payload
 
 
@@ -1204,3 +1222,273 @@ class TestReadme:
         ]
         assert re.findall(r"input may hold at most (\d+) bytes", text) == [str(cli.MAX_PAYLOAD_BYTES)]
         assert re.findall(r"A CSV line may hold at most (\d+) bytes", text) == [str(ingest.MAX_LINE_BYTES)]
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@contextmanager
+def pipe_holding(data):
+    """A path that reads ``data`` from a pipe; ``data`` fits its buffer."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, data)
+    os.close(write_end)
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+
+
+@contextmanager
+def umask(mask):
+    old = os.umask(mask)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+class TestOutputFile:
+    """``--output`` is replaced on success only, with the mode, symlink and
+    device rules that ``open(path, "wb")`` gave it."""
+
+    @pytest.fixture
+    def paths(self, tmp_path, monkeypatch, golden_key, golden_payload):
+        paths = {name: tmp_path / name for name in ("key.bin", "plain.bin", "sealed.fzk", "toy.csv")}
+        paths["key.bin"].write_bytes(golden_key)
+        paths["plain.bin"].write_bytes(golden_payload)
+        paths["sealed.fzk"].write_bytes(seal(golden_payload, CipherKey(golden_key)).to_bytes())
+        paths["toy.csv"].write_text(TOY)
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", str(paths["key.bin"]))
+        return paths
+
+    @staticmethod
+    def argv(paths, command, output):
+        source = {"encrypt": "plain.bin", "decrypt": "sealed.fzk", "select": "toy.csv"}[command]
+        return [command, str(paths[source]), "--output", str(output)]
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077])
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt", "select"])
+    def test_new_file_mode_follows_the_umask(self, paths, tmp_path, command, mask):
+        output = tmp_path / "new.out"
+        with umask(mask):
+            assert run_in_process(self.argv(paths, command, output))[0] == 0
+        assert stat.S_IMODE(output.stat().st_mode) == 0o666 & ~mask
+
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    def test_overwritten_file_keeps_its_mode(self, paths, tmp_path, command, golden_payload):
+        output = tmp_path / "private.out"
+        output.write_bytes(b"old contents")
+        output.chmod(0o600)
+        with umask(0o022):
+            assert run_in_process(self.argv(paths, command, output)) == (0, b"", "")
+        assert stat.S_IMODE(output.stat().st_mode) == 0o600
+        source = paths["plain.bin" if command == "decrypt" else "sealed.fzk"]
+        assert output.read_bytes() == source.read_bytes()
+
+    @pytest.mark.parametrize("exists", [True, False], ids=["existing", "dangling"])
+    def test_symlink_is_written_through(self, paths, tmp_path, exists):
+        target = tmp_path / "elsewhere" / "target.fzk"
+        target.parent.mkdir()
+        if exists:
+            target.write_bytes(b"old contents")
+        link = tmp_path / "link.fzk"
+        link.symlink_to(target)
+        assert run_in_process(self.argv(paths, "encrypt", link)) == (0, b"", "")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == paths["sealed.fzk"].read_bytes()
+        assert os.listdir(target.parent) == ["target.fzk"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    def test_fifo_is_streamed_in_place(self, paths, tmp_path, monkeypatch, command):
+        # blocks smaller than the payload and the pipe buffer, so the FIFO
+        # takes several writes while the reader drains it
+        monkeypatch.setattr(cli, "BLOCK_BYTES", 1 << 14)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            result = run_in_process(self.argv(paths, command, fifo))
+            reader.join(timeout=30)
+        finally:
+            if reader.is_alive():  # the command never opened the FIFO
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        assert result == (0, b"", "")
+        source = paths["plain.bin" if command == "decrypt" else "sealed.fzk"]
+        assert received == [source.read_bytes()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt", "select"])
+    def test_missing_directory_names_the_given_path(self, paths, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_in_process(self.argv(paths, command, "missing/out.bin"))
+        assert (code, out) == (3, b"")
+        assert err == "fuzzkey: [Errno 2] No such file or directory: 'missing/out.bin'\n"
+
+
+# failure -> (commands it applies to, exit code)
+OUTPUT_FAILURES = {
+    "success": ({"encrypt", "decrypt", "select", "pipeline"}, 0),
+    "missing-key": ({"encrypt", "decrypt", "pipeline"}, 4),
+    "letters-plaintext": ({"encrypt"}, 3),
+    "tag-mismatch": ({"decrypt"}, 5),
+    "pipe-past-the-cap": ({"encrypt", "decrypt"}, 3),
+    "memory-error": ({"encrypt", "decrypt", "select", "pipeline"}, 3),
+    "failing-write": ({"encrypt", "decrypt", "select", "pipeline"}, 3),
+    "failing-replace": ({"encrypt", "decrypt", "select", "pipeline"}, 3),
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestNothingLeftBehind:
+    """Whatever the exit, no temporary file stays beside ``--output`` and no
+    file descriptor stays open; the output exists only on success."""
+
+    KEY = CipherKey(b"SECRET")
+    PAYLOAD = bytes(range(256)) * 80  # five blocks of 4096 bytes, the last partial
+
+    @pytest.mark.parametrize(
+        "command, failure, expected",
+        [
+            pytest.param(command, failure, code, id=f"{command}-{failure}")
+            for failure, (commands, code) in OUTPUT_FAILURES.items()
+            for command in ("encrypt", "decrypt", "select", "pipeline")
+            if command in commands
+        ],
+    )
+    def test_closed_on_every_exit(self, tmp_path, monkeypatch, command, failure, expected):
+        inputs, outputs = tmp_path / "in", tmp_path / "out"
+        inputs.mkdir()
+        outputs.mkdir()
+        sealed = bytearray(seal(self.PAYLOAD, self.KEY).to_bytes())
+        if failure == "tag-mismatch":
+            sealed[-1] ^= 1
+        files = {"encrypt": self.PAYLOAD, "decrypt": bytes(sealed), "select": TOY.encode(), "pipeline": TOY.encode()}
+        source = inputs / "source"
+        source.write_bytes(files[command])
+        (inputs / "key").write_bytes(self.KEY.data)
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", str(inputs / "key"))
+        monkeypatch.setattr(cli, "BLOCK_BYTES", 4096)
+        if failure == "missing-key":
+            monkeypatch.delenv("FUZZKEY_KEY_FILE")
+        elif failure == "pipe-past-the-cap":
+            monkeypatch.setattr(cli, "MAX_PAYLOAD_BYTES", len(self.PAYLOAD) // 2)
+        elif failure == "memory-error":
+            self.fail_mid_stream(monkeypatch, command, outputs)
+        elif failure == "failing-write":
+            self.fail_writes(monkeypatch)
+        elif failure == "failing-replace":
+
+            def replace(*args):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+            monkeypatch.setattr(os, "replace", replace)
+        output = outputs / "result"
+        with pipe_holding(files[command]) as pipe:
+            path = pipe if failure == "pipe-past-the-cap" else str(source)
+            argv = [command, path, "--output", str(output)]
+            if failure == "letters-plaintext":
+                argv += ["--cipher", "letters"]
+            before = open_fds()
+            code, out, err = run_in_process(argv)
+            assert open_fds() == before
+        assert code == expected
+        assert os.listdir(outputs) == (["result"] if expected == 0 else [])
+        if expected != 0:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("fuzzkey: ")
+        # only pipeline writes to stdout, its report, before it replaces the
+        # envelope
+        assert (out != b"") == (command == "pipeline" and failure in ("success", "failing-replace"))
+
+    @staticmethod
+    def fail_mid_stream(monkeypatch, command, outputs):
+        if command in ("select", "pipeline"):
+
+            def exhausted(*args):
+                raise MemoryError
+
+            monkeypatch.setattr(cli, "render_report", exhausted)
+            return
+        shift = cipher._shift
+
+        def shifted(*args):
+            # the second block shifted while the output is open
+            if os.listdir(outputs):
+                calls.append(args)
+                if len(calls) == 2:
+                    raise MemoryError
+            shift(*args)
+
+        calls = []
+        monkeypatch.setattr(cipher, "_shift", shifted)
+
+    @staticmethod
+    def fail_writes(monkeypatch):
+        class Full:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+        def full(file, mode="r", *args, **kwargs):
+            handle = open(file, mode, *args, **kwargs)
+            return Full(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(cli, "open", full, raising=False)
+
+
+LETTERS = bytes(65 + i % 26 for i in range(256))
+
+
+class TestBlockSeams:
+    """Block edges fall at every key phase: the command line, reading a file
+    or a pipe in blocks of 1 to 97 bytes, writes what the bytes API does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mode=st.sampled_from(["byte", "letters"]),
+        # the key file reader strips one trailing newline
+        key=st.binary(min_size=1, max_size=17).filter(lambda key: not key.endswith(b"\n")),
+        plaintext=st.binary(max_size=400),
+        block=st.integers(min_value=1, max_value=97),
+        tag=st.booleans(),
+        via_pipe=st.booleans(),
+    )
+    def test_cli_matches_the_bytes_api(self, tmp_path_factory, mode, key, plaintext, block, tag, via_pipe):
+        if mode == "letters":
+            key, plaintext = key.translate(LETTERS), plaintext.translate(LETTERS)
+        cipher_key = CipherKey(key, {"byte": cipher.MODE_BYTE_SHIFT, "letters": cipher.MODE_LETTERS}[mode])
+        sealed = seal(plaintext, cipher_key, with_tag=tag).to_bytes()
+        directory = tmp_path_factory.mktemp("seams")
+        (directory / "key").write_bytes(key)
+
+        @contextmanager
+        def source(data):
+            if via_pipe:
+                with pipe_holding(data) as path:
+                    yield path
+            else:
+                path = directory / "source"
+                path.write_bytes(data)
+                yield str(path)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "BLOCK_BYTES", block)
+            patch.setenv("FUZZKEY_KEY_FILE", str(directory / "key"))
+            argv = ["--cipher", mode, "--tag" if tag else "--no-tag"]
+            with source(plaintext) as path:
+                assert run_in_process(["encrypt", path, *argv]) == (0, sealed, "")
+            with source(sealed) as path:
+                assert run_in_process(["decrypt", path]) == (0, plaintext, "")
