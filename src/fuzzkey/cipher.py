@@ -91,15 +91,27 @@ class CipherKey:
             raise InvalidKeyError("letters-mode keys must contain only uppercase A-Z")
 
 
-def _cycled(op: np.ufunc, data: np.ndarray, key: np.ndarray, phase: int, out: np.ndarray) -> None:
-    """``out[i] = op(data[i], key[(phase + i) % len(key)])``.
+def _key_window(key: np.ndarray, phase: int, length: int) -> np.ndarray:
+    """The key bytes that ``length`` message bytes meet from key position
+    ``phase`` on: one whole period, rotated, when ``length`` reaches it,
+    else only those ``length`` bytes.  Either way ``window[i % len(window)]``
+    is ``key[(phase + i) % len(key)]`` for every ``i < length``, and a block
+    much shorter than the key copies little of it."""
+    end = phase + min(len(key), length)
+    if end <= len(key):
+        return key[phase:end]
+    return np.concatenate((key[phase:], key[: end - len(key)]))
+
+
+def _cycled(op: np.ufunc, data: np.ndarray, key: np.ndarray, out: np.ndarray) -> None:
+    """``out[i] = op(data[i], key[i % len(key)])``.
 
     Whole key periods go through a ``(-1, len(key))`` view and the rest
     through a tail slice, so no key pad as long as ``data`` is built.
     """
+    if not len(data):
+        return
     n = len(key)
-    if phase:
-        key = np.concatenate((key[phase:], key[:phase]))
     whole = len(data) - len(data) % n
     op(data[:whole].reshape(-1, n), key, out=out[:whole].reshape(-1, n))
     op(data[whole:], key[: len(data) - whole], out=out[whole:])
@@ -115,17 +127,20 @@ def _shift(buf, key: CipherKey, sign: int, phase: int = 0) -> None:
     In letters mode a byte outside A-Z raises before any byte changes.
     """
     codes = np.frombuffer(buf, dtype=np.uint8)
-    key_codes = np.frombuffer(key.data, dtype=np.uint8).astype(np.int64)
+    shifts = _key_window(np.frombuffer(key.data, dtype=np.uint8), phase, len(codes))
     if key.mode == MODE_BYTE_SHIFT:
-        shifts = sign * key_codes % 256
+        if sign < 0:
+            shifts = 0 - shifts  # uint8 arrays wrap modulo 256
     else:
         if not _is_letters(codes):
             raise InvalidPlaintextError("letters mode accepts only uppercase A-Z input")
         codes -= _ORD_A
         # each shift is reduced into [0, 26), so letter plus shift stays
         # below 51 and uint8 cannot wrap before the final mod 26
-        shifts = sign * (key_codes - _ORD_A) % _LETTERS
-    _cycled(np.add, codes, shifts.astype(np.uint8), phase, codes)
+        shifts = shifts - _ORD_A
+        if sign < 0:
+            shifts = (_LETTERS - shifts) % _LETTERS
+    _cycled(np.add, codes, shifts, codes)
     if key.mode == MODE_LETTERS:
         codes %= _LETTERS
         codes += _ORD_A
@@ -214,7 +229,7 @@ def _fold_block(t: int, block: np.ndarray, key_codes: np.ndarray, phase: int, po
     makes the block linear: ``t_L = t_0 P**L + P sum(d_i P**(L-1-i)) mod 2**64``.
     """
     mixed = np.empty(len(block), dtype=np.uint8)
-    _cycled(np.bitwise_xor, block, key_codes, phase, mixed)
+    _cycled(np.bitwise_xor, block, _key_window(key_codes, phase, len(block)), mixed)
     low = _low_bytes(mixed, t & 0xFF)
     offsets = (low ^ mixed).astype(np.int64)
     offsets -= low

@@ -855,31 +855,31 @@ class TestHostileConfigAndKey:
 
 
 class TestEnvelopeMemory:
-    @pytest.mark.parametrize("size", [4 << 20, 16 << 20], ids=["4MiB", "16MiB"])
     @pytest.mark.parametrize("mode", ["byte", "letters"])
-    def test_peak_does_not_grow_with_the_payload(self, tmp_path, monkeypatch, mode, size):
+    def test_peak_does_not_grow_with_the_payload(self, tmp_path, monkeypatch, mode):
         # one block buffer and the tag's block temporaries, whatever the size
-        payload = os.urandom(size)
-        key = b"hunter2"
-        if mode == "letters":
-            payload, key = payload.translate(bytes(65 + i % 26 for i in range(256))), b"FUZZKEY"
+        key = b"hunter2" if mode == "byte" else b"FUZZKEY"
         paths = {name: tmp_path / name for name in ("plain.bin", "sealed.fzk", "opened.bin", "key")}
-        paths["plain.bin"].write_bytes(payload)
         paths["key"].write_bytes(key)
         monkeypatch.setenv("FUZZKEY_KEY_FILE", str(paths["key"]))
-        for argv in (
-            ["encrypt", str(paths["plain.bin"]), "--cipher", mode, "--output", str(paths["sealed.fzk"])],
-            ["decrypt", str(paths["sealed.fzk"]), "--output", str(paths["opened.bin"])],
-        ):
-            tracemalloc.start()
-            try:
-                code = cli.main(argv)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert code == 0
-            assert peak <= 2 << 20, (argv[0], peak)
-        assert paths["opened.bin"].read_bytes() == payload
+        for size in (4 << 20, 16 << 20):
+            payload = os.urandom(size)
+            if mode == "letters":
+                payload = payload.translate(bytes(65 + i % 26 for i in range(256)))
+            paths["plain.bin"].write_bytes(payload)
+            for argv in (
+                ["encrypt", str(paths["plain.bin"]), "--cipher", mode, "--output", str(paths["sealed.fzk"])],
+                ["decrypt", str(paths["sealed.fzk"]), "--output", str(paths["opened.bin"])],
+            ):
+                tracemalloc.start()
+                try:
+                    code = cli.main(argv)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert code == 0
+                assert peak <= 2 << 20, (argv[0], size, peak)
+            assert paths["opened.bin"].read_bytes() == payload
 
 
 class TestSetCap:
