@@ -1277,7 +1277,7 @@ class TestOutputFile:
         assert stat.S_IMODE(output.stat().st_mode) == 0o666 & ~mask
 
     @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
-    def test_overwritten_file_keeps_its_mode(self, paths, tmp_path, command, golden_payload):
+    def test_overwritten_file_keeps_its_mode(self, paths, tmp_path, command):
         output = tmp_path / "private.out"
         output.write_bytes(b"old contents")
         output.chmod(0o600)
