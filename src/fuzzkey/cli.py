@@ -14,8 +14,9 @@ the payload.  Pass 1 reads the whole input and makes every check: the
 letters-mode alphabet, the 1 GiB cap and the tag, which ``encrypt`` computes
 and ``decrypt`` verifies.  Only then does pass 2 read the input again, shift
 it and write it; a regular file is read twice, and any other input, such as a
-pipe, is copied to an unlinked temporary file in pass 1.  Every ``--output``
-appears only on success (see :func:`_output`).
+pipe, is copied to an unlinked temporary file in pass 1.  A regular file whose
+size, modification time or inode changed between the passes exits 3.  Every
+``--output`` appears only on success (see :func:`_output`).
 
 Exit codes: 0 ok, 1 internal, 2 usage, 3 data format or I/O (including
 running out of memory), 4 configuration (including invalid keys), 5
@@ -55,6 +56,7 @@ from .errors import (
     InvalidKeyError,
 )
 from .fuzzy import RuleBase, defuzzify_centroid, evaluate_rules, fuzzify
+from .ingest import usable_cpus
 from .network import cost
 from .pipeline import (
     RELEVANCE_MODE,
@@ -96,7 +98,11 @@ def _add_scoring_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--sets", type=int, help="fuzzy sets per feature")
     sub.add_argument("--layers", type=int, help="total network layers")
     sub.add_argument(
-        "--jobs", type=int, default=1, help="accepted for compatibility; scoring is single-threaded"
+        "--jobs",
+        type=int,
+        default=usable_cpus(),
+        help="parse the CSV file in at most this many processes, no more than the usable CPUs "
+        "(default: the usable CPUs)",
     )
     sub.add_argument(
         "--drop-incomplete-rows",
@@ -221,13 +227,16 @@ class _Passes:
     Pass 1 (:meth:`readinto`, :meth:`blocks`) reads the input to its end,
     or to one byte past :data:`MAX_PAYLOAD_BYTES`, which raises.  Pass 2
     (:meth:`reread`) reads the same bytes again from ``source``, or, when
-    ``spill`` is given, from the copy of them that pass 1 wrote there.
+    ``spill`` is given, from the copy of them that pass 1 wrote there; then
+    :meth:`check_unchanged` tells whether a regular input may have changed
+    in between.
     """
 
     def __init__(self, path: str, source: BinaryIO, spill: BinaryIO | None) -> None:
         self._path, self._source, self._spill = path, source, spill
         self._block = memoryview(bytearray(BLOCK_BYTES))
         self._size = 0  # bytes read in pass 1
+        self._version = None if spill is not None else _version(os.fstat(source.fileno()))
 
     def readinto(self, view: memoryview) -> int:
         """Pass 1: fill ``view`` from the input, short only at its end, and
@@ -258,6 +267,17 @@ class _Passes:
                 raise DataFormatError(f"input {self._path} changed while it was read")
             left -= count
             yield self._block[:count]
+
+    def check_unchanged(self) -> None:
+        """After pass 2: raise unless a regular input's path still names a
+        file of the size, modification time and inode the input had before
+        pass 1.  A change that keeps all three goes unseen."""
+        if self._spill is None and _version(os.stat(self._path)) != self._version:
+            raise DataFormatError(f"input {self._path} changed while it was read")
+
+
+def _version(info: os.stat_result) -> tuple[int, int, int]:
+    return info.st_size, info.st_mtime_ns, info.st_ino
 
 
 def _too_long(path: str) -> DataFormatError:
@@ -338,7 +358,7 @@ def _write_bytes(output: str | None, data: bytes) -> None:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    outcome = analyze(args.dataset, cfg, drop_incomplete_rows=args.drop_incomplete_rows)
+    outcome = analyze(args.dataset, cfg, args.drop_incomplete_rows, args.jobs)
     _write_bytes(args.output, render_report(outcome, cfg))
     return EXIT_OK
 
@@ -352,7 +372,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         # mode cannot encrypt; fail before any work is done.
         raise ConfigurationError("pipeline cannot use the letters cipher; use byte")
     key = _load_key(cfg.cipher_mode)
-    outcome = analyze(args.dataset, cfg, drop_incomplete_rows=args.drop_incomplete_rows)
+    outcome = analyze(args.dataset, cfg, args.drop_incomplete_rows, args.jobs)
     with _output(args.output) as handle:
         handle.write(seal(outcome.selection_bytes(), key, cfg.tag).to_bytes())
         # the envelope replaces its target only once the report is out
@@ -374,6 +394,7 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
             handle.write(envelope_header(key.mode, fold.tag if fold else None))
             for block in shift_blocks(payload.reread(0), key, +1):
                 handle.write(block)
+            payload.check_unchanged()
     return EXIT_OK
 
 
@@ -388,6 +409,7 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
         with _output(args.output) as handle:
             for block in shift_blocks(payload.reread(offset), key, -1):
                 handle.write(block)
+            payload.check_unchanged()
     return EXIT_OK
 
 

@@ -15,9 +15,13 @@ finite value, the per-cell parser reads the same bits: both use
 ``PyOS_string_to_double``.
 
 Each chunk is written column by column to an unlinked temporary file, 8
-bytes per value, the target column last (:class:`_Spill`).
-:func:`load_table` reads that file back into one table, whose views are
-the dataset's rows and target.  ``analyze`` reads it back a block of
+bytes per value, the target column last, at a fixed stride per chunk
+(:class:`_Spill`).  This process reads and cuts the chunks; once a second
+chunk exists, up to ``jobs`` forked processes, no more than the usable
+CPUs, parse them and write them to the file, and the first error in file
+order is still the one raised (:func:`_forked_map`).  :func:`load_table`
+parses in this process and reads the file back into one table, whose views
+are the dataset's rows and target.  ``analyze`` reads it back a block of
 columns at a time instead (:meth:`_Spill.normalized_blocks`), so a run
 from a path never holds the n x F matrix.
 """
@@ -25,15 +29,22 @@ from a path never holds the n x F matrix.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import io
+import itertools
 import math
+import os
+import pickle
 import re
+import select
+import sys
 import tempfile
 import warnings
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -232,51 +243,288 @@ def _parsed(
     return np.array(rows, dtype=float).reshape(-1, len(names))[:, _columns(names)]
 
 
-def _table(
-    path: str | Path, handle: io.BufferedIOBase, drop_incomplete_rows: bool, spill: io.BufferedRandom
-) -> tuple[list[str], list[int]]:
-    """Header names and the row count of each chunk of about ``_SCORE_BLOCK``
-    values, read by :func:`_loaded` or else :func:`_parsed` and written to
-    ``spill`` a column at a time; raises the first error in file order.  One
-    pass splits ``handle`` on ``\\n`` only, never seeks, and reads at most
-    one byte past the cap, plus a byte-order mark the cap does not count."""
-    header = handle.readline(len(codecs.BOM_UTF8) + MAX_LINE_BYTES + 1)
-    text = header.removeprefix(codecs.BOM_UTF8)
-    if not text:
-        raise DataFormatError(f"{path}: empty file")
-    names = _parse_header(path, _text(path, text, 1, len(header) - len(text)))
-    row_number, offset, counts, size = 2, len(header), [], max(1, _SCORE_BLOCK // len(names))
-    while True:
+def _chunks(handle: io.BufferedIOBase, size: int, row_number: int, offset: int) -> Iterator[tuple]:
+    """``(index, row number, byte offset, lines)`` of each chunk of at most
+    ``size`` lines of ``handle``, the first of them row ``row_number`` at
+    byte ``offset``; a line that may be past the cap ends its chunk."""
+    for index in itertools.count():
         chunk = []
         while len(chunk) < size and (line := handle.readline(MAX_LINE_BYTES + 1)):
             chunk.append(line)
             if len(line) > MAX_LINE_BYTES:
                 break
         if not chunk:
-            break
+            return
+        yield index, row_number, offset, chunk
+        row_number += len(chunk)
+        offset += sum(map(len, chunk))
+
+
+def _write_at(fd: int, table: np.ndarray, at: int) -> None:
+    """Write the C-contiguous ``table`` to file descriptor ``fd`` from byte ``at``."""
+    view = memoryview(table).cast("B")
+    while view:
+        count = os.pwrite(fd, view, at)
+        view, at = view[count:], at + count
+
+
+def _put(pipe: BinaryIO, value) -> None:
+    """Pickle ``value`` to ``pipe``, a frame of at most 64 KiB at a time."""
+    pickle.dump(value, pipe, pickle.HIGHEST_PROTOCOL)
+    pipe.flush()
+
+
+def _serve(function: Callable, tasks: BinaryIO, replies: BinaryIO) -> None:
+    """Call ``function`` on each argument tuple pickled to ``tasks``, until
+    it ends, and pickle each result, or the exception raised, to
+    ``replies``."""
+    while True:
+        try:
+            args = pickle.load(tasks)
+        except EOFError:
+            return
+        try:
+            result = function(*args)
+        except Exception as exc:
+            result = exc
+        del args  # the chunk goes before the next arrives
+        _put(replies, result)
+
+
+def _pin(index: int) -> None:
+    """Keep this process on the ``index``-th of its usable CPUs, counted
+    cyclically, where one is known.  The scheduler tends to wake a pipe's
+    reader on the writer's CPU, so without it the parsing processes crowd
+    onto the CPU of the process that feeds them all."""
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+
+
+class _Worker:
+    """A process forked to run :func:`_serve`, and this end of its two pipes.
+
+    The process owns only its own ends of its own pipes, so it reads the end
+    of its tasks, and exits, once this process has closed them or died.  It
+    ends with ``os._exit``, never writes to the standard streams it
+    inherited and never flushes them.
+    """
+
+    def __init__(self, function: Callable, others: list["_Worker"]) -> None:
+        tasks, task_end = os.pipe()
+        reply_end, replies = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (tasks, task_end, reply_end, replies):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                sys.stdout = sys.stderr = None  # a stray write is dropped
+                _pin(len(others))
+                os.close(task_end)
+                os.close(reply_end)
+                for worker in others:
+                    # every task sent was flushed, so closing writes nothing
+                    worker._tasks.close()
+                    worker._replies.close()
+                _serve(function, open(tasks, "rb"), open(replies, "wb"))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(tasks)
+        os.close(replies)
+        self._tasks, self._replies = open(task_end, "wb"), open(reply_end, "rb")
+
+    def send(self, args: tuple) -> None:
+        try:
+            _put(self._tasks, args)
+        except BrokenPipeError:
+            raise self._ended() from None
+
+    def result(self):
+        """The result of the task sent, or the exception it raised; raises
+        if the process ended first."""
+        try:
+            return pickle.load(self._replies)
+        except (EOFError, pickle.UnpicklingError):
+            raise self._ended() from None
+
+    def fileno(self) -> int:
+        """The pipe the result comes from, for ``select.poll``."""
+        return self._replies.fileno()
+
+    @staticmethod
+    def _ended() -> OSError:
+        return OSError("a CSV parsing process ended early")
+
+    def close(self) -> None:
+        """Close this end of both pipes and reap the process, which reads
+        the end of its tasks, or fails to write its reply, and exits; at most
+        one task is left to finish."""
+        with contextlib.suppress(BrokenPipeError):  # what a dead process did not take
+            self._tasks.close()
+        self._replies.close()
+        os.waitpid(self.pid, 0)
+
+
+def _forked_map(function: Callable, tasks: Iterable[tuple], cap: int) -> Iterator:
+    """``function(*args)`` for each ``args`` of ``tasks``, in order, run in
+    at most ``cap`` forked :class:`_Worker` processes, or in this one if
+    ``cap`` is 1.
+
+    A process is forked only for a task that finds none idle, so there are
+    never more processes than tasks.  Each holds one task at a time, which
+    it gets only when idle, so no write to a process waits on its replies.
+    A process that is done takes the next task, but no task is sent while
+    the oldest unfinished one is 2 x processes tasks back.  Results are
+    yielded in task order, so the first task to raise is the one whose
+    exception is raised; if reading the next task raises, the tasks already
+    sent go first.  A failed fork leaves the tasks to the processes already
+    running, or to this one if there are none.  Every process is reaped and
+    every pipe closed, however the map ends.
+    """
+    tasks = iter(tasks)
+    workers: list[_Worker] = []
+    idle: list[_Worker] = []
+    busy: dict[_Worker, int] = {}  # the index of the task each one holds
+    results = {}  # by task index: each result, or exception, not yet yielded
+    sent = done = 0  # tasks taken, and results yielded
+    cap = cap if cap > 1 else 0
+
+    def collect() -> None:
+        """Wait for one or more busy processes to reply."""
+        poll = select.poll()
+        for worker in busy:
+            poll.register(worker, select.POLLIN)
+        ready = {fd for fd, _ in poll.poll()}
+        for worker in [worker for worker in busy if worker.fileno() in ready]:
+            index = busy.pop(worker)
+            try:
+                results[index] = worker.result()
+            except OSError as exc:
+                results[index] = exc  # and the process is not used again
+            else:
+                idle.append(worker)
+
+    def ordered() -> Iterator:
+        """The results ready in task order; raises the first exception."""
+        nonlocal done
+        while done in results:
+            result = results.pop(done)
+            done += 1
+            if isinstance(result, BaseException):
+                raise result
+            yield result
+
+    def drain() -> Iterator:
+        """The results of every task sent, in order."""
+        while busy:
+            collect()
+            yield from ordered()
+
+    try:
+        while True:
+            try:
+                args = next(tasks, None)
+            except Exception:
+                # the tasks sent come first in order, so their first error wins
+                yield from drain()
+                raise
+            if args is None:
+                break
+            if not idle and len(workers) < cap:
+                try:
+                    idle.append(_Worker(function, workers))
+                except OSError:
+                    cap = len(workers)
+                else:
+                    workers.append(idle[-1])
+            if not workers:
+                sent += 1
+                done += 1
+                yield function(*args)
+                continue
+            while not idle or sent - done >= 2 * len(workers):
+                collect()
+                yield from ordered()
+            worker = idle.pop()
+            worker.send(args)
+            busy[worker] = sent
+            sent += 1
+            del args, worker  # before the next task is read
+        yield from drain()
+    finally:
+        for worker in workers:
+            worker.close()
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _table(
+    path: str | Path,
+    handle: io.BufferedIOBase,
+    drop_incomplete_rows: bool,
+    spill: io.BufferedRandom,
+    jobs: int,
+) -> tuple[list[str], list[int], int]:
+    """Header names, the row count of each chunk of about ``_SCORE_BLOCK``
+    values and the stride in bytes between chunks in ``spill``; raises the
+    first error in file order.
+
+    One pass splits ``handle`` on ``\\n`` only, never seeks, and reads at
+    most one byte past the cap, plus a byte-order mark the cap does not
+    count.  Each chunk is read by :func:`_loaded` or else :func:`_parsed`
+    and written column by column to ``spill`` at its index times the
+    stride, in this process or in up to ``jobs`` forked ones, no more than
+    the usable CPUs (:func:`_forked_map`).
+    """
+    header = handle.readline(len(codecs.BOM_UTF8) + MAX_LINE_BYTES + 1)
+    text = header.removeprefix(codecs.BOM_UTF8)
+    if not text:
+        raise DataFormatError(f"{path}: empty file")
+    names = _parse_header(path, _text(path, text, 1, len(header) - len(text)))
+    size = max(1, _SCORE_BLOCK // len(names))
+    stride = 8 * size * len(names)
+
+    def parse(index: int, row_number: int, offset: int, chunk: list[bytes]) -> int:
         # a line that may be past the cap ends its chunk, which only the
         # per-cell parser reads, as it checks the cap
         table = None if len(chunk[-1]) > MAX_LINE_BYTES else _loaded(chunk, names, drop_incomplete_rows)
         if table is None:
-            # every earlier chunk was read whole, so the first error is here
+            # the first error in this chunk; one in an earlier chunk wins
             table = _parsed(path, chunk, row_number, offset, names, drop_incomplete_rows)
         if len(table):
-            spill.write(np.ascontiguousarray(table.T))
-            counts.append(len(table))
-        row_number += len(chunk)
-        offset += sum(map(len, chunk))
-    if not counts:
+            _write_at(spill.fileno(), np.ascontiguousarray(table.T), index * stride)
+        return len(table)
+
+    chunks = _chunks(handle, size, 2, len(header))
+    # an iterator, which lets go of the first chunk once it is taken
+    first = iter(list(itertools.islice(chunks, 1)))
+    # a process is forked only once a second chunk exists
+    cap = min(jobs, usable_cpus()) if hasattr(os, "fork") and handle.peek(1) else 1
+    counts = list(_forked_map(parse, itertools.chain(first, chunks), cap))
+    if not any(counts):
         raise DataFormatError(f"{path}: no data rows")
-    return names, counts
+    return names, counts, stride
 
 
 class _Spill:
-    """A CSV file's table in an unlinked temporary file: chunks of rows, one
-    after another, each written one column after another in the order of
-    :func:`_columns`.  Any set of adjacent columns of a chunk is one read."""
+    """A CSV file's table in an unlinked temporary file: chunks of rows, each
+    at its index times ``stride`` bytes, and written one column after another
+    in the order of :func:`_columns`.  A chunk with fewer rows than the
+    stride holds, as drop mode makes, leaves a hole before the next.  Any
+    set of adjacent columns of a chunk is one read."""
 
-    def __init__(self, names: list[str], file: io.BufferedRandom, counts: list[int]) -> None:
-        self._names, self._file, self._counts = names, file, counts
+    def __init__(self, names: list[str], file: io.BufferedRandom, counts: list[int], stride: int) -> None:
+        self._names, self._file, self._counts, self._stride = names, file, counts, stride
         self.feature_names = tuple(name for name in names if name != TARGET_COLUMN)
         self.has_target = len(self.feature_names) < len(names)
         self.n_rows = sum(counts)
@@ -291,9 +539,11 @@ class _Spill:
         """``(first row, piece)`` for each chunk, the piece its columns
         ``start`` to ``stop`` as a (stop - start) x rows array."""
         row = 0
-        for count in self._counts:
+        for index, count in enumerate(self._counts):
+            if not count:
+                continue
             piece = np.empty((stop - start, count))
-            self._file.seek(piece.itemsize * (len(self._names) * row + start * count))
+            self._file.seek(index * self._stride + piece.itemsize * start * count)
             if self._file.readinto(piece) != piece.nbytes:
                 raise OSError("the temporary table file ended early")
             yield row, piece
@@ -322,16 +572,17 @@ class _Spill:
             yield block, ranges
 
 
-def _spill(path: str | Path, drop_incomplete_rows: bool) -> _Spill:
-    """Parse a CSV file into a :class:`_Spill`, which the caller closes."""
+def _spill(path: str | Path, drop_incomplete_rows: bool, jobs: int = 1) -> _Spill:
+    """Parse a CSV file into a :class:`_Spill`, which the caller closes, in
+    up to ``jobs`` processes (see :func:`_table`)."""
     with open(path, "rb") as handle:
         file = tempfile.TemporaryFile()
         try:
-            names, counts = _table(path, handle, drop_incomplete_rows, file)
+            names, counts, stride = _table(path, handle, drop_incomplete_rows, file, jobs)
         except BaseException:
             file.close()
             raise
-    return _Spill(names, file, counts)
+    return _Spill(names, file, counts, stride)
 
 
 def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:

@@ -216,19 +216,22 @@ def analyze(
     source: Dataset | str | Path,
     cfg: PipelineConfig,
     drop_incomplete_rows: bool = False,
+    jobs: int = 1,
 ) -> PipelineOutcome:
     """Run the selection pipeline on a CSV path or an in-memory dataset.
 
-    Scoring runs single-threaded, under the uniform partition and identity
+    Scoring runs in this process, under the uniform partition and identity
     rules.  A dataset is rescaled into a new matrix, never written, and
     scored with one :func:`score_columns` call.  A CSV file takes two
     passes with an unlinked temporary file between them: the first parses
-    it a chunk of rows at a time and writes each chunk column by column;
-    the second reads back one block of columns at a time, rescales it and
-    scores it with :func:`score_columns`.  So a run from a path holds about
-    one block and one chunk, never the n x F matrix; the temporary file
-    takes 8 bytes per value.  Either way the scores and ranges are equal bit
-    for bit.
+    it a chunk of rows at a time and writes each chunk column by column, in
+    this process or, once there is a second chunk, in up to ``jobs`` forked
+    processes, no more than the usable CPUs; the second reads back one
+    block of columns at a time, rescales it and scores it with
+    :func:`score_columns`.  So a run from a path holds about one block and
+    a few chunks, never the n x F matrix; the temporary file takes 8 bytes
+    per value.  Either way, and whatever ``jobs`` is, the scores and ranges
+    are equal bit for bit.
     """
     cfg = cfg.validated()
     # checks the set cap before any data is read
@@ -240,7 +243,7 @@ def analyze(
         column_scores = score_columns(normalized.rows, defuzz)
     else:
         ranges, column_scores = [], []
-        with _spill(source, drop_incomplete_rows) as spill:
+        with _spill(source, drop_incomplete_rows, jobs) as spill:
             for block, block_ranges in spill.normalized_blocks():
                 ranges += block_ranges
                 column_scores += score_columns(block.T, defuzz)

@@ -4,6 +4,8 @@ import errno
 import io
 import os
 import re
+import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -491,7 +493,8 @@ class TestGoldenPipeline:
     1e300, a column whose span overflows and a target in the middle.  It is
     parsed in one chunk of rows and scored in one block; parsed in chunks of
     two rows and scored in 17 blocks, the last of them partial; and parsed
-    a row at a time and scored a column at a time.
+    a row at a time and scored a column at a time.  Chunks are parsed in up
+    to two processes.
     """
 
     CSV = DATA / "fixture_40x400.csv"
@@ -506,7 +509,7 @@ class TestGoldenPipeline:
         key_path.write_bytes(golden_key)
         monkeypatch.setenv("FUZZKEY_KEY_FILE", str(key_path))
         sealed = tmp_path / "sel.fzk"
-        code = cli.main(["pipeline", str(self.CSV), "--tau", "0.5", "--output", str(sealed)])
+        code = cli.main(["pipeline", str(self.CSV), "--tau", "0.5", "--jobs", "2", "--output", str(sealed)])
         out, err = capsysbinary.readouterr()
         assert (code, err) == (0, b"")
         assert out == (DATA / "golden_pipeline_40x400_tau0.5.txt").read_bytes()
@@ -1447,6 +1450,237 @@ class TestNothingLeftBehind:
             return Full(handle) if "w" in mode else handle
 
         monkeypatch.setattr(cli, "open", full, raising=False)
+
+
+class TestInputChangedBetweenPasses:
+    """A regular input is read twice.  If between the passes its path comes
+    to name a file of another size, modification time or inode, the command
+    exits 3 and leaves no output."""
+
+    KEY = CipherKey(b"SECRET")
+    PAYLOAD = bytes(range(256)) * 80
+
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    @pytest.mark.parametrize("change", ["none", "grown", "rewritten", "replaced"])
+    def test_change_exits_3_and_writes_nothing(self, tmp_path, monkeypatch, command, change):
+        source, outputs = tmp_path / "source", tmp_path / "out"
+        outputs.mkdir()
+        data = self.PAYLOAD if command == "encrypt" else seal(self.PAYLOAD, self.KEY).to_bytes()
+        source.write_bytes(data)
+        (tmp_path / "key").write_bytes(self.KEY.data)
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", str(tmp_path / "key"))
+        reread = cli._Passes.reread
+
+        def changed(passes, start):
+            info = os.stat(source)
+            if change == "grown":
+                # one byte longer, with the modification time it had
+                with open(source, "ab") as handle:
+                    handle.write(b"!")
+                os.utime(source, ns=(info.st_atime_ns, info.st_mtime_ns))
+            elif change == "rewritten":
+                # the same size, and a later modification time however
+                # coarse the file system's clock
+                source.write_bytes(data[::-1])
+                os.utime(source, ns=(info.st_atime_ns, info.st_mtime_ns + 10**9))
+            elif change == "replaced":
+                # the same size and modification time, in another inode
+                shutil.copy2(source, tmp_path / "copy")
+                os.replace(tmp_path / "copy", source)
+            return reread(passes, start)
+
+        monkeypatch.setattr(cli._Passes, "reread", changed)
+        before = open_fds()
+        code, out, err = run_in_process([command, str(source), "--output", str(outputs / "result")])
+        assert open_fds() == before
+        if change == "none":
+            assert (code, err) == (0, "")
+            assert os.listdir(outputs) == ["result"]
+        else:
+            assert (code, out, err) == (3, b"", f"fuzzkey: input {source} changed while it was read\n")
+            assert os.listdir(outputs) == []
+
+
+def reaped():
+    """Whether this process has no child process left, running or not."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class InProcessWorker:
+    """Stands in for ``ingest._Worker`` without a process: it holds at most
+    one task and runs it when its result is read, which it is ready for
+    once :meth:`go` is called."""
+
+    def __init__(self, function, others):
+        self.function, self.args, self.closed = function, None, False
+        self.ready, self.release = os.pipe()
+
+    def go(self):
+        if self.release is not None:
+            os.close(self.release)  # the read end then polls readable, at its end
+            self.release = None
+
+    def fileno(self):
+        return self.ready
+
+    def send(self, args):
+        assert self.args is None
+        self.args = args
+
+    def result(self):
+        args, self.args = self.args, None
+        try:
+            return self.function(*args)
+        except Exception as exc:
+            return exc
+
+    def close(self):
+        self.go()
+        os.close(self.ready)
+        self.closed = True
+
+
+class TestParsingProcesses:
+    """``select --jobs 2`` on twelve rows of three columns, parsed in chunks
+    of two rows by forked processes, ends in the report that ``--jobs 1``
+    writes, or in the one error line it writes; every process is reaped and
+    every pipe closed."""
+
+    ROWS = ["a,b,c"] + [f"{i},{-i},{i / 7!r}" for i in range(1, 13)]
+
+    @pytest.fixture(autouse=True)
+    def chunks_of_two_rows(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_SCORE_BLOCK", 6)
+        monkeypatch.setattr(ingest, "MAX_LINE_BYTES", 32)
+        # two processes even on a machine with one CPU
+        monkeypatch.setattr(ingest, "usable_cpus", lambda: 2)
+
+    def write(self, tmp_path, edits=()):
+        """The table as a CSV file, each ``(row number, line)`` edit applied."""
+        rows = [row.encode() for row in self.ROWS]
+        for row_number, line in edits:
+            rows[row_number - 1] = line
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        return path
+
+    def select(self, capfd, path, jobs):
+        assert reaped()
+        before = open_fds()
+        code = cli.main(["select", str(path), "--k", "1", "--jobs", jobs])
+        out, err = capfd.readouterr()
+        assert reaped()
+        assert open_fds() == before
+        return code, out, err
+
+    def test_report_is_written_once(self, tmp_path, capfd):
+        path = self.write(tmp_path)
+        serial = self.select(capfd, path, "1")
+        assert serial[0] == 0 and serial[1].count("fuzzkey-report 1") == 1
+        assert self.select(capfd, path, "2") == serial
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ([(5, b"5,x,1"), (6, b"y,6,1")], "row 5, column 2 (b): not a number: 'x'"),
+            ([(9, b"9,\xff,1")], "not UTF-8 text (byte 163)"),
+            ([(10, b"7" * 40 + b",1,2"), (11, b"z,1,2")], "row 10 is longer than 32 bytes"),
+        ],
+        ids=["bad-cells-in-chunks-2-and-3", "non-utf-8-in-chunk-4", "line-past-the-cap-in-chunk-5"],
+    )
+    def test_the_first_error_in_file_order_is_named(self, tmp_path, capfd, edits, message):
+        path = self.write(tmp_path, edits)
+        expected = (3, "", f"fuzzkey: {path}: {message}\n")
+        assert self.select(capfd, path, "1") == expected
+        assert self.select(capfd, path, "2") == expected
+
+    @pytest.mark.parametrize(
+        "fate, message",
+        [("memory-error", "out of memory"), ("killed", "a CSV parsing process ended early")],
+    )
+    def test_a_failing_process_exits_3(self, tmp_path, capfd, monkeypatch, fate, message):
+        parent, loaded = os.getpid(), ingest._loaded
+
+        def failing(chunk, *args):
+            # only ever in a forked process, and only on the chunk of rows 6 and 7
+            if os.getpid() != parent and chunk[0].startswith(b"5,"):
+                if fate == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise MemoryError
+            return loaded(chunk, *args)
+
+        monkeypatch.setattr(ingest, "_loaded", failing)
+        path = self.write(tmp_path)
+        assert self.select(capfd, path, "1")[0] == 0
+        assert self.select(capfd, path, "2") == (3, "", f"fuzzkey: {message}\n")
+
+    @pytest.mark.parametrize(
+        "cpus, rows, processes",
+        [(2, 12, 2), (4, 6, 3), (4, 2, 0), (2, 4, 2)],
+        ids=["cpus-cap", "chunks-cap", "one-chunk", "two-chunks"],
+    )
+    def test_processes_are_capped_by_cpus_and_chunks(self, tmp_path, capfd, monkeypatch, cpus, rows, processes):
+        # no process starts: a worker runs in this process, and a fork fails
+        forks, workers = [], []
+
+        def fork():
+            forks.append(1)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        def worker(*args):
+            workers.append(InProcessWorker(*args))
+            workers[-1].go()
+            return workers[-1]
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(ingest, "usable_cpus", cli.usable_cpus)  # counts the patched affinity
+        monkeypatch.setattr(ingest, "_Worker", worker)
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(self.ROWS[: rows + 1]) + "\n")
+        serial = self.select(capfd, path, "1")
+        assert serial[0] == 0 and workers == []
+        assert self.select(capfd, path, "1000000") == serial
+        assert (len(workers), forks) == (processes, [])
+        assert all(worker.closed for worker in workers)
+
+    def test_at_most_two_chunks_per_process_are_in_flight(self, tmp_path, capfd, monkeypatch):
+        # the first process holds chunk 0 until the second has done three
+        log, workers = [], []
+
+        class Logged(InProcessWorker):
+            def send(self, args):
+                log.append(("send", args[0]))
+                super().send(args)
+
+            def result(self):
+                log.append(("result", self.args[0]))
+                if ("result", 3) in log:
+                    workers[0].go()
+                return super().result()
+
+        def worker(*args):
+            workers.append(Logged(*args))
+            if len(workers) > 1:
+                workers[-1].go()
+            return workers[-1]
+
+        monkeypatch.setattr(ingest, "_Worker", worker)
+        path = self.write(tmp_path)
+        serial = self.select(capfd, path, "1")
+        assert self.select(capfd, path, "2") == serial
+        in_flight, finished = [], set()
+        for event, index in log:
+            if event == "result":
+                finished.add(index)
+            else:
+                done = next(i for i in range(index + 1) if i not in finished)
+                in_flight.append(index + 1 - done)
+        assert (len(workers), max(in_flight)) == (2, 4)
 
 
 LETTERS = bytes(65 + i % 26 for i in range(256))

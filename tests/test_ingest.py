@@ -1,6 +1,9 @@
 import codecs
+import errno
+import io
 import math
 import os
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -774,3 +777,87 @@ class TestTwoPass:
         assert [(lo.hex(), hi.hex()) for lo, hi in got.ranges] == [
             (lo.hex(), hi.hex()) for lo, hi in want.ranges
         ]
+
+
+def reaped():
+    """Whether this process has no child process left, running or not."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestParsingProcesses:
+    """Pass 1 parses chunks in forked processes: the table and the first
+    error are the ones this process finds alone."""
+
+    @staticmethod
+    def outcome(path, drop_incomplete_rows, jobs):
+        """The names and table bytes of the file at ``path``, or its first error."""
+        try:
+            with ingest._spill(path, drop_incomplete_rows, jobs) as spill:
+                table = spill.table()
+        except DataFormatError as exc:
+            return str(exc)
+        return spill.feature_names, table.shape, table.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(csv_files(), st.booleans(), st.sampled_from([1, 6, 13]))
+    def test_jobs_do_not_change_the_table_or_the_error(self, tmp_path_factory, data, drop, block):
+        path = tmp_path_factory.mktemp("jobs") / "data.csv"
+        path.write_bytes(data)
+        # up to three processes even on a machine with fewer CPUs
+        with mock.patch.object(ingest, "_SCORE_BLOCK", block), mock.patch.object(ingest, "usable_cpus", lambda: 3):
+            outcomes = [self.outcome(path, drop, jobs) for jobs in (1, 2, 3)]
+        assert outcomes[1:] == outcomes[:1] * 2
+        assert reaped()
+
+    TABLE = "a,b,c\n" + "".join(f"{i},{-i},{i / 7!r}\n" for i in range(1, 13))
+
+    @pytest.mark.parametrize("forks", [0, 1, 2], ids=["none", "one", "two"])
+    def test_a_failed_fork_leaves_the_parse_to_the_processes_running(self, tmp_path, monkeypatch, forks):
+        fork, calls = os.fork, []
+
+        def failing_fork():
+            calls.append(len(calls))
+            if len(calls) > forks:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        path = tmp_path / "data.csv"
+        path.write_text(self.TABLE)
+        monkeypatch.setattr(ingest, "_SCORE_BLOCK", 6)  # six chunks of two rows
+        monkeypatch.setattr(ingest, "usable_cpus", lambda: 3)
+        serial = self.outcome(path, False, 1)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert self.outcome(path, False, 3) == serial
+        # a refused fork is not tried again
+        assert len(calls) == min(forks + 1, 3)
+        assert reaped()
+
+    @pytest.mark.parametrize("bad", [True, False], ids=["bad-cell-first", "read-error-first"])
+    def test_a_read_error_comes_after_the_chunks_sent(self, tmp_path, monkeypatch, bad):
+        class Failing(io.BufferedReader):
+            """Raises EIO on reading row 12, in the sixth chunk."""
+
+            lines = 0
+
+            def readline(self, size=-1):
+                self.lines += 1
+                if self.lines == 12:
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+                return super().readline(size)
+
+        # row 10 is in the fifth chunk, which is sent before row 12 is read
+        data = self.TABLE.replace("\n9,", "\nx," if bad else "\n9,").encode()
+        monkeypatch.setattr(ingest, "_SCORE_BLOCK", 6)
+        monkeypatch.setattr(ingest, "usable_cpus", lambda: 2)
+        with tempfile.TemporaryFile() as spill:
+            with pytest.raises(DataFormatError if bad else OSError) as raised:
+                ingest._table("data.csv", Failing(io.BytesIO(data)), False, spill, 2)
+        if bad:
+            assert str(raised.value) == "data.csv: row 10, column 1 (a): not a number: 'x'"
+        else:
+            assert raised.value.errno == errno.EIO
+        assert reaped()
