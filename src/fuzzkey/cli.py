@@ -10,12 +10,11 @@ Key material is never accepted as an argument (process lists leak); set
 
 ``encrypt`` and ``decrypt`` stream their input in blocks of
 :data:`BLOCK_BYTES` through two passes, so their memory does not grow with
-the payload.  Pass 1 reads the whole input and makes every check: the
-letters-mode alphabet, the 1 GiB cap and the tag, which ``encrypt`` computes
-and ``decrypt`` verifies.  Only then does pass 2 read the input again, shift
-it and write it; a regular file is read twice, and any other input, such as a
-pipe, is copied to an unlinked temporary file in pass 1.  A regular file whose
-size, modification time or inode changed between the passes exits 3.  Every
+the payload.  Pass 1 reads the whole input once, copies it to an unlinked
+temporary file and makes every check: the letters-mode alphabet, the 1 GiB
+cap and the tag, which ``encrypt`` computes and ``decrypt`` verifies.  Only
+then does pass 2 read that copy, shift it and write it, so it writes exactly
+the bytes pass 1 checked, whatever happens to the input in between.  Every
 ``--output`` appears only on success (see :func:`_output`).
 
 Exit codes: 0 ok, 1 internal, 2 usage, 3 data format or I/O (including
@@ -221,22 +220,19 @@ def _fill(handle: BinaryIO, view: memoryview) -> int:
 
 
 class _Passes:
-    """An ``encrypt`` or ``decrypt`` input, read twice in blocks of
-    :data:`BLOCK_BYTES` through one buffer.
+    """An ``encrypt`` or ``decrypt`` input, read in blocks of
+    :data:`BLOCK_BYTES` through one buffer over two passes.
 
-    Pass 1 (:meth:`readinto`, :meth:`blocks`) reads the input to its end,
-    or to one byte past :data:`MAX_PAYLOAD_BYTES`, which raises.  Pass 2
-    (:meth:`reread`) reads the same bytes again from ``source``, or, when
-    ``spill`` is given, from the copy of them that pass 1 wrote there; then
-    :meth:`check_unchanged` tells whether a regular input may have changed
-    in between.
+    Pass 1 (:meth:`readinto`, :meth:`blocks`) reads the input once, to its
+    end or to one byte past :data:`MAX_PAYLOAD_BYTES`, which raises, and
+    writes every byte it reads to ``copy``.  Pass 2 (:meth:`reread`) reads
+    only ``copy``, so it sees exactly the bytes that pass 1 checked.
     """
 
-    def __init__(self, path: str, source: BinaryIO, spill: BinaryIO | None) -> None:
-        self._path, self._source, self._spill = path, source, spill
+    def __init__(self, path: str, source: BinaryIO, copy: BinaryIO) -> None:
+        self._path, self._source, self._copy = path, source, copy
         self._block = memoryview(bytearray(BLOCK_BYTES))
         self._size = 0  # bytes read in pass 1
-        self._version = None if spill is not None else _version(os.fstat(source.fileno()))
 
     def readinto(self, view: memoryview) -> int:
         """Pass 1: fill ``view`` from the input, short only at its end, and
@@ -245,8 +241,7 @@ class _Passes:
         self._size += count
         if self._size > MAX_PAYLOAD_BYTES:
             raise _too_long(self._path)
-        if self._spill is not None:
-            self._spill.write(view[:count])
+        self._copy.write(view[:count])
         return count
 
     def blocks(self) -> Iterator[memoryview]:
@@ -256,28 +251,16 @@ class _Passes:
             yield self._block[:count]
 
     def reread(self, start: int) -> Iterator[memoryview]:
-        """Pass 2: what pass 1 read from offset ``start`` on, in blocks as
-        :meth:`blocks` gives them."""
-        source = self._source if self._spill is None else self._spill
-        source.seek(start)
+        """Pass 2: what pass 1 read from offset ``start`` on, read from the
+        copy, in blocks as :meth:`blocks` gives them."""
+        self._copy.seek(start)
         left = self._size - start
         while left:
-            count = _fill(source, self._block[:left])
+            count = _fill(self._copy, self._block[:left])
             if not count:
-                raise DataFormatError(f"input {self._path} changed while it was read")
+                raise DataFormatError(f"the copy of input {self._path} ended early")
             left -= count
             yield self._block[:count]
-
-    def check_unchanged(self) -> None:
-        """After pass 2: raise unless a regular input's path still names a
-        file of the size, modification time and inode the input had before
-        pass 1.  A change that keeps all three goes unseen."""
-        if self._spill is None and _version(os.stat(self._path)) != self._version:
-            raise DataFormatError(f"input {self._path} changed while it was read")
-
-
-def _version(info: os.stat_result) -> tuple[int, int, int]:
-    return info.st_size, info.st_mtime_ns, info.st_ino
 
 
 def _too_long(path: str) -> DataFormatError:
@@ -286,18 +269,15 @@ def _too_long(path: str) -> DataFormatError:
 
 @contextmanager
 def _payload(path: str) -> Iterator[_Passes]:
-    """The input at ``path`` for two passes: a regular file is read twice,
-    and any other input, such as a pipe or a device, is copied to an
-    unlinked temporary file as pass 1 reads it."""
+    """The input at ``path`` for two passes.  Whatever it is, a regular
+    file, a pipe or a device, pass 1 copies it to an unlinked temporary file
+    in ``TMPDIR`` as it reads it, and pass 2 reads that copy."""
     with open(path, "rb", buffering=0) as source:
         info = os.fstat(source.fileno())
-        if stat.S_ISREG(info.st_mode):
-            if info.st_size > MAX_PAYLOAD_BYTES:
-                raise _too_long(path)  # a regular file that long is never read
-            yield _Passes(path, source, None)
-        else:
-            with tempfile.TemporaryFile() as spill:
-                yield _Passes(path, source, spill)
+        if stat.S_ISREG(info.st_mode) and info.st_size > MAX_PAYLOAD_BYTES:
+            raise _too_long(path)  # a regular file that long is never read
+        with tempfile.TemporaryFile() as copy:
+            yield _Passes(path, source, copy)
 
 
 def _check_stdout() -> None:
@@ -394,7 +374,6 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
             handle.write(envelope_header(key.mode, fold.tag if fold else None))
             for block in shift_blocks(payload.reread(0), key, +1):
                 handle.write(block)
-            payload.check_unchanged()
     return EXIT_OK
 
 
@@ -409,7 +388,6 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
         with _output(args.output) as handle:
             for block in shift_blocks(payload.reread(offset), key, -1):
                 handle.write(block)
-            payload.check_unchanged()
     return EXIT_OK
 
 

@@ -1,0 +1,165 @@
+"""Mutation check: each mutant must make the tests named for it fail.
+
+Every entry of :data:`MUTANTS` names a file under ``src/``, a snippet that
+must occur in it exactly once, the snippet's replacement, and the tests that
+must fail once it is replaced.  For each entry the script copies ``src/``,
+``tests/`` and the files pytest reads to a temporary directory, makes the one
+replacement there and runs the listed tests against that copy, so the
+subprocesses the tests start import the mutant too.  First it runs every
+listed test against an unchanged copy, which must pass.
+
+    python tests/mutants.py
+
+It exits 0 when every mutant is killed, 1 when one survives and 2 when the
+unchanged copy fails or a snippet does not occur exactly once.  A mutant
+whose tests run past :data:`TIMEOUT_S` counts as killed, by a hang.  It uses
+only the standard library besides what the suite needs, and pytest does not
+collect it, so it is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+# what a copy needs for the tests to run as they do in the repository
+COPIED = ["src", "tests", "conftest.py", "pyproject.toml", "README.md"]
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: list[str]  # pytest node ids
+
+
+MUTANTS = [
+    Mutant(
+        "reread-reads-the-input",
+        "src/fuzzkey/cli.py",
+        "        self._copy.seek(start)\n"
+        "        left = self._size - start\n"
+        "        while left:\n"
+        "            count = _fill(self._copy, self._block[:left])\n",
+        "        self._source.seek(start)\n"
+        "        left = self._size - start\n"
+        "        while left:\n"
+        "            count = _fill(self._source, self._block[:left])\n",
+        ["tests/test_cli.py::TestPassTwoReadsTheCopy"],
+    ),
+    Mutant(
+        "no-copy-written",
+        "src/fuzzkey/cli.py",
+        "        self._copy.write(view[:count])\n",
+        "",
+        ["tests/test_cli.py::TestGoldenEnvelope"],
+    ),
+    Mutant(
+        "no-size-check-before-reading",
+        "src/fuzzkey/cli.py",
+        "if stat.S_ISREG(info.st_mode) and info.st_size > MAX_PAYLOAD_BYTES:",
+        "if False:",
+        ["tests/test_cli.py::TestEncryptDecrypt::test_input_longer_than_the_cap_exits_3"],
+    ),
+    Mutant(
+        "decrypt-writes-before-the-check",
+        "src/fuzzkey/cli.py",
+        "        check_ciphertext(itertools.chain([head[offset:filled]], payload.blocks()), key, tag)\n"
+        "        with _output(args.output) as handle:\n"
+        "            for block in shift_blocks(payload.reread(offset), key, -1):\n"
+        "                handle.write(block)\n",
+        "        with _output(args.output) as handle:\n"
+        "            for block in shift_blocks(payload.reread(offset), key, -1):\n"
+        "                handle.write(block)\n"
+        "        check_ciphertext(itertools.chain([head[offset:filled]], payload.blocks()), key, tag)\n",
+        ["tests/test_cli.py::TestHostileEnvelope"],
+    ),
+    Mutant(
+        "shift-blocks-phase-0",
+        "src/fuzzkey/cipher.py",
+        "        phase = (phase + len(block)) % len(key.data)\n",
+        "        phase = 0\n",
+        ["tests/test_cipher.py::TestParts"],
+    ),
+    Mutant(
+        "tag-fold-phase-0",
+        "src/fuzzkey/cipher.py",
+        "            self._phase = (self._phase + len(block)) % len(self._key_codes)\n",
+        "            self._phase = 0\n",
+        ["tests/test_cipher.py::TestParts"],
+    ),
+]
+
+
+def copy_tree(destination: Path) -> None:
+    ignored = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, destination / name, ignore=ignored)
+        else:
+            shutil.copy2(source, destination / name)
+
+
+def run_tests(root: Path, tests: list[str]) -> tuple[bool | None, float]:
+    """Whether ``tests`` pass in the copy at ``root`` (None on a timeout),
+    and the seconds they took."""
+    env = os.environ.copy()
+    env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    start = time.monotonic()
+    try:
+        proc = subprocess.run(
+            command, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return None, time.monotonic() - start
+    return proc.returncode == 0, time.monotonic() - start
+
+
+def mutated(mutant: Mutant) -> str:
+    """The text of the mutant's file with its snippet replaced."""
+    text = (ROOT / mutant.path).read_text()
+    count = text.count(mutant.snippet)
+    if count != 1:
+        raise SystemExit(f"mutant {mutant.name}: its snippet occurs {count} times in {mutant.path}, not once")
+    return text.replace(mutant.snippet, mutant.replacement)
+
+
+def main() -> int:
+    texts = [mutated(mutant) for mutant in MUTANTS]  # every snippet checked first
+    with tempfile.TemporaryDirectory(prefix="fuzzkey-mutants-") as scratch:
+        baseline = Path(scratch) / "baseline"
+        copy_tree(baseline)
+        tests = list(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+        passed, seconds = run_tests(baseline, tests)
+        print(f"unchanged copy: {'passed' if passed else 'FAILED'} in {seconds:.0f} s", flush=True)
+        if not passed:
+            return 2
+        survivors = []
+        for mutant, text in zip(MUTANTS, texts):
+            root = Path(scratch) / mutant.name
+            copy_tree(root)
+            (root / mutant.path).write_text(text)
+            passed, seconds = run_tests(root, mutant.tests)
+            verdict = {True: "SURVIVED", False: "killed", None: "killed by a hang"}[passed]
+            print(f"{mutant.name}: {verdict} in {seconds:.0f} s", flush=True)
+            if passed:
+                survivors.append(mutant.name)
+            shutil.rmtree(root)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

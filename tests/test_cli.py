@@ -329,10 +329,19 @@ class TestEncryptDecrypt:
         read_end, write_end = os.pipe()
         os.write(write_end, b"p" * (cap + 100))
         os.close(write_end)
+
+        def refused(*args):
+            raise AssertionError("a regular file longer than the cap was read or copied")
+
         try:
             pipe = f"/dev/fd/{read_end}"
             for command, path in [("encrypt", plain), ("decrypt", sealed), ("encrypt", pipe)]:
-                code, out, err = run_in_process([command, str(path), "--output", str(output)])
+                with pytest.MonkeyPatch.context() as patch:
+                    if path != pipe:
+                        # a regular file that long is never read
+                        patch.setattr(cli, "_fill", refused)
+                        patch.setattr(tempfile, "TemporaryFile", refused)
+                    code, out, err = run_in_process([command, str(path), "--output", str(output)])
                 assert (code, out) == (3, b"")
                 assert err == f"fuzzkey: input {path} is longer than {cap} bytes\n"
                 assert not output.exists()
@@ -1340,6 +1349,7 @@ OUTPUT_FAILURES = {
     "letters-plaintext": ({"encrypt"}, 3),
     "tag-mismatch": ({"decrypt"}, 5),
     "pipe-past-the-cap": ({"encrypt", "decrypt"}, 3),
+    "missing-tmpdir": ({"encrypt", "decrypt", "select", "pipeline"}, 3),
     "memory-error": ({"encrypt", "decrypt", "select", "pipeline"}, 3),
     "failing-write": ({"encrypt", "decrypt", "select", "pipeline"}, 3),
     "failing-replace": ({"encrypt", "decrypt", "select", "pipeline"}, 3),
@@ -1380,6 +1390,8 @@ class TestNothingLeftBehind:
             monkeypatch.delenv("FUZZKEY_KEY_FILE")
         elif failure == "pipe-past-the-cap":
             monkeypatch.setattr(cli, "MAX_PAYLOAD_BYTES", len(self.PAYLOAD) // 2)
+        elif failure == "missing-tmpdir":
+            monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
         elif failure == "memory-error":
             self.fail_mid_stream(monkeypatch, command, outputs)
         elif failure == "failing-write":
@@ -1452,23 +1464,22 @@ class TestNothingLeftBehind:
         monkeypatch.setattr(cli, "open", full, raising=False)
 
 
-class TestInputChangedBetweenPasses:
-    """A regular input is read twice.  If between the passes its path comes
-    to name a file of another size, modification time or inode, the command
-    exits 3 and leaves no output."""
+class TestPassTwoReadsTheCopy:
+    """Pass 1 copies the input and pass 2 reads only that copy, so a change
+    to the input between the passes does not reach the output: it is that
+    of the bytes pass 1 read and checked, and ``decrypt`` writes no byte
+    whose tag it did not verify."""
 
     KEY = CipherKey(b"SECRET")
     PAYLOAD = bytes(range(256)) * 80
 
+    @pytest.mark.parametrize("output", ["stdout", "file"])
     @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
-    @pytest.mark.parametrize("change", ["none", "grown", "rewritten", "replaced"])
-    def test_change_exits_3_and_writes_nothing(self, tmp_path, monkeypatch, command, change):
-        source, outputs = tmp_path / "source", tmp_path / "out"
-        outputs.mkdir()
-        data = self.PAYLOAD if command == "encrypt" else seal(self.PAYLOAD, self.KEY).to_bytes()
-        source.write_bytes(data)
-        (tmp_path / "key").write_bytes(self.KEY.data)
-        monkeypatch.setenv("FUZZKEY_KEY_FILE", str(tmp_path / "key"))
+    @pytest.mark.parametrize("change", ["none", "grown", "rewritten", "replaced", "flipped"])
+    def test_output_is_what_pass_1_read(self, tmp_path, monkeypatch, change, command, output):
+        source, outputs = self.inputs(tmp_path, monkeypatch, command)
+        sealed = seal(self.PAYLOAD, self.KEY).to_bytes()
+        data = source.read_bytes()
         reread = cli._Passes.reread
 
         def changed(passes, start):
@@ -1487,18 +1498,54 @@ class TestInputChangedBetweenPasses:
                 # the same size and modification time, in another inode
                 shutil.copy2(source, tmp_path / "copy")
                 os.replace(tmp_path / "copy", source)
+            elif change == "flipped":
+                # one byte flipped in place: the same size, modification
+                # time and inode
+                with open(source, "r+b") as handle:
+                    handle.seek(100)
+                    byte = handle.read(1)[0]
+                    handle.seek(100)
+                    handle.write(bytes([byte ^ 1]))
+                os.utime(source, ns=(info.st_atime_ns, info.st_mtime_ns))
             return reread(passes, start)
 
         monkeypatch.setattr(cli._Passes, "reread", changed)
+        result = outputs / "result"
+        argv = [command, str(source)] + (["--output", str(result)] if output == "file" else [])
+        before = open_fds()
+        code, out, err = run_in_process(argv)
+        assert open_fds() == before
+        assert (code, err) == (0, "")
+        expected = sealed if command == "encrypt" else self.PAYLOAD
+        if output == "file":
+            assert out == b"" and result.read_bytes() == expected
+        else:
+            assert out == expected and os.listdir(outputs) == []
+
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    def test_a_copy_that_ends_early_exits_3(self, tmp_path, monkeypatch, command):
+        source, outputs = self.inputs(tmp_path, monkeypatch, command)
+        reread = cli._Passes.reread
+
+        def truncated(passes, start):
+            passes._copy.truncate(start + 10)
+            return reread(passes, start)
+
+        monkeypatch.setattr(cli._Passes, "reread", truncated)
         before = open_fds()
         code, out, err = run_in_process([command, str(source), "--output", str(outputs / "result")])
         assert open_fds() == before
-        if change == "none":
-            assert (code, err) == (0, "")
-            assert os.listdir(outputs) == ["result"]
-        else:
-            assert (code, out, err) == (3, b"", f"fuzzkey: input {source} changed while it was read\n")
-            assert os.listdir(outputs) == []
+        assert (code, out, err) == (3, b"", f"fuzzkey: the copy of input {source} ended early\n")
+        assert os.listdir(outputs) == []
+
+    def inputs(self, tmp_path, monkeypatch, command):
+        """The input ``command`` reads and an empty output directory."""
+        source, outputs = tmp_path / "source", tmp_path / "out"
+        outputs.mkdir()
+        source.write_bytes(self.PAYLOAD if command == "encrypt" else seal(self.PAYLOAD, self.KEY).to_bytes())
+        (tmp_path / "key").write_bytes(self.KEY.data)
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", str(tmp_path / "key"))
+        return source, outputs
 
 
 def reaped():
