@@ -2,21 +2,14 @@
 Feature selection end to end
 ============================
 
-Builds a small CSV, loads and normalizes it, scores every feature by fuzzy
-relevance, and compares top-k with threshold selection.
+Builds a small CSV, analyzes it (load, normalize and score every feature by
+fuzzy relevance), and compares top-k with threshold selection.
 """
 
 import tempfile
 from pathlib import Path
 
-from fuzzkey import (
-    PipelineConfig,
-    analyze,
-    load_table,
-    normalize,
-    render_report,
-    select_threshold,
-)
+from fuzzkey import PipelineConfig, analyze, render_report, select_threshold
 
 csv_text = (
     "temp,rpm,noise,target\n"
@@ -27,29 +20,28 @@ csv_text = (
     "22.4,1200,3.0,0\n"
     "35.5,2100,3.2,1\n"
 )
-workdir = Path(tempfile.mkdtemp())
-csv_path = workdir / "plant.csv"
-csv_path.write_text(csv_text)
-
-dataset = load_table(csv_path)
-print("features:", dataset.feature_names, "| rows:", dataset.n_rows)
-print("target column split off:", dataset.target.tolist())
-
-normalized = normalize(dataset)
-for name, (lo, hi) in zip(normalized.feature_names, normalized.ranges):
-    print(f"  {name}: observed range [{lo}, {hi}]")
 
 # top-2 selection with defaults (3 sets, centroid inference)
 cfg = PipelineConfig(k=2)
-outcome = analyze(dataset, cfg)
+with tempfile.TemporaryDirectory() as workdir:
+    csv_path = Path(workdir) / "plant.csv"
+    csv_path.write_text(csv_text)
+    outcome = analyze(csv_path, cfg)
+
+names = outcome.feature_names
+print("features:", names, "| rows:", outcome.n_rows)
+print("target column present:", outcome.has_target)
+for name, (lo, hi) in zip(names, outcome.ranges):
+    print(f"  {name}: observed range [{lo}, {hi}]")
+
 print("\nscores:")
 for s in outcome.scores:
-    print(f"  {dataset.feature_names[s.feature_id]:>6}: {s.score:.6f}")
-print("top-2 picks:", [dataset.feature_names[i] for i in outcome.result.selected])
+    print(f"  {names[s.feature_id]:>6}: {s.score:.6f}")
+print("top-2 picks:", [names[i] for i in outcome.result.selected])
 
 # the same scores pushed through a threshold instead
 by_tau = select_threshold(outcome.scores, 0.45)
-print("tau=0.45 picks:", [dataset.feature_names[i] for i in by_tau.selected])
+print("tau=0.45 picks:", [names[i] for i in by_tau.selected])
 
 # the full deterministic report the CLI would print
 print("\n" + render_report(outcome, cfg).decode())

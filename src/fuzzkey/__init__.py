@@ -42,7 +42,6 @@ from .fuzzy import (
     fuzzify,
     make_uniform_partition,
 )
-from .ingest import Dataset, NormalizedDataset, load_table, normalize
 from .network import DynamicFuzzyNetwork, PropagationStats
 from .pipeline import PipelineConfig, PipelineOutcome, analyze, load_config_file, render_report
 from .selection import (
@@ -63,7 +62,6 @@ __all__ = [
     "ConfigurationError",
     "ContractViolationError",
     "DataFormatError",
-    "Dataset",
     "DefuzzConfig",
     "DynamicFuzzyNetwork",
     "FuzzkeyError",
@@ -75,7 +73,6 @@ __all__ = [
     "MembershipVector",
     "MODE_BYTE_SHIFT",
     "MODE_LETTERS",
-    "NormalizedDataset",
     "PipelineConfig",
     "PipelineOutcome",
     "PropagationStats",
@@ -90,10 +87,8 @@ __all__ = [
     "evaluate_rules",
     "fuzzify",
     "load_config_file",
-    "load_table",
     "make_tag",
     "make_uniform_partition",
-    "normalize",
     "open_envelope",
     "parse_selection",
     "rank_scores",

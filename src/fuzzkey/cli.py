@@ -60,6 +60,7 @@ from .network import cost
 from .pipeline import (
     RELEVANCE_MODE,
     PipelineConfig,
+    _parse_cipher,
     _read_to,
     analyze,
     load_config_file,
@@ -180,7 +181,7 @@ def _merge_config(args: argparse.Namespace) -> PipelineConfig:
         if getattr(args, "k", None) is None:
             overrides["k"] = None
     if getattr(args, "cipher", None) is not None:
-        overrides["cipher_mode"] = {"byte": "byte-shift", "letters": "letters"}[args.cipher]
+        overrides["cipher_mode"] = _parse_cipher(args.cipher)
     if getattr(args, "tag", None) is not None:
         overrides["tag"] = args.tag
     if overrides:

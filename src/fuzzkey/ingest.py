@@ -4,9 +4,11 @@ Dialect: UTF-8 with an optional byte-order mark, first line is the header
 (ASCII names without tabs), comma separator, LF or CRLF endings, no quoting
 (cells must not contain commas), ASCII decimal numerics (digits 0-9) with
 optional sign and exponent.  A column named exactly ``target`` is split
-off and carried along; it never influences scoring.
+off and carried along; it never influences scoring.  Missing (empty) cells
+are an error unless incomplete rows are dropped.  Row and column numbers
+in diagnostics are 1-based; the header is row 1.
 
-:func:`load_table` reads every input, a pipe too, in one pass that never
+:func:`_spill` reads every input, a pipe too, in one pass that never
 seeks, and raises the first error in file order; no line may be longer
 than :data:`MAX_LINE_BYTES`.  ``numpy.loadtxt`` reads each chunk of about
 ``_SCORE_BLOCK`` values whole if it can; else the per-cell parser reads it
@@ -19,11 +21,10 @@ bytes per value, the target column last, at a fixed stride per chunk
 (:class:`_Spill`).  This process reads and cuts the chunks; once a second
 chunk exists, up to ``jobs`` forked processes, no more than the usable
 CPUs, parse them and write them to the file, and the first error in file
-order is still the one raised (:func:`_forked_map`).  :func:`load_table`
-parses in this process and reads the file back into one table, whose views
-are the dataset's rows and target.  ``analyze`` reads it back a block of
-columns at a time instead (:meth:`_Spill.normalized_blocks`), so a run
-from a path never holds the n x F matrix.
+order is still the one raised (:func:`_forked_map`).  ``analyze`` reads
+the file back a block of columns at a time and rescales each block in
+place (:meth:`_Spill.normalized_blocks`), so a run never holds the n x F
+matrix.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import tempfile
 import warnings
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
 
@@ -61,75 +61,11 @@ _SCORE_BLOCK = 1 << 15
 TARGET_COLUMN = "target"
 
 
-def _freeze(array: np.ndarray) -> np.ndarray:
-    array = np.asarray(array, dtype=float)
-    array.flags.writeable = False
-    return array
-
-
 def _all_finite(array: np.ndarray) -> bool:
     """Whether every value is finite, with no temporary as large as
     ``array``: ``np.min`` and ``np.max`` return NaN if any value is NaN."""
     # min() raises on a zero-size array, whose values are all finite
     return array.size == 0 or bool(np.isfinite(array.min()) and np.isfinite(array.max()))
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Rectangular numeric table: feature columns plus an optional target.
-
-    A float64 array handed in as ``rows`` or ``target`` is frozen in place,
-    marked read-only rather than copied, so the caller must not write to its
-    memory through another view; anything else is converted to a new array.
-    """
-
-    feature_names: tuple[str, ...]
-    rows: np.ndarray
-    target: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        rows = _freeze(np.atleast_2d(self.rows))
-        object.__setattr__(self, "rows", rows)
-        if self.target is not None:
-            object.__setattr__(self, "target", _freeze(self.target))
-        if rows.shape[1] != len(self.feature_names):
-            raise DataFormatError(
-                f"{len(self.feature_names)} feature names but {rows.shape[1]} columns"
-            )
-        if rows.shape[0] < 1:
-            raise DataFormatError("dataset must contain at least one row")
-        if not _all_finite(rows):
-            raise DataFormatError("dataset values must all be finite")
-
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_names)
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.rows.shape[0])
-
-    def column(self, i: int) -> np.ndarray:
-        return self.rows[:, i]
-
-
-@dataclass(frozen=True)
-class NormalizedDataset(Dataset):
-    """Dataset rescaled into [0, 1], keeping per-feature (min, max)."""
-
-    ranges: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(
-            self, "ranges", tuple((float(lo), float(hi)) for lo, hi in self.ranges)
-        )
-        if len(self.ranges) != self.n_features:
-            raise DataFormatError("one (min, max) pair per feature required")
-        # finite by now, so the extremes bound every value
-        if self.rows.size and not (self.rows.min() >= 0.0 and self.rows.max() <= 1.0):
-            raise DataFormatError("normalized values must lie in [0, 1]")
 
 
 def _parse_cell(path: str | Path, cell: str, row_number: int, column_number: int, name: str) -> float:
@@ -558,9 +494,8 @@ class _Spill:
 
     def normalized_blocks(self) -> Iterator[tuple[np.ndarray, tuple[tuple[float, float], ...]]]:
         """Each block of ``max(1, _SCORE_BLOCK // n)`` features, min-max
-        rescaled as a contiguous f x n array, with each feature's ``(min,
-        max)``; equal bit for bit to the matching columns and ranges of
-        ``normalize(load_table(path))``."""
+        rescaled in place by :func:`_rescale` as a contiguous f x n array,
+        with each feature's ``(min, max)``."""
         n_features = len(self.feature_names)
         width = max(1, _SCORE_BLOCK // self.n_rows)
         for start in range(0, n_features, width):
@@ -568,7 +503,7 @@ class _Spill:
             for row, piece in self._pieces(start, start + len(block)):
                 block[:, row : row + piece.shape[1]] = piece
             # the table's columns are strided unless it has only one
-            ranges = _rescale(block.T, block.T, strided=len(self._names) > 1)
+            ranges = _rescale(block.T, strided=len(self._names) > 1)
             yield block, ranges
 
 
@@ -585,21 +520,6 @@ def _spill(path: str | Path, drop_incomplete_rows: bool, jobs: int = 1) -> _Spil
     return _Spill(names, file, counts, stride)
 
 
-def load_table(path: str | Path, drop_incomplete_rows: bool = False) -> Dataset:
-    """Parse a CSV file into a :class:`Dataset`.
-
-    Missing (empty) cells are a hard error unless ``drop_incomplete_rows``
-    is set, in which case the whole row is skipped.  Row and column numbers
-    in diagnostics are 1-based; the header is row 1.
-    """
-    with _spill(path, drop_incomplete_rows) as spill:
-        table = spill.table()
-    if not spill.has_target:
-        return Dataset(feature_names=spill.feature_names, rows=table)
-    # the target column is the table's last
-    return Dataset(feature_names=spill.feature_names, rows=table[:, :-1], target=table[:, -1])
-
-
 def _column_extremes(rows: np.ndarray, reduce, strided: bool = False) -> np.ndarray:
     """``reduce`` over axis 0, equal bit for bit to ``float(reduce(column))``.
 
@@ -609,6 +529,10 @@ def _column_extremes(rows: np.ndarray, reduce, strided: bool = False) -> np.ndar
     contiguous column may pick the other.  So a column whose extreme
     compares equal to zero is reduced again on its own, through a strided
     copy if ``strided`` is set: the column stands for one that was strided.
+    ``strided`` stays because the golden reports were written from
+    row-major tables, whose columns are strided unless there is only one,
+    and the tests' reference reduces the columns of a row-major table as
+    views; a block read back column by column must pick the same zeros.
     """
     extremes = reduce(rows, axis=0)
     for i in np.flatnonzero(extremes == 0.0).tolist():
@@ -617,44 +541,26 @@ def _column_extremes(rows: np.ndarray, reduce, strided: bool = False) -> np.ndar
     return extremes
 
 
-def _rescale(
-    rows: np.ndarray, out: np.ndarray, strided: bool = False
-) -> tuple[tuple[float, float], ...]:
-    """Min-max rescale each column of ``rows`` into ``out``, which may be
-    ``rows`` itself; returns each column's ``(min, max)``, taken as
-    :func:`_column_extremes` takes them."""
+def _rescale(rows: np.ndarray, strided: bool = False) -> tuple[tuple[float, float], ...]:
+    """Min-max rescale each column of ``rows`` into [0, 1] in place; returns
+    each column's ``(min, max)``, taken as :func:`_column_extremes` takes
+    them.
+
+    Constant columns carry no ordering information and map to 0.5
+    everywhere, which scores as the neutral midpoint downstream.  A column
+    whose span ``hi - lo`` overflows is rescaled with halved operands.
+    """
     lo = _column_extremes(rows, np.min, strided)
     hi = _column_extremes(rows, np.max, strided)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         span = hi - lo
         # the span of a finite column can overflow; halved operands cannot.
-        # They are taken before the pass below can overwrite ``rows``
+        # They are taken before the pass below overwrites ``rows``
         overflow = np.flatnonzero(~np.isfinite(span))
         lo2, hi2 = lo[overflow] / 2, hi[overflow] / 2
         halved = (rows[:, overflow] / 2 - lo2) / (hi2 - lo2)
-        np.subtract(rows, lo, out=out)
-        out /= span
-        out[:, overflow] = halved
-    out[:, hi == lo] = 0.5
+        rows -= lo
+        rows /= span
+        rows[:, overflow] = halved
+    rows[:, hi == lo] = 0.5
     return tuple(zip(lo.tolist(), hi.tolist()))
-
-
-def normalize(dataset: Dataset) -> NormalizedDataset:
-    """Min-max rescale each feature into [0, 1], into a new matrix.
-
-    Constant columns carry no ordering information and map to 0.5
-    everywhere, which scores as the neutral midpoint downstream.  A column
-    whose span ``hi - lo`` overflows is rescaled with halved operands.  The
-    dataset's arrays are never written.  The target is copied, so no view
-    keeps the dataset's table alive.  A run from a path rescales each block
-    of columns it reads back with the same :func:`_rescale`, so its values
-    and ranges equal ``normalize(load_table(path))`` bit for bit.
-    """
-    scaled = np.empty_like(dataset.rows)
-    ranges = _rescale(dataset.rows, scaled)
-    return NormalizedDataset(
-        feature_names=dataset.feature_names,
-        rows=scaled,
-        target=None if dataset.target is None else dataset.target.copy(),
-        ranges=ranges,
-    )

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import cipher as cipher_mod
 from .errors import ConfigurationError
 from .fuzzy import DefuzzConfig, FuzzyPartition, _checked_unit, make_uniform_partition
-from .ingest import Dataset, _spill, normalize
+from .ingest import _spill
 from .network import PropagationStats, cost
 from .selection import (
     RelevanceScore,
@@ -213,41 +213,32 @@ class PipelineOutcome:
 
 
 def analyze(
-    source: Dataset | str | Path,
+    source: str | Path,
     cfg: PipelineConfig,
     drop_incomplete_rows: bool = False,
     jobs: int = 1,
 ) -> PipelineOutcome:
-    """Run the selection pipeline on a CSV path or an in-memory dataset.
+    """Run the selection pipeline on the CSV file at ``source``.
 
     Scoring runs in this process, under the uniform partition and identity
-    rules.  A dataset is rescaled into a new matrix, never written, and
-    scored with one :func:`score_columns` call.  A CSV file takes two
-    passes with an unlinked temporary file between them: the first parses
-    it a chunk of rows at a time and writes each chunk column by column, in
-    this process or, once there is a second chunk, in up to ``jobs`` forked
-    processes, no more than the usable CPUs; the second reads back one
-    block of columns at a time, rescales it and scores it with
-    :func:`score_columns`.  So a run from a path holds about one block and
-    a few chunks, never the n x F matrix; the temporary file takes 8 bytes
-    per value.  Either way, and whatever ``jobs`` is, the scores and ranges
-    are equal bit for bit.
+    rules.  The file takes two passes with an unlinked temporary file
+    between them: the first parses it a chunk of rows at a time and writes
+    each chunk column by column, in this process or, once there is a second
+    chunk, in up to ``jobs`` forked processes, no more than the usable
+    CPUs; the second reads back one block of columns at a time, rescales it
+    in place and scores it with :func:`score_columns`.  So a run holds
+    about one block and a few chunks, never the n x F matrix; the temporary
+    file takes 8 bytes per value.  Whatever ``jobs`` is, the scores and
+    ranges are equal bit for bit.
     """
     cfg = cfg.validated()
     # checks the set cap before any data is read
     defuzz = cfg.defuzz_config()
-    if isinstance(source, Dataset):
-        normalized = normalize(source)
-        feature_names, ranges, n_rows = normalized.feature_names, normalized.ranges, normalized.n_rows
-        has_target = normalized.target is not None
-        column_scores = score_columns(normalized.rows, defuzz)
-    else:
-        ranges, column_scores = [], []
-        with _spill(source, drop_incomplete_rows, jobs) as spill:
-            for block, block_ranges in spill.normalized_blocks():
-                ranges += block_ranges
-                column_scores += score_columns(block.T, defuzz)
-        feature_names, n_rows, has_target = spill.feature_names, spill.n_rows, spill.has_target
+    ranges, column_scores = [], []
+    with _spill(source, drop_incomplete_rows, jobs) as spill:
+        for block, block_ranges in spill.normalized_blocks():
+            ranges += block_ranges
+            column_scores += score_columns(block.T, defuzz)
     scores = [RelevanceScore(i, score) for i, score in enumerate(column_scores)]
 
     if cfg.selection_kind == "topk":
@@ -256,13 +247,13 @@ def analyze(
         result = select_threshold(scores, cfg.tau)
 
     return PipelineOutcome(
-        feature_names=feature_names,
+        feature_names=spill.feature_names,
         ranges=tuple(ranges),
-        n_rows=n_rows,
-        has_target=has_target,
+        n_rows=spill.n_rows,
+        has_target=spill.has_target,
         scores=scores,
         result=result,
-        stats=cost(len(feature_names), cfg.sets, cfg.layers, n_rows),
+        stats=cost(len(spill.feature_names), cfg.sets, cfg.layers, spill.n_rows),
     )
 
 

@@ -97,6 +97,48 @@ MUTANTS = [
         "            self._phase = 0\n",
         ["tests/test_cipher.py::TestParts"],
     ),
+    Mutant(
+        "tag-fold-from-the-seed",
+        "src/fuzzkey/cipher.py",
+        "            self.tag = _fold_block(self.tag, block, self._key_codes, self._phase, self._powers)\n",
+        "            self.tag = _fold_block(TAG_SEED, block, self._key_codes, self._phase, self._powers)\n",
+        ["tests/test_cipher.py::TestParts"],
+    ),
+    Mutant(
+        "key-window-without-phase",
+        "src/fuzzkey/cipher.py",
+        "    end = phase + min(len(key), length)\n",
+        "    phase = 0\n    end = min(len(key), length)\n",
+        ["tests/test_cipher.py::TestParts"],
+    ),
+    Mutant(
+        "prefix-xor-without-carry",
+        "src/fuzzkey/cipher.py",
+        "    words[1:] ^= carry[:-1]\n",
+        "",
+        ["tests/test_cipher.py::TestTag"],
+    ),
+    Mutant(
+        "low-bytes-seed-0",
+        "src/fuzzkey/cipher.py",
+        "        steps[0] = first\n",
+        "        steps[0] = 0\n",
+        ["tests/test_cipher.py::TestTag"],
+    ),
+    Mutant(
+        "no-zero-rescan",
+        "src/fuzzkey/ingest.py",
+        "        extremes[i] = reduce(np.repeat(column, 2)[::2] if strided else column)\n",
+        "        pass\n",
+        ["tests/test_ingest.py::TestTwoPass"],
+    ),
+    Mutant(
+        "strided-from-three-columns",
+        "src/fuzzkey/ingest.py",
+        "strided=len(self._names) > 1)",
+        "strided=len(self._names) > 2)",
+        ["tests/test_ingest.py::TestTwoPass"],
+    ),
 ]
 
 

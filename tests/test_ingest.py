@@ -14,15 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzkey import (
-    DataFormatError,
-    Dataset,
-    NormalizedDataset,
-    PipelineConfig,
-    analyze,
-    load_table,
-    normalize,
-)
+from fuzzkey import DataFormatError, PipelineConfig, analyze, relevance_inference
 from fuzzkey import ingest
 from fuzzkey.ingest import _columns, _parse_cell, _parse_header, _parse_row
 
@@ -33,83 +25,93 @@ def write(tmp_path, text, name="data.csv"):
     return path
 
 
+def read_table(path, drop_incomplete_rows=False):
+    """Feature names, feature rows and target column (None without one) of
+    the table pass 1 writes for ``path``, read back whole."""
+    with ingest._spill(path, drop_incomplete_rows) as spill:
+        table = spill.table()
+    # the target column is the table's last
+    target = table[:, -1] if spill.has_target else None
+    return spill.feature_names, table[:, : len(spill.feature_names)], target
+
+
 class TestLoadTable:
     def test_minimal_table(self, tmp_path):
-        d = load_table(write(tmp_path, "a,b\n1,2\n3,4\n"))
-        assert d.feature_names == ("a", "b")
-        assert d.rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        assert d.target is None
+        names, rows, target = read_table(write(tmp_path, "a,b\n1,2\n3,4\n"))
+        assert names == ("a", "b")
+        assert rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert target is None
 
     def test_target_column_split(self, tmp_path):
-        d = load_table(write(tmp_path, "a,target,b\n1,0,2\n3,1,4\n"))
-        assert d.feature_names == ("a", "b")
-        assert d.rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        assert d.target.tolist() == [0.0, 1.0]
+        names, rows, target = read_table(write(tmp_path, "a,target,b\n1,0,2\n3,1,4\n"))
+        assert names == ("a", "b")
+        assert rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert target.tolist() == [0.0, 1.0]
 
     def test_ragged_row_reports_row_number(self, tmp_path):
         with pytest.raises(DataFormatError, match="row 2"):
-            load_table(write(tmp_path, "a,b\n1\n"))
+            read_table(write(tmp_path, "a,b\n1\n"))
 
     def test_non_numeric_cell_reports_position(self, tmp_path):
         with pytest.raises(DataFormatError, match="row 3, column 2"):
-            load_table(write(tmp_path, "a,b\n1,2\n3,oops\n"))
+            read_table(write(tmp_path, "a,b\n1,2\n3,oops\n"))
 
     def test_duplicate_header(self, tmp_path):
         with pytest.raises(DataFormatError, match="duplicate"):
-            load_table(write(tmp_path, "a,a\n1,2\n"))
+            read_table(write(tmp_path, "a,a\n1,2\n"))
 
     def test_duplicate_header_names_are_listed_once_and_sorted(self, tmp_path):
         path = write(tmp_path, "b,a,b,c,target,a,a\n1,2,3,4,5,6,7\n")
         with pytest.raises(DataFormatError) as got:
-            load_table(path)
+            read_table(path)
         assert str(got.value) == f"{path}: duplicate header names ['a', 'b']"
 
     def test_zero_data_rows(self, tmp_path):
         with pytest.raises(DataFormatError, match="no data rows"):
-            load_table(write(tmp_path, "a,b\n"))
+            read_table(write(tmp_path, "a,b\n"))
 
     def test_missing_file_raises_os_error(self, tmp_path):
         with pytest.raises(OSError):
-            load_table(tmp_path / "nope.csv")
+            read_table(tmp_path / "nope.csv")
 
     def test_missing_value_is_an_error(self, tmp_path):
         with pytest.raises(DataFormatError, match="missing value"):
-            load_table(write(tmp_path, "a,b\n1,\n"))
+            read_table(write(tmp_path, "a,b\n1,\n"))
 
     def test_drop_incomplete_rows(self, tmp_path):
-        d = load_table(write(tmp_path, "a,b\n1,\n3,4\n"), drop_incomplete_rows=True)
-        assert d.rows.tolist() == [[3.0, 4.0]]
+        _, rows, _ = read_table(write(tmp_path, "a,b\n1,\n3,4\n"), drop_incomplete_rows=True)
+        assert rows.tolist() == [[3.0, 4.0]]
 
     def test_dropping_every_row_leaves_no_data_rows(self, tmp_path):
         path = write(tmp_path, "a,b\n1,\n, \t\n")
         with pytest.raises(DataFormatError) as got:
-            load_table(path, drop_incomplete_rows=True)
+            read_table(path, drop_incomplete_rows=True)
         assert str(got.value) == f"{path}: no data rows"
 
     def test_crlf_line_endings(self, tmp_path):
-        d = load_table(write(tmp_path, "a,b\r\n1,2\r\n"))
-        assert d.rows.tolist() == [[1.0, 2.0]]
+        _, rows, _ = read_table(write(tmp_path, "a,b\r\n1,2\r\n"))
+        assert rows.tolist() == [[1.0, 2.0]]
 
     def test_signed_and_exponent_numerics(self, tmp_path):
-        d = load_table(write(tmp_path, "a,b,c\n-1.5,+2e3,.25\n"))
-        assert d.rows.tolist() == [[-1.5, 2000.0, 0.25]]
+        _, rows, _ = read_table(write(tmp_path, "a,b,c\n-1.5,+2e3,.25\n"))
+        assert rows.tolist() == [[-1.5, 2000.0, 0.25]]
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "1_000", "0x1f", "1,5", "\u0661\u0662", "\uff15"])
     def test_non_decimal_spellings_rejected(self, tmp_path, bad):
         with pytest.raises(DataFormatError):
-            load_table(write(tmp_path, f"a,b\n{bad},2\n"))
+            read_table(write(tmp_path, f"a,b\n{bad},2\n"))
 
     def test_only_target_column(self, tmp_path):
         with pytest.raises(DataFormatError, match="no feature columns"):
-            load_table(write(tmp_path, "target\n1\n"))
+            read_table(write(tmp_path, "target\n1\n"))
 
     def test_empty_header_name(self, tmp_path):
         with pytest.raises(DataFormatError, match="empty column name"):
-            load_table(write(tmp_path, "a,,c\n1,2,3\n"))
+            read_table(write(tmp_path, "a,,c\n1,2,3\n"))
 
     def test_byte_order_mark_is_no_part_of_the_first_name(self, tmp_path):
-        d = load_table(write(tmp_path, "\ufeffa,b\n1,2\n"))
-        assert d.feature_names == ("a", "b")
+        names, _, _ = read_table(write(tmp_path, "\ufeffa,b\n1,2\n"))
+        assert names == ("a", "b")
 
     @pytest.mark.parametrize(
         "data, message",
@@ -127,7 +129,7 @@ class TestLoadTable:
         path, read_end = pipe_or_file(data, how, tmp_path)
         try:
             with pytest.raises(DataFormatError) as got:
-                load_table(path)
+                read_table(path)
         finally:
             if read_end is not None:
                 os.close(read_end)
@@ -137,21 +139,21 @@ class TestLoadTable:
         # loadtxt skips an empty line; in a one-column table it is a missing cell
         path = write(tmp_path, "a\n1\n\n2\n")
         with pytest.raises(DataFormatError) as got:
-            load_table(path)
+            read_table(path)
         assert str(got.value) == f"{path}: row 3, column 1: missing value"
-        assert load_table(path, drop_incomplete_rows=True).rows.tolist() == [[1.0], [2.0]]
+        assert read_table(path, drop_incomplete_rows=True)[1].tolist() == [[1.0], [2.0]]
 
     def test_lone_carriage_return_does_not_split_a_line(self, tmp_path):
         path = write(tmp_path, "a\n1\r2\n")
         with pytest.raises(DataFormatError) as got:
-            load_table(path)
+            read_table(path)
         assert str(got.value) == f"{path}: row 2, column 1 (a): not a number: '1\\r2'"
 
     @pytest.mark.parametrize("name", ["x\ty", "\u00e9t\u00e9", "\ufeffa"], ids=["tab", "non-ascii", "second-bom"])
     def test_header_name_must_be_ascii_without_tabs(self, tmp_path, name):
         # selected names are written verbatim into the tab-separated ASCII selection
         with pytest.raises(DataFormatError, match="column 2: name .* is not ASCII without tabs"):
-            load_table(write(tmp_path, f"a,{name}\n1,2\n"))
+            read_table(write(tmp_path, f"a,{name}\n1,2\n"))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -221,7 +223,7 @@ def loadtxt_value(cell):
 
 
 class TestBulkParsing:
-    """load_table against float() of every stripped cell, bit for bit."""
+    """Pass 1 against float() of every stripped cell, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(numeric_tables(), st.sampled_from(["\n", "\r\n"]))
@@ -230,22 +232,22 @@ class TestBulkParsing:
         text = newline.join([",".join(names)] + [",".join(r) for r in rows]) + newline
         path = tmp_path_factory.mktemp("bulk") / "table.csv"
         path.write_bytes(text.encode("ascii"))
-        d = load_table(path)
+        got_names, got_rows, got_target = read_table(path)
         values = np.array([[float(c.strip()) for c in r] for r in rows])
         features = [i for i, name in enumerate(names) if name != "target"]
-        assert d.feature_names == tuple(names[i] for i in features)
-        assert d.rows.tobytes() == np.ascontiguousarray(values[:, features]).tobytes()
+        assert got_names == tuple(names[i] for i in features)
+        assert got_rows.tobytes() == np.ascontiguousarray(values[:, features]).tobytes()
         if target_at is None:
-            assert d.target is None
+            assert got_target is None
         else:
-            assert d.target.tobytes() == np.ascontiguousarray(values[:, target_at]).tobytes()
+            assert got_target.tobytes() == np.ascontiguousarray(values[:, target_at]).tobytes()
 
     @settings(max_examples=600, deadline=None)
     @given(st.text(alphabet=st.one_of(st.sampled_from(NUMERIC), st.sampled_from(ASCII_CELL)), max_size=8))
     def test_numeric_characters_follow_the_per_cell_parser(self, tmp_path_factory, cell):
         # loadtxt reads a chunk whole when every value it reads is finite, so
         # wherever it reads a finite value the per-cell parser must read the
-        # same bits; load_table gives the per-cell parser's value or message
+        # same bits; pass 1 gives the per-cell parser's value or message
         path = tmp_path_factory.mktemp("cell") / "cell.csv"
         path.write_bytes(f"a,b\n{cell},1\n".encode("ascii"))
         read = loadtxt_value(cell)
@@ -253,18 +255,18 @@ class TestBulkParsing:
         if stripped == "":
             assert read is None
             with pytest.raises(DataFormatError, match="row 2, column 1: missing value"):
-                load_table(path)
+                read_table(path)
             return
         try:
             expected = _parse_cell(path, stripped, 2, 1, "a")
         except DataFormatError as exc:
             assert read is None
             with pytest.raises(DataFormatError) as got:
-                load_table(path)
+                read_table(path)
             assert str(got.value) == str(exc)
             return
         assert read is None or read.hex() == expected.hex()
-        assert load_table(path).rows[0, 0].hex() == expected.hex()
+        assert read_table(path)[1][0, 0].hex() == expected.hex()
 
     @pytest.mark.parametrize("number", ["0", "-1", "+2.5", ".5e-3", "7.", "1e999"])
     def test_loadtxt_reads_no_cell_the_per_cell_parser_refuses(self, number):
@@ -289,10 +291,10 @@ class TestBulkParsing:
             expected = _parse_cell(path, cell.strip(), 3, 1, "a")
         except DataFormatError as exc:
             with pytest.raises(DataFormatError) as got:
-                load_table(path)
+                read_table(path)
             assert str(got.value) == str(exc)
             return
-        assert load_table(path).rows[1, 0].hex() == expected.hex()
+        assert read_table(path)[1][1, 0].hex() == expected.hex()
 
 
 ODD_CELLS = [
@@ -370,7 +372,7 @@ def _reference_table(path, data, drop_incomplete_rows):
 
 
 class TestStreaming:
-    """load_table against the per-cell reference parser."""
+    """Pass 1 against the per-cell reference parser."""
 
     @settings(max_examples=400, deadline=None)
     @given(csv_files(), st.booleans(), st.sampled_from([1, 2, 7, ingest._SCORE_BLOCK]))
@@ -391,18 +393,18 @@ class TestStreaming:
             names, table = _reference_table(path, data, drop_incomplete_rows)
         except DataFormatError as exc:
             with pytest.raises(DataFormatError) as got, mock.patch.object(ingest, "_SCORE_BLOCK", block):
-                load_table(path, drop_incomplete_rows)
+                read_table(path, drop_incomplete_rows)
             assert str(got.value) == str(exc)
             return
         with mock.patch.object(ingest, "_SCORE_BLOCK", block):
-            d = load_table(path, drop_incomplete_rows)
+            got_names, rows, target = read_table(path, drop_incomplete_rows)
         features = [name for name in names if name != "target"]
-        assert d.feature_names == tuple(features)
-        assert d.rows.tobytes() == table[:, : len(features)].tobytes()
+        assert got_names == tuple(features)
+        assert rows.tobytes() == table[:, : len(features)].tobytes()
         if len(features) == len(names):
-            assert d.target is None
+            assert target is None
         else:
-            assert d.target.tobytes() == table[:, -1].tobytes()
+            assert target.tobytes() == table[:, -1].tobytes()
 
     @pytest.mark.parametrize(
         "text, how",
@@ -426,9 +428,9 @@ class TestStreaming:
     def test_clean_files_never_reach_the_reference(self, tmp_path, monkeypatch, text, how):
         path = write(tmp_path, text)
         drop = how == "drop"
-        expected = load_table(path, drop)
+        expected_names, expected_rows, expected_target = read_table(path, drop)
         if drop:
-            assert expected.rows.tolist() == [[3.0, 4.0], [6.0, 7.0]]
+            assert expected_rows.tolist() == [[3.0, 4.0], [6.0, 7.0]]
         if how == "pipe":
             read_end, write_end = os.pipe()
             os.write(write_end, text.encode())
@@ -444,18 +446,18 @@ class TestStreaming:
 
         monkeypatch.setattr(ingest, "_parse_row", parse_row)
         try:
-            d = load_table(path, drop)
+            names, rows, target = read_table(path, drop)
         finally:
             if how == "pipe":
                 os.close(read_end)
         # no line of a clean file reaches the per-cell parser; in drop mode
         # the filter removes every blank cell, empty or whitespace alike
         assert parsed == []
-        assert d.feature_names == expected.feature_names
-        assert d.rows.tobytes() == expected.rows.tobytes()
-        assert (d.target is None) == (expected.target is None)
-        if d.target is not None:
-            assert d.target.tobytes() == expected.target.tobytes()
+        assert names == expected_names
+        assert rows.tobytes() == expected_rows.tobytes()
+        assert (target is None) == (expected_target is None)
+        if target is not None:
+            assert target.tobytes() == expected_target.tobytes()
 
     @pytest.mark.parametrize("cell", ["1e", "1 2", "1e999"])
     @pytest.mark.parametrize("at", ["row-2", "last-row"])
@@ -473,7 +475,7 @@ class TestStreaming:
             path, read_end = pipe_or_file(data, how, tmp_path)
             try:
                 with pytest.raises(DataFormatError) as got:
-                    load_table(path)
+                    read_table(path)
             finally:
                 if read_end is not None:
                     os.close(read_end)
@@ -495,7 +497,7 @@ class TestStreaming:
         monkeypatch.setattr(ingest, "_SCORE_BLOCK", 6)
         monkeypatch.setattr(ingest, "_parse_row", parse_row)
         with pytest.raises(DataFormatError) as got:
-            load_table(path)
+            read_table(path)
         assert str(got.value) == f"{path}: row 22, column 1 (a): value is not finite: '1e999'"
         assert parsed == [20, 21, 22]
 
@@ -507,33 +509,34 @@ class TestStreaming:
         lines = [",".join(names)] + [",".join(map(repr, row)) for row in table.tolist()]
         data = ("\n".join(lines) + "\n").encode()
         del lines
-        peaks = []
-        for run in (load_table, lambda path: analyze(path, PipelineConfig(k=3))):
-            with pipe_from_thread(data) as path:
-                tracemalloc.start()
-                try:
-                    got = run(path)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-            assert got.n_rows == len(table)
-        # load_table returns the table; analyze, as from a path, keeps none
-        assert peaks[0] <= 1.35 * table.nbytes and peaks[1] <= 0.35 * table.nbytes
+        with pipe_from_thread(data) as path:
+            tracemalloc.start()
+            try:
+                got = analyze(path, PipelineConfig(k=3))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert got.n_rows == len(table)
+        # analyze keeps neither the text nor the table
+        assert peak <= 0.35 * table.nbytes
 
     def test_load_and_normalize_peak_near_the_matrix(self, tmp_path):
         # the text, a list of its lines and copies of the table used to
-        # coexist: about 8.6 matrices at this size
+        # coexist: about 8.6 matrices at this size.  Here pass 1 is read
+        # back whole and its feature columns rescaled in place
         table = np.random.default_rng(4).standard_normal((4000, 25))
         names = [f"x{i}" for i in range(24)] + ["target"]
         lines = [",".join(names)] + [",".join(map(repr, row)) for row in table.tolist()]
         path = write(tmp_path, "\n".join(lines) + "\n")
         tracemalloc.start()
         try:
-            normalized = normalize(load_table(path))
+            with ingest._spill(path, False) as spill:
+                loaded = spill.table()
+            ingest._rescale(loaded[:, :-1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert normalized.target.tobytes() == table[:, -1].tobytes()
+        assert loaded[:, -1].tobytes() == table[:, -1].tobytes()
         assert peak <= 3.5 * table.nbytes
 
 
@@ -555,100 +558,71 @@ def columns_of(n):
     )
 
 
-class TestDataset:
-    def test_float64_arrays_are_frozen_in_place(self):
-        rows, target = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.0, 1.0])
-        d = Dataset(("a", "b"), rows, target)
-        assert np.shares_memory(d.rows, rows) and np.shares_memory(d.target, target)
-        with pytest.raises(ValueError, match="read-only"):
-            d.rows[0, 0] = 9.0
-        with pytest.raises(ValueError, match="read-only"):
-            target[0] = 9.0
-
-    def test_zero_columns_are_valid(self):
-        # the finiteness and range checks take a zero-size array's extremes
-        d = Dataset((), np.empty((3, 0)))
-        assert (d.n_features, d.n_rows) == (0, 3)
-        nd = normalize(d)
-        assert nd.rows.shape == (3, 0) and nd.ranges == ()
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_values_must_be_finite(self, bad):
-        rows = np.ones((3, 4))
-        rows[1, 2] = bad
-        with pytest.raises(DataFormatError) as got:
-            Dataset(tuple("abcd"), rows)
-        assert str(got.value) == "dataset values must all be finite"
-
-    def test_normalized_values_must_lie_in_the_unit_interval(self):
-        ranges = ((0.0, 1.0),) * 2
-        ends = NormalizedDataset(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), ranges=ranges)
-        assert ends.rows.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-        for bad in (-5e-324, 1.0000000000000002):
-            with pytest.raises(DataFormatError) as got:
-                NormalizedDataset(("a", "b"), np.array([[0.5, 0.5], [bad, 0.5]]), ranges=ranges)
-            assert str(got.value) == "normalized values must lie in [0, 1]"
-
-
 class TestNormalize:
+    """``_rescale``, which pass 2 runs in place on each block it reads back."""
+
     def test_three_point_column(self):
-        d = Dataset(("a",), np.array([[2.0], [4.0], [6.0]]))
-        nd = normalize(d)
-        assert nd.rows[:, 0].tolist() == [0.0, 0.5, 1.0]
-        assert nd.ranges == ((2.0, 6.0),)
+        rows = np.array([[2.0], [4.0], [6.0]])
+        assert ingest._rescale(rows) == ((2.0, 6.0),)
+        assert rows[:, 0].tolist() == [0.0, 0.5, 1.0]
 
     def test_constant_column_maps_to_half(self):
-        d = Dataset(("a",), np.array([[5.0], [5.0]]))
-        assert normalize(d).rows[:, 0].tolist() == [0.5, 0.5]
+        rows = np.array([[5.0], [5.0]])
+        ingest._rescale(rows)
+        assert rows[:, 0].tolist() == [0.5, 0.5]
 
     def test_unit_range_is_fixed_point(self):
-        d = Dataset(("a",), np.array([[0.0], [1.0]]))
-        assert normalize(d).rows[:, 0].tolist() == [0.0, 1.0]
+        rows = np.array([[0.0], [1.0]])
+        ingest._rescale(rows)
+        assert rows[:, 0].tolist() == [0.0, 1.0]
 
     def test_idempotence(self):
         rng = np.random.default_rng(15)
         rows = rng.uniform(-50, 50, size=(12, 4))
         rows[:, 2] = 7.0  # a constant column stays at 0.5
-        once = normalize(Dataset(tuple("abcd"), rows))
-        twice = normalize(once)
-        assert np.array_equal(once.rows, twice.rows)
+        ingest._rescale(rows)
+        once = rows.copy()
+        ingest._rescale(rows)
+        assert np.array_equal(once, rows)
 
     def test_range_and_extremes(self):
         rng = np.random.default_rng(16)
         rows = rng.normal(size=(30, 3)) * 100
-        nd = normalize(Dataset(tuple("abc"), rows))
-        assert nd.rows.min() >= 0.0 and nd.rows.max() <= 1.0
+        ingest._rescale(rows)
+        assert rows.min() >= 0.0 and rows.max() <= 1.0
         for i in range(3):
-            assert nd.rows[:, i].min() == 0.0
-            assert nd.rows[:, i].max() == 1.0
+            assert rows[:, i].min() == 0.0
+            assert rows[:, i].max() == 1.0
 
     def test_order_preserved_within_feature(self):
         rng = np.random.default_rng(17)
         column = rng.uniform(-10, 10, size=25)
-        nd = normalize(Dataset(("a",), column.reshape(-1, 1)))
+        rows = column.reshape(-1, 1).copy()
+        ingest._rescale(rows)
         order = np.argsort(column)
-        assert np.all(np.diff(nd.rows[order, 0]) >= 0)
+        assert np.all(np.diff(rows[order, 0]) >= 0)
 
-    def test_target_carried_through(self):
-        d = Dataset(("a",), np.array([[1.0], [2.0]]), target=np.array([1.0, 0.0]))
-        assert normalize(d).target.tolist() == [1.0, 0.0]
+    def test_target_carried_through(self, tmp_path):
+        # no block holds the target column, which reads back as written
+        with ingest._spill(write(tmp_path, "a,target\n1,1\n2,0\n"), False) as spill:
+            blocks = [block.tolist() for block, _ in spill.normalized_blocks()]
+            assert spill.has_target and spill.table()[:, -1].tolist() == [1.0, 0.0]
+        assert blocks == [[[0.0, 1.0]]]
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=1, max_value=40).flatmap(lambda n: st.lists(columns_of(n), min_size=1, max_size=8)))
     def test_matches_per_column_reference(self, columns):
-        # row-major, as load_table builds it: a column is then a strided view
-        d = Dataset(tuple(f"c{i}" for i in range(len(columns))), np.array(columns).T.copy())
-        assert d.rows.flags.c_contiguous
-        rows, ranges = per_column_normalize(d.rows)
-        original = d.rows.tobytes()
-        nd = normalize(d)
-        assert d.rows.tobytes() == original and not np.shares_memory(nd.rows, d.rows)
-        assert nd.rows.tobytes() == rows.tobytes()
-        assert [(lo.hex(), hi.hex()) for lo, hi in nd.ranges] == [(lo.hex(), hi.hex()) for lo, hi in ranges]
+        # row-major, as pass 1's table reads back: a column is then a strided view
+        rows = np.array(columns).T.copy()
+        expected, ranges = per_column_normalize(rows)
+        got = ingest._rescale(rows)
+        assert rows.tobytes() == expected.tobytes()
+        assert [(lo.hex(), hi.hex()) for lo, hi in got] == [(lo.hex(), hi.hex()) for lo, hi in ranges]
 
 
 def per_column_normalize(rows):
-    """The per-column rescaling that ``normalize`` must reproduce bit for bit."""
+    """The per-column rescaling that ``_rescale`` must reproduce bit for bit,
+    each column's extremes reduced over ``rows[:, i]`` as ``rows`` holds it."""
     columns, ranges = [], []
     for i in range(rows.shape[1]):
         column = rows[:, i]
@@ -709,9 +683,10 @@ def pipe_from_thread(data):
 
 class TestTwoPass:
     """analyze on a path parses the CSV into a temporary file and reads it
-    back a block of columns at a time; every block must equal the matching
-    columns of normalize(load_table(path)) bit for bit, whatever the block
-    size, and so must the scores and ranges."""
+    back a block of columns at a time; whatever the block size, every block
+    and its ranges must equal per_column_normalize of the matching columns
+    of the table read back whole, bit for bit, and every score the scalar
+    relevance_inference of its rescaled column."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -742,10 +717,12 @@ class TestTwoPass:
             lines.append(blank)
         data = ("\n".join(lines) + "\n").encode()
         directory = tmp_path_factory.mktemp("twopass")
-        reference = load_table(pipe_or_file(data, "file", directory)[0], drop)
-        expected = normalize(reference)
-        cfg = PipelineConfig(k=1)
-        want = analyze(reference, cfg)
+        # views of the row-major table: strided unless it has one column
+        _, loaded, _ = read_table(pipe_or_file(data, "file", directory)[0], drop)
+        expected, expected_ranges = per_column_normalize(loaded)
+        cfg = PipelineConfig(k=1).validated()
+        partition, defuzz = cfg.partition(), cfg.defuzz_config()
+        scores = [relevance_inference(expected[:, i], partition, None, defuzz) for i in range(len(features))]
         with mock.patch.object(ingest, "_SCORE_BLOCK", block):
             path, read_end = pipe_or_file(data, how, directory)
             try:
@@ -753,9 +730,9 @@ class TestTwoPass:
                     done = 0
                     for rows, ranges in spill.normalized_blocks():
                         assert rows.flags.c_contiguous
-                        assert rows.tobytes() == expected.rows[:, done : done + len(rows)].T.tobytes()
+                        assert rows.tobytes() == expected[:, done : done + len(rows)].T.tobytes()
                         assert [(lo.hex(), hi.hex()) for lo, hi in ranges] == [
-                            (lo.hex(), hi.hex()) for lo, hi in expected.ranges[done : done + len(rows)]
+                            (lo.hex(), hi.hex()) for lo, hi in expected_ranges[done : done + len(rows)]
                         ]
                         done += len(rows)
                     assert done == len(features)
@@ -769,13 +746,13 @@ class TestTwoPass:
                 if read_end is not None:
                     os.close(read_end)
         assert (got.feature_names, got.n_rows, got.has_target) == (
-            want.feature_names,
-            want.n_rows,
+            tuple(name for name in names if name != "target"),
+            len(features[0]),
             target is not None,
         )
-        assert [s.score.hex() for s in got.scores] == [s.score.hex() for s in want.scores]
+        assert [s.score.hex() for s in got.scores] == [score.hex() for score in scores]
         assert [(lo.hex(), hi.hex()) for lo, hi in got.ranges] == [
-            (lo.hex(), hi.hex()) for lo, hi in want.ranges
+            (lo.hex(), hi.hex()) for lo, hi in expected_ranges
         ]
 
 

@@ -15,8 +15,6 @@ from fuzzkey import (
     cli,
     fuzzify,
     load_config_file,
-    load_table,
-    normalize,
     relevance_inference,
     render_report,
     select_topk,
@@ -32,6 +30,13 @@ def csv_path(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text(CSV)
     return path
+
+
+def normalized_columns(path):
+    """Each feature column of the CSV file at ``path``, rescaled as pass 2
+    rescales it."""
+    with ingest._spill(path, False) as spill:
+        return [column for block, _ in spill.normalized_blocks() for column in block]
 
 
 class TestConfigFile:
@@ -129,11 +134,10 @@ class TestAnalyze:
         cfg = PipelineConfig(k=2).validated()
         outcome = analyze(csv_path, cfg)
 
-        nd = normalize(load_table(csv_path))
         partition, defuzz = cfg.partition(), cfg.defuzz_config()
         scores = [
-            RelevanceScore(i, relevance_inference(nd.column(i), partition, None, defuzz))
-            for i in range(nd.n_features)
+            RelevanceScore(i, relevance_inference(column, partition, None, defuzz))
+            for i, column in enumerate(normalized_columns(csv_path))
         ]
         expected = select_topk(scores, 2)
         assert outcome.result == expected
@@ -157,10 +161,9 @@ class TestAnalyze:
         # partition every instance's degrees sum to 1, so a sum-of-degrees
         # score would be 1.0 for every feature
         cfg = PipelineConfig(k=1).validated()
-        nd = normalize(load_table(csv_path))
         partition = cfg.partition()
-        for i in range(nd.n_features):
-            sums = [math.fsum(fuzzify(v, partition).degrees) for v in nd.column(i)]
+        for column in normalized_columns(csv_path):
+            sums = [math.fsum(fuzzify(v, partition).degrees) for v in column]
             assert math.fsum(sums) / len(sums) == pytest.approx(1.0, abs=1e-9)
 
     def test_bad_jobs_value(self, csv_path, tmp_path, capsysbinary, key_file):
