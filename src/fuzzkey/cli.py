@@ -356,6 +356,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     outcome = analyze(args.dataset, cfg, args.drop_incomplete_rows, args.jobs)
     with _output(args.output) as handle:
         handle.write(seal(outcome.selection_bytes(), key, cfg.tag).to_bytes())
+        # a device target fails here, before the report is out
+        handle.flush()
         # the envelope replaces its target only once the report is out
         _write_bytes(None, render_report(outcome, cfg))
     return EXIT_OK

@@ -20,10 +20,11 @@ Each chunk is written column by column to an unlinked temporary file, 8
 bytes per value, the target column last, at a fixed stride per chunk
 (:class:`_Spill`).  This process reads and cuts the chunks; once a second
 chunk exists, up to ``jobs`` forked processes, no more than the usable
-CPUs, parse them and write them to the file, and the first error in file
-order is still the one raised (:func:`_forked_map`).  ``analyze`` reads
-the file back a block of columns at a time and rescales each block in
-place (:meth:`_Spill.normalized_blocks`), so a run never holds the n x F
+CPUs, take the chunks in turn, parse them and write them to the file, and
+the first error in file order is still the one raised
+(:func:`_forked_map`).  ``analyze`` reads the file back a block of
+columns at a time and rescales each block in place
+(:meth:`_Spill.normalized_blocks`), so a run never holds the n x F
 matrix.
 """
 
@@ -37,12 +38,11 @@ import math
 import os
 import pickle
 import re
-import select
 import sys
 import tempfile
 import warnings
-from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections import Counter, deque
+from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import BinaryIO
 
@@ -281,16 +281,15 @@ class _Worker:
             raise self._ended() from None
 
     def result(self):
-        """The result of the task sent, or the exception it raised; raises
-        if the process ended first."""
+        """The result of the task sent; raises the exception it raised, or
+        one if the process ended first."""
         try:
-            return pickle.load(self._replies)
+            result = pickle.load(self._replies)
         except (EOFError, pickle.UnpicklingError):
             raise self._ended() from None
-
-    def fileno(self) -> int:
-        """The pipe the result comes from, for ``select.poll``."""
-        return self._replies.fileno()
+        if isinstance(result, BaseException):
+            raise result
+        return result
 
     @staticmethod
     def _ended() -> OSError:
@@ -306,92 +305,54 @@ class _Worker:
         os.waitpid(self.pid, 0)
 
 
-def _forked_map(function: Callable, tasks: Iterable[tuple], cap: int) -> Iterator:
+def _forked_map(function: Callable, tasks: Iterator[tuple], cap: int) -> Iterator:
     """``function(*args)`` for each ``args`` of ``tasks``, in order, run in
     at most ``cap`` forked :class:`_Worker` processes, or in this one if
     ``cap`` is 1.
 
-    A process is forked only for a task that finds none idle, so there are
-    never more processes than tasks.  Each holds one task at a time, which
-    it gets only when idle, so no write to a process waits on its replies.
-    A process that is done takes the next task, but no task is sent while
-    the oldest unfinished one is 2 x processes tasks back.  Results are
-    yielded in task order, so the first task to raise is the one whose
-    exception is raised; if reading the next task raises, the tasks already
-    sent go first.  A failed fork leaves the tasks to the processes already
-    running, or to this one if there are none.  Every process is reaped and
-    every pipe closed, however the map ends.
+    The first ``cap`` tasks each fork a process, so there are never more
+    processes than tasks.  Each later task goes to the process that holds
+    the oldest task, once that result is read and yielded: task ``i`` goes
+    to process ``i`` mod the processes.  So each process holds one task at
+    a time, which it gets only when idle, and no write to a process waits
+    on its replies.  Results are yielded in task order, so the first task
+    to raise is the one whose exception is raised; if reading the next task
+    raises, the tasks already sent go first.  A failed fork leaves the tasks
+    to the processes already running, or to this one if there are none.
+    Every process is reaped and every pipe closed, however the map ends.
     """
-    tasks = iter(tasks)
     workers: list[_Worker] = []
-    idle: list[_Worker] = []
-    busy: dict[_Worker, int] = {}  # the index of the task each one holds
-    results = {}  # by task index: each result, or exception, not yet yielded
-    sent = done = 0  # tasks taken, and results yielded
+    held: deque[_Worker] = deque()  # the processes holding a task, oldest task first
     cap = cap if cap > 1 else 0
-
-    def collect() -> None:
-        """Wait for one or more busy processes to reply."""
-        poll = select.poll()
-        for worker in busy:
-            poll.register(worker, select.POLLIN)
-        ready = {fd for fd, _ in poll.poll()}
-        for worker in [worker for worker in busy if worker.fileno() in ready]:
-            index = busy.pop(worker)
-            try:
-                results[index] = worker.result()
-            except OSError as exc:
-                results[index] = exc  # and the process is not used again
-            else:
-                idle.append(worker)
-
-    def ordered() -> Iterator:
-        """The results ready in task order; raises the first exception."""
-        nonlocal done
-        while done in results:
-            result = results.pop(done)
-            done += 1
-            if isinstance(result, BaseException):
-                raise result
-            yield result
-
-    def drain() -> Iterator:
-        """The results of every task sent, in order."""
-        while busy:
-            collect()
-            yield from ordered()
-
     try:
         while True:
             try:
                 args = next(tasks, None)
             except Exception:
                 # the tasks sent come first in order, so their first error wins
-                yield from drain()
+                while held:
+                    yield held.popleft().result()
                 raise
             if args is None:
                 break
-            if not idle and len(workers) < cap:
+            if len(workers) < cap:
                 try:
-                    idle.append(_Worker(function, workers))
+                    workers.append(_Worker(function, workers))
                 except OSError:
                     cap = len(workers)
-                else:
-                    workers.append(idle[-1])
             if not workers:
-                sent += 1
-                done += 1
                 yield function(*args)
                 continue
-            while not idle or sent - done >= 2 * len(workers):
-                collect()
-                yield from ordered()
-            worker = idle.pop()
+            if len(held) < len(workers):
+                worker = workers[-1]  # just forked
+            else:
+                worker = held.popleft()  # it holds the oldest task
+                yield worker.result()
             worker.send(args)
-            busy[worker] = sent
-            sent += 1
+            held.append(worker)
             del args, worker  # before the next task is read
-        yield from drain()
+        while held:
+            yield held.popleft().result()
     finally:
         for worker in workers:
             worker.close()

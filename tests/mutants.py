@@ -139,6 +139,27 @@ MUTANTS = [
         "strided=len(self._names) > 2)",
         ["tests/test_ingest.py::TestTwoPass"],
     ),
+    Mutant(
+        "newest-holder-takes-the-task",
+        "src/fuzzkey/ingest.py",
+        "worker = held.popleft()",
+        "worker = held.pop()",
+        ["tests/test_ingest.py::TestParsingProcesses::test_jobs_do_not_change_the_table_or_the_error"],
+    ),
+    Mutant(
+        "no-drain-before-a-read-error",
+        "src/fuzzkey/ingest.py",
+        "                while held:\n                    yield held.popleft().result()\n                raise\n",
+        "                raise\n",
+        ["tests/test_ingest.py::TestParsingProcesses::test_a_read_error_comes_after_the_chunks_sent[bad-cell-first]"],
+    ),
+    Mutant(
+        "refused-fork-tried-again",
+        "src/fuzzkey/ingest.py",
+        "                    cap = len(workers)\n",
+        "                    pass\n",
+        ["tests/test_ingest.py::TestParsingProcesses::test_a_failed_fork_leaves_the_parse_to_the_processes_running"],
+    ),
 ]
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -492,6 +493,16 @@ class TestPipeline:
         assert proc.returncode == 3
         assert_one_error_line(proc)
         assert sorted(os.listdir(tmp_path)) == ["key.bin"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_device_output_leaves_stdout_empty(self, key_env):
+        # a device target is written in place; its envelope fails before
+        # the report is written
+        args = ["pipeline", str(DATA / "fixture_5x20.csv"), "--k", "2", "--output", "/dev/full"]
+        proc = run_cli(args, key_env)
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert_one_error_line(proc)
 
 
 class TestGoldenPipeline:
@@ -1559,20 +1570,10 @@ def reaped():
 
 class InProcessWorker:
     """Stands in for ``ingest._Worker`` without a process: it holds at most
-    one task and runs it when its result is read, which it is ready for
-    once :meth:`go` is called."""
+    one task and runs it when its result is read."""
 
     def __init__(self, function, others):
         self.function, self.args, self.closed = function, None, False
-        self.ready, self.release = os.pipe()
-
-    def go(self):
-        if self.release is not None:
-            os.close(self.release)  # the read end then polls readable, at its end
-            self.release = None
-
-    def fileno(self):
-        return self.ready
 
     def send(self, args):
         assert self.args is None
@@ -1580,14 +1581,9 @@ class InProcessWorker:
 
     def result(self):
         args, self.args = self.args, None
-        try:
-            return self.function(*args)
-        except Exception as exc:
-            return exc
+        return self.function(*args)
 
     def close(self):
-        self.go()
-        os.close(self.ready)
         self.closed = True
 
 
@@ -1680,7 +1676,6 @@ class TestParsingProcesses:
 
         def worker(*args):
             workers.append(InProcessWorker(*args))
-            workers[-1].go()
             return workers[-1]
 
         monkeypatch.setattr(os, "fork", fork)
@@ -1695,39 +1690,47 @@ class TestParsingProcesses:
         assert (len(workers), forks) == (processes, [])
         assert all(worker.closed for worker in workers)
 
-    def test_at_most_two_chunks_per_process_are_in_flight(self, tmp_path, capfd, monkeypatch):
-        # the first process holds chunk 0 until the second has done three
-        log, workers = [], []
+    def test_chunks_go_to_the_processes_in_turn(self, tmp_path, capfd, monkeypatch):
+        # the first process stalls on chunk 0, while the second is idle
+        parent, loaded, log = os.getpid(), ingest._loaded, []
 
-        class Logged(InProcessWorker):
+        def stalling(chunk, *args):
+            if os.getpid() != parent and chunk[0].startswith(b"1,"):
+                time.sleep(0.3)
+            return loaded(chunk, *args)
+
+        class Logged(ingest._Worker):
+            def __init__(self, function, others):
+                super().__init__(function, others)
+                self.number = len(others)
+
             def send(self, args):
-                log.append(("send", args[0]))
+                log.append(("send", self.number, args[0]))
                 super().send(args)
 
             def result(self):
-                log.append(("result", self.args[0]))
-                if ("result", 3) in log:
-                    workers[0].go()
+                log.append(("result", self.number, None))
                 return super().result()
 
-        def worker(*args):
-            workers.append(Logged(*args))
-            if len(workers) > 1:
-                workers[-1].go()
-            return workers[-1]
-
-        monkeypatch.setattr(ingest, "_Worker", worker)
+        monkeypatch.setattr(ingest, "_loaded", stalling)
+        monkeypatch.setattr(ingest, "_Worker", Logged)
         path = self.write(tmp_path)
         serial = self.select(capfd, path, "1")
         assert self.select(capfd, path, "2") == serial
-        in_flight, finished = [], set()
-        for event, index in log:
-            if event == "result":
-                finished.add(index)
+        sends = [(number, index) for event, number, index in log if event == "send"]
+        # chunk i goes to process i mod 2
+        assert sends == [(index % 2, index) for index in range(6)]
+        in_flight, held = 0, set()
+        for event, number, _ in log:
+            if event == "send":
+                # no process is sent a chunk before its last result is read
+                assert number not in held
+                held.add(number)
             else:
-                done = next(i for i in range(index + 1) if i not in finished)
-                in_flight.append(index + 1 - done)
-        assert (len(workers), max(in_flight)) == (2, 4)
+                held.remove(number)
+            in_flight = max(in_flight, len(held))
+        # at most one chunk per process is in flight
+        assert (in_flight, held) == (2, set())
 
 
 LETTERS = bytes(65 + i % 26 for i in range(256))
