@@ -279,11 +279,12 @@ def verify_tag(message: bytes, key: CipherKey, tag: int) -> bool:
     return make_tag(message, key) == tag
 
 
-def envelope_header(mode: str, tag: int | None, version: int = ENVELOPE_VERSION) -> bytes:
-    """Bit-exact FZK1 header: magic, version, mode, flags, and the 8-byte
-    big-endian tag when there is one.  The ciphertext follows it."""
+def envelope_header(mode: str, tag: int | None) -> bytes:
+    """Bit-exact FZK1 header: magic, version :data:`ENVELOPE_VERSION` (the
+    only one :func:`parse_envelope_header` accepts), mode, flags, and the
+    8-byte big-endian tag when there is one.  The ciphertext follows it."""
     flags = _FLAG_TAG if tag is not None else 0x00
-    header = MAGIC + bytes([version, _MODE_CODES[mode], flags])
+    header = MAGIC + bytes([ENVELOPE_VERSION, _MODE_CODES[mode], flags])
     if tag is not None:
         header += struct.pack(">Q", tag)
     return header
@@ -332,12 +333,11 @@ def check_ciphertext(blocks: Iterable, key: CipherKey, tag: int | None) -> None:
 
 @dataclass(frozen=True)
 class CipherEnvelope:
-    """Versioned container for ciphertext, mode and an optional tag."""
+    """Ciphertext, mode and an optional tag; every envelope is version 1."""
 
     ciphertext: bytes
     mode: str = MODE_BYTE_SHIFT
     tag: int | None = None
-    version: int = ENVELOPE_VERSION
 
     def __post_init__(self) -> None:
         if self.mode not in _MODE_CODES:
@@ -348,7 +348,7 @@ class CipherEnvelope:
 
     def to_bytes(self) -> bytes:
         """Bit-exact layout: :func:`envelope_header`, then the ciphertext."""
-        return envelope_header(self.mode, self.tag, self.version) + self.ciphertext
+        return envelope_header(self.mode, self.tag) + self.ciphertext
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CipherEnvelope":
@@ -375,13 +375,13 @@ def open_envelope(envelope: CipherEnvelope, key: CipherKey) -> bytes:
     return bytes(plaintext)
 
 
-def serialize_selection(result, feature_names: list[str] | None = None) -> bytes:
+def serialize_selection(result, feature_names: list[str]) -> bytes:
     """Canonical byte form of a selection: LF-terminated lines of
     ``rank<TAB>name<TAB>score`` with scores at fixed 9 decimals.
 
-    ``feature_names`` maps feature ids to names; ids fall back to ``f<id>``.
-    Equal results serialize byte-identically; an empty selection is the
-    empty byte string.
+    ``feature_names`` maps feature ids to names; a name must be nonempty and
+    hold no tab or line feed.  Equal results serialize byte-identically; an
+    empty selection is the empty byte string.
     """
     chosen = set(result.selected)
     lines = []
@@ -389,7 +389,7 @@ def serialize_selection(result, feature_names: list[str] | None = None) -> bytes
     for fid, score in result.ranked:
         if fid not in chosen:
             continue
-        name = feature_names[fid] if feature_names is not None else f"f{fid}"
+        name = feature_names[fid]
         if "\t" in name or "\n" in name or not name:
             raise ContractViolationError(f"feature name unsuitable for serialization: {name!r}")
         lines.append(f"{rank}\t{name}\t{score:.9f}\n")

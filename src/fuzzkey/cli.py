@@ -25,6 +25,7 @@ integrity check failed.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import math
 import os
@@ -58,9 +59,9 @@ from .fuzzy import RuleBase, defuzzify_centroid, evaluate_rules, fuzzify
 from .ingest import usable_cpus
 from .network import cost
 from .pipeline import (
+    _OPTIONS,
     RELEVANCE_MODE,
     PipelineConfig,
-    _parse_cipher,
     _read_to,
     analyze,
     load_config_file,
@@ -164,29 +165,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if getattr(args, "config", None):
-        cfg = load_config_file(args.config, cfg)
-    overrides = {}
-    if getattr(args, "sets", None) is not None:
-        overrides["sets"] = args.sets
-    if getattr(args, "layers", None) is not None:
-        overrides["layers"] = args.layers
-    if getattr(args, "k", None) is not None:
-        overrides["k"] = args.k
-        if getattr(args, "tau", None) is None:
-            overrides["tau"] = None
-    if getattr(args, "tau", None) is not None:
-        overrides["tau"] = args.tau
-        if getattr(args, "k", None) is None:
-            overrides["k"] = None
-    if getattr(args, "cipher", None) is not None:
-        overrides["cipher_mode"] = _parse_cipher(args.cipher)
-    if getattr(args, "tag", None) is not None:
-        overrides["tag"] = args.tag
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    cfg = cfg.validated()
+    """The config file's settings, then each flag named like a key over them."""
+    cfg = PipelineConfig() if args.config is None else load_config_file(args.config)
+    flags = vars(args)
+    overrides = {
+        field: parse(key, value) if isinstance(value, str) else value
+        for key, (field, parse) in _OPTIONS.items()
+        if (value := flags.get(key)) is not None
+    }
+    if overrides.keys() & {"k", "tau"}:
+        # a --k or --tau replaces the config file's selection rule
+        overrides = {"k": None, "tau": None} | overrides
+    cfg = replace(cfg, **overrides).validated()
     jobs = getattr(args, "jobs", 1)
     if jobs < 1:
         raise ConfigurationError(f"jobs must be a positive integer, got {jobs!r}")
@@ -289,7 +279,7 @@ def _check_stdout() -> None:
 
 @contextmanager
 def _output(path: str | None) -> Iterator[BinaryIO]:
-    """A binary file for a command's output: ``path``, or stdout without one.
+    """A binary file for a command's output: ``path``, or stdout for ``None``.
 
     ``path`` changes only if the block exits without an exception.  The
     block writes a new file in the target's directory, which then replaces
@@ -300,11 +290,14 @@ def _output(path: str | None) -> Iterator[BinaryIO]:
     gets the mode that ``open(path, "wb")`` gives, ``0o666`` less the umask;
     a replaced one keeps its permission bits.
     """
-    if not path:
+    if path is None:
         _check_stdout()
         yield sys.stdout.buffer
         sys.stdout.buffer.flush()
         return
+    if not path:
+        # os.path.realpath would read "" as the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     try:
         info = os.stat(path)
     except FileNotFoundError:

@@ -133,10 +133,28 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise ConfigurationError(f"{key}: expected on/off, got {raw!r}")
 
 
-def _parse_cipher(raw: str) -> str:
+def _parse_centers(key: str, raw: str) -> tuple[float, ...]:
+    return tuple(_parse_float(key, part) for part in map(str.strip, raw.split(",")) if part)
+
+
+def _parse_cipher(key: str, raw: str) -> str:
     if raw not in _CIPHER_WORDS:
-        raise ConfigurationError(f"cipher: expected byte or letters, got {raw!r}")
+        raise ConfigurationError(f"{key}: expected byte or letters, got {raw!r}")
     return _CIPHER_WORDS[raw]
+
+
+# config key, and the command-line flag of the same name -> the
+# PipelineConfig field it sets and the parser of its text; ``mode`` sets none
+_OPTIONS = {
+    "sets": ("sets", _parse_int),
+    "layers": ("layers", _parse_int),
+    "k": ("k", _parse_int),
+    "tau": ("tau", _parse_float),
+    "centers": ("centers", _parse_centers),
+    "empty_activation_value": ("empty_activation_value", _parse_float),
+    "cipher": ("cipher_mode", _parse_cipher),
+    "tag": ("tag", _parse_bool),
+}
 
 
 def _read_to(handle: io.RawIOBase, buf: bytearray, limit: int) -> bytearray:
@@ -147,10 +165,10 @@ def _read_to(handle: io.RawIOBase, buf: bytearray, limit: int) -> bytearray:
     return buf
 
 
-def load_config_file(path: str | Path, base: PipelineConfig | None = None) -> PipelineConfig:
-    """Read a flat ``key = value`` file over ``base``.  A ``#`` starts a
-    comment anywhere on a line, and lines end at LF, CRLF or CR only."""
-    cfg = base or PipelineConfig()
+def load_config_file(path: str | Path) -> PipelineConfig:
+    """Read a flat ``key = value`` file over the :class:`PipelineConfig`
+    defaults.  A ``#`` starts a comment anywhere on a line, and lines end at
+    LF, CRLF or CR only."""
     with open(path, "rb", buffering=0) as handle:
         data = _read_to(handle, bytearray(), MAX_CONFIG_BYTES + 1)
     if len(data) > MAX_CONFIG_BYTES:
@@ -160,6 +178,7 @@ def load_config_file(path: str | Path, base: PipelineConfig | None = None) -> Pi
         text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    fields = {}
     # str.splitlines would also end a line at a form feed or U+0085
     for line_number, raw_line in enumerate(re.split("\r\n?|\n", text), start=1):
         line = raw_line.partition("#")[0].strip()
@@ -169,29 +188,15 @@ def load_config_file(path: str | Path, base: PipelineConfig | None = None) -> Pi
             raise ConfigurationError(f"{path}:{line_number}: expected key = value, got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key == "sets":
-            cfg = replace(cfg, sets=_parse_int(key, raw))
-        elif key == "layers":
-            cfg = replace(cfg, layers=_parse_int(key, raw))
-        elif key == "mode":
+        if key == "mode":
             if raw != RELEVANCE_MODE:
                 raise ConfigurationError(f"mode: expected {RELEVANCE_MODE}, got {raw!r}")
-        elif key == "k":
-            cfg = replace(cfg, k=_parse_int(key, raw))
-        elif key == "tau":
-            cfg = replace(cfg, tau=_parse_float(key, raw))
-        elif key == "centers":
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            cfg = replace(cfg, centers=tuple(_parse_float(key, p) for p in parts))
-        elif key == "empty_activation_value":
-            cfg = replace(cfg, empty_activation_value=_parse_float(key, raw))
-        elif key == "cipher":
-            cfg = replace(cfg, cipher_mode=_parse_cipher(raw))
-        elif key == "tag":
-            cfg = replace(cfg, tag=_parse_bool(key, raw))
+        elif key in _OPTIONS:
+            field, parse = _OPTIONS[key]
+            fields[field] = parse(key, raw)
         else:
             raise ConfigurationError(f"{path}:{line_number}: unknown key {key!r}")
-    return cfg
+    return PipelineConfig(**fields)
 
 
 @dataclass

@@ -8,13 +8,14 @@ replacement there and runs the listed tests against that copy, so the
 subprocesses the tests start import the mutant too.  First it runs every
 listed test against an unchanged copy, which must pass.
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME ...]
 
-It exits 0 when every mutant is killed, 1 when one survives and 2 when the
-unchanged copy fails or a snippet does not occur exactly once.  A mutant
-whose tests run past :data:`TIMEOUT_S` counts as killed, by a hang.  It uses
-only the standard library besides what the suite needs, and pytest does not
-collect it, so it is not part of the test suite.
+Given names, it runs only the mutants so named; given none, it runs them
+all.  It exits 0 when every mutant run is killed, 1 when one survives and 2
+when a name is unknown, the unchanged copy fails or a snippet does not occur
+exactly once.  A mutant whose tests run past :data:`TIMEOUT_S` counts as
+killed, by a hang.  It uses only the standard library besides what the suite
+needs, and pytest does not collect it, so it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -160,6 +161,55 @@ MUTANTS = [
         "                    pass\n",
         ["tests/test_ingest.py::TestParsingProcesses::test_a_failed_fork_leaves_the_parse_to_the_processes_running"],
     ),
+    Mutant(
+        "cap-does-not-end-chunk",
+        "src/fuzzkey/ingest.py",
+        "            chunk.append(line)\n            if len(line) > MAX_LINE_BYTES:\n                break\n",
+        "            chunk.append(line)\n",
+        ["tests/test_cli.py::TestHostileCsv::test_line_at_and_past_the_cap[drop-mode-past-the-cap]"],
+    ),
+    Mutant(
+        "no-comma-count-before-loadtxt",
+        "src/fuzzkey/ingest.py",
+        '    if not all(line.count(b",") == commas for line in chunk):\n        return None\n',
+        "",
+        ["tests/test_ingest.py::TestLoadTable::test_non_decimal_spellings_rejected"],
+    ),
+    Mutant(
+        "no-row-count-check",
+        "src/fuzzkey/ingest.py",
+        "len(table) == len(chunk) and ",
+        "",
+        ["tests/test_ingest.py::TestLoadTable::test_empty_line_is_a_missing_value"],
+    ),
+    Mutant(
+        "no-finite-check",
+        "src/fuzzkey/ingest.py",
+        " and _all_finite(table)",
+        "",
+        ["tests/test_ingest.py::TestBulkParsing::test_rechecked_lines_match_the_per_cell_parser"],
+    ),
+    Mutant(
+        "all-finite-reads-only-min",
+        "src/fuzzkey/ingest.py",
+        "np.isfinite(array.min()) and np.isfinite(array.max())",
+        "np.isfinite(array.min())",
+        ["tests/test_ingest.py::TestBulkParsing::test_rechecked_lines_match_the_per_cell_parser"],
+    ),
+    Mutant(
+        "overflow-halved-after-the-pass",
+        "src/fuzzkey/ingest.py",
+        "        halved = (rows[:, overflow] / 2 - lo2) / (hi2 - lo2)\n        rows -= lo\n        rows /= span\n",
+        "        rows -= lo\n        rows /= span\n        halved = (rows[:, overflow] / 2 - lo2) / (hi2 - lo2)\n",
+        ["tests/test_ingest.py::TestNormalize::test_matches_per_column_reference"],
+    ),
+    Mutant(
+        "k-flag-keeps-config-tau",
+        "src/fuzzkey/cli.py",
+        'overrides = {"k": None, "tau": None} | overrides',
+        'overrides = {"k": None} | overrides',
+        ["tests/test_cli.py::TestFlagsOverConfig::test_a_selection_flag_replaces_the_file_rule[k-flag-over-config-tau]"],
+    ),
 ]
 
 
@@ -199,18 +249,23 @@ def mutated(mutant: Mutant) -> str:
     return text.replace(mutant.snippet, mutant.replacement)
 
 
-def main() -> int:
-    texts = [mutated(mutant) for mutant in MUTANTS]  # every snippet checked first
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {mutant.name for mutant in MUTANTS})
+    if unknown:
+        print(f"no mutant named {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
+    texts = [mutated(mutant) for mutant in chosen]  # every snippet checked first
     with tempfile.TemporaryDirectory(prefix="fuzzkey-mutants-") as scratch:
         baseline = Path(scratch) / "baseline"
         copy_tree(baseline)
-        tests = list(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+        tests = list(dict.fromkeys(test for mutant in chosen for test in mutant.tests))
         passed, seconds = run_tests(baseline, tests)
         print(f"unchanged copy: {'passed' if passed else 'FAILED'} in {seconds:.0f} s", flush=True)
         if not passed:
             return 2
         survivors = []
-        for mutant, text in zip(MUTANTS, texts):
+        for mutant, text in zip(chosen, texts):
             root = Path(scratch) / mutant.name
             copy_tree(root)
             (root / mutant.path).write_text(text)
@@ -220,9 +275,9 @@ def main() -> int:
             if passed:
                 survivors.append(mutant.name)
             shutil.rmtree(root)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

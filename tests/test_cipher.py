@@ -321,10 +321,6 @@ class TestSerializeSelection:
                 fid = int(name[3:])
                 assert abs(score - ranked_scores[fid]) <= 5e-10
 
-    def test_default_names(self):
-        result = select_topk([RelevanceScore(0, 1.0)], 1)
-        assert serialize_selection(result) == b"0\tf0\t1.000000000\n"
-
     def test_rejects_unusable_names(self):
         result = select_topk([RelevanceScore(0, 1.0)], 1)
         with pytest.raises(ContractViolationError):

@@ -654,22 +654,34 @@ class TestHostileCsv:
         assert self.select("/dev/zero", "--k", "1") == (3, message)
 
     @pytest.mark.parametrize(
-        "extra, expected, row",
-        [(0, 0, 3), (1, 3, 3), (0, 0, 1), (1, 3, 1)],
-        ids=["at-the-cap", "cap-plus-one", "header-after-a-mark-at-the-cap", "header-after-a-mark-cap-plus-one"],
+        "data, args, row",
+        [
+            ("a,b\n1,2\n" + "7" * 30 + ",3\n", [], None),
+            ("a,b\n1,2\n" + "7" * 31 + ",3\n", [], 3),
+            # the cap does not count a byte-order mark before the header
+            ("\ufeff" + "a" * 30 + ",b\n1,2\n", [], None),
+            ("\ufeff" + "a" * 31 + ",b\n1,2\n", [], 1),
+            # split at the cap, the line would give two rows with a blank
+            # cell, and drop mode would drop both
+            ("a,b\n1,2\n," + "7" * 32 + ",5\n", ["--drop-incomplete-rows"], 3),
+        ],
+        ids=[
+            "at-the-cap",
+            "cap-plus-one",
+            "header-after-a-mark-at-the-cap",
+            "header-after-a-mark-cap-plus-one",
+            "drop-mode-past-the-cap",
+        ],
     )
-    def test_line_at_and_past_the_cap(self, tmp_path, monkeypatch, extra, expected, row):
-        # the cap does not count a byte-order mark before the header
+    def test_line_at_and_past_the_cap(self, tmp_path, monkeypatch, data, args, row):
         monkeypatch.setattr(ingest, "MAX_LINE_BYTES", 32)
         path = tmp_path / "data.csv"
-        if row == 1:
-            path.write_text("\ufeff" + "a" * (30 + extra) + ",b\n1,2\n")
+        path.write_text(data)
+        code, err = self.select(path, "--k", "1", *args)
+        if row is None:
+            assert code == 0
         else:
-            path.write_text("a,b\n1,2\n" + "7" * (30 + extra) + ",3\n")
-        code, err = self.select(path, "--k", "1")
-        assert code == expected
-        if expected:
-            assert err == f"fuzzkey: {path}: row {row} is longer than 32 bytes\n"
+            assert (code, err) == (3, f"fuzzkey: {path}: row {row} is longer than 32 bytes\n")
 
     def test_long_comma_line_is_counted_before_it_is_split(self, tmp_path):
         # a split would hold each of the line's 262 145 cells as a string
@@ -1067,6 +1079,54 @@ class TestConfigFile:
         assert loaded.k == 2
         # one read of the whole 1 MiB cap reserved all of it
         assert peak < 128 << 10
+
+
+class TestFlagsOverConfig:
+    """A flag replaces the config key of the same name, and ``--k`` or
+    ``--tau`` replaces the config file's selection rule."""
+
+    @pytest.mark.parametrize(
+        "config, flags, lines",
+        [
+            ("tau = 0.3\n", ["--k", "2"], "selection = topk\nk = 2\n"),
+            ("k = 2\n", ["--tau", "0.3"], "selection = threshold\ntau = 0.300000000\n"),
+        ],
+        ids=["k-flag-over-config-tau", "tau-flag-over-config-k"],
+    )
+    def test_a_selection_flag_replaces_the_file_rule(self, toy_csv, tmp_path, config, flags, lines):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code, out, err = run_in_process(["select", str(toy_csv), "--config", str(cfg), *flags])
+        assert (code, err) == (0, "")
+        assert f"\n[config]\nsets = 3\nlayers = 4\nmode = inference\n{lines}" in out.decode()
+
+    def test_k_and_tau_flags_exit_4(self, toy_csv):
+        code, out, err = run_in_process(["select", str(toy_csv), "--k", "2", "--tau", "0.3"])
+        assert (code, out) == (4, b"")
+        assert err == "fuzzkey: choose either k (top-k) or tau (threshold), not both\n"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            pytest.param(*case, id=case[0])
+            for case in [
+                ("sets", "x", "expected an integer, got 'x'"),
+                ("layers", "x", "expected an integer, got 'x'"),
+                ("mode", "sum", "expected inference, got 'sum'"),
+                ("k", "x", "expected an integer, got 'x'"),
+                ("tau", "x", "expected a number, got 'x'"),
+                ("centers", "0, x", "expected a number, got 'x'"),
+                ("empty_activation_value", "x", "expected a number, got 'x'"),
+                ("cipher", "rot13", "expected byte or letters, got 'rot13'"),
+                ("tag", "maybe", "expected on/off, got 'maybe'"),
+            ]
+        ],
+    )
+    def test_every_key_refuses_a_bad_value(self, tmp_path, key, value, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        result = run_in_process(["stats", "--features", "3", "--config", str(cfg)])
+        assert result == (4, b"", f"fuzzkey: {key}: {message}\n")
 
 
 class TestStats:
@@ -1473,6 +1533,45 @@ class TestNothingLeftBehind:
             return Full(handle) if "w" in mode else handle
 
         monkeypatch.setattr(cli, "open", full, raising=False)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestEmptyPath:
+    """An empty ``--output`` or ``--config`` names no file: it exits 3, with
+    nothing on stdout, no file left in the working directory or its parent
+    and no file descriptor left open."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "toy.csv", "--k", "1", "--output", ""],
+            ["pipeline", "toy.csv", "--k", "1", "--output", ""],
+            ["encrypt", "plain.bin", "--output", ""],
+            ["decrypt", "sealed.fzk", "--output", ""],
+            ["membership", "--x", "0.5", "--output", ""],
+            ["select", "toy.csv", "--config", ""],
+            ["pipeline", "toy.csv", "--output", "out.fzk", "--config", ""],
+            ["encrypt", "plain.bin", "--config", ""],
+            ["membership", "--x", "0.5", "--config", ""],
+            ["stats", "--features", "3", "--config", ""],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_exits_3_and_leaves_nothing(self, tmp_path, monkeypatch, argv):
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "toy.csv").write_text(TOY)
+        (work / "plain.bin").write_bytes(b"PLAIN")
+        (work / "sealed.fzk").write_bytes(seal(b"PLAIN", CipherKey(b"SECRET")).to_bytes())
+        (tmp_path / "key").write_bytes(b"SECRET")
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", str(tmp_path / "key"))
+        monkeypatch.chdir(work)
+        files = sorted(os.listdir(work)), sorted(os.listdir(tmp_path))
+        before = open_fds()
+        result = run_in_process(argv)
+        assert open_fds() == before
+        assert result == (3, b"", "fuzzkey: [Errno 2] No such file or directory: ''\n")
+        assert (sorted(os.listdir(work)), sorted(os.listdir(tmp_path))) == files
 
 
 class TestPassTwoReadsTheCopy:
