@@ -55,7 +55,7 @@ from .errors import (
     IntegrityError,
     InvalidKeyError,
 )
-from .fuzzy import RuleBase, defuzzify_centroid, evaluate_rules, fuzzify
+from .fuzzy import RuleBase, defuzzify_centroid, evaluate_rules, fuzzify, make_uniform_partition
 from .ingest import usable_cpus
 from .network import cost
 from .pipeline import (
@@ -419,9 +419,9 @@ def _sweep_values(spec: str, n_sets: int) -> list[float]:
 
 def _cmd_membership(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    partition = cfg.partition()
+    defuzz = cfg.defuzz_config()  # checks the set cap before any set is built
+    partition = make_uniform_partition(cfg.sets)
     rules = RuleBase.identity(cfg.sets)
-    defuzz = cfg.defuzz_config()
     if args.x is not None and not math.isfinite(args.x):
         raise ConfigurationError(f"--x needs a finite value, got {args.x!r}")
     xs = [args.x] if args.x is not None else _sweep_values(args.sweep, cfg.sets)

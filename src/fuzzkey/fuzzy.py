@@ -19,7 +19,12 @@ LEFT_SHOULDER = "left-shoulder"
 TRIANGLE = "triangle"
 RIGHT_SHOULDER = "right-shoulder"
 
-_KINDS = (LEFT_SHOULDER, TRIANGLE, RIGHT_SHOULDER)
+# each kind's breakpoint fields, in the strictly increasing order they must hold
+_SHAPES = {
+    LEFT_SHOULDER: ("a", "c"),
+    TRIANGLE: ("a", "b", "c"),
+    RIGHT_SHOULDER: ("b", "c"),
+}
 
 
 def _checked_unit(name: str, value) -> float:
@@ -52,8 +57,11 @@ class MembershipFunction:
         triangle) or start of the saturation plateau (right shoulder).
     :param label: display name ("Low", "Medium", ...).
 
-    Orderings are strict (``a < c``, ``a < b < c``, ``b < c``) so no slope
-    has zero width.
+    ``_SHAPES`` names each kind's breakpoint fields once, in order:
+    ``(a, c)``, ``(a, b, c)`` and ``(b, c)``.  Validation,
+    :meth:`breakpoints`, :meth:`min_slope_width` and :meth:`peak_position`
+    read it.  The breakpoints must strictly increase, so no slope has zero
+    width.
     """
 
     kind: str
@@ -63,31 +71,15 @@ class MembershipFunction:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _SHAPES:
             raise ConfigurationError(f"unknown membership-function kind {self.kind!r}")
-        if self.kind == LEFT_SHOULDER:
-            a = _checked_unit("a", self.a)
-            c = _checked_unit("c", self.c)
-            if not a < c:
-                raise ConfigurationError(f"left-shoulder requires a < c, got a={a}, c={c}")
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "c", c)
-        elif self.kind == TRIANGLE:
-            a = _checked_unit("a", self.a)
-            b = _checked_unit("b", self.b)
-            c = _checked_unit("c", self.c)
-            if not a < b < c:
-                raise ConfigurationError(f"triangle requires a < b < c, got a={a}, b={b}, c={c}")
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
-            object.__setattr__(self, "c", c)
-        else:
-            b = _checked_unit("b", self.b)
-            c = _checked_unit("c", self.c)
-            if not b < c:
-                raise ConfigurationError(f"right-shoulder requires b < c, got b={b}, c={c}")
-            object.__setattr__(self, "b", b)
-            object.__setattr__(self, "c", c)
+        fields = _SHAPES[self.kind]
+        values = [_checked_unit(name, getattr(self, name)) for name in fields]
+        if any(q <= p for p, q in zip(values, values[1:])):
+            got = ", ".join(f"{name}={v}" for name, v in zip(fields, values))
+            raise ConfigurationError(f"{self.kind} requires {' < '.join(fields)}, got {got}")
+        for name, v in zip(fields, values):
+            object.__setattr__(self, name, v)
 
     @classmethod
     def left_shoulder(cls, a: float, c: float, label: str = "") -> "MembershipFunction":
@@ -102,28 +94,17 @@ class MembershipFunction:
         return cls(RIGHT_SHOULDER, b=b, c=c, label=label)
 
     def peak_position(self) -> float:
-        """Location where the set reaches membership 1 (plateau edge or peak)."""
-        if self.kind == LEFT_SHOULDER:
-            return self.a
-        if self.kind == TRIANGLE:
-            return self.b
-        return self.c
+        """First breakpoint where the set reaches membership 1 (plateau edge or peak)."""
+        return next(p for p in self.breakpoints() if eval_membership(p, self) == 1.0)
 
     def breakpoints(self) -> tuple[float, ...]:
         """Abscissae where the piecewise definition changes branch."""
-        if self.kind == LEFT_SHOULDER:
-            return (self.a, self.c)
-        if self.kind == TRIANGLE:
-            return (self.a, self.b, self.c)
-        return (self.b, self.c)
+        return tuple(getattr(self, name) for name in _SHAPES[self.kind])
 
     def min_slope_width(self) -> float:
         """Narrowest sloped segment; continuity modulus is 1/this."""
-        if self.kind == LEFT_SHOULDER:
-            return self.c - self.a
-        if self.kind == TRIANGLE:
-            return min(self.b - self.a, self.c - self.b)
-        return self.c - self.b
+        points = self.breakpoints()
+        return min(q - p for p, q in zip(points, points[1:]))
 
 
 def eval_membership(x: float, mf: MembershipFunction) -> float:
@@ -225,19 +206,22 @@ class RuleBase:
     """IF-THEN rules as (antecedent set index, consequent set index) pairs.
 
     A base holds exactly one rule per fuzzy set, checked against the rule
-    count.  Only the scalar path takes a rule base; the scoring kernel
-    always applies the default, the identity permutation: low maps to low,
-    medium to medium, high to high.
+    count, and every index is an ``int``, not a ``bool``.  Only the scalar
+    path takes a rule base; the scoring kernel always applies the default,
+    the identity permutation: low maps to low, medium to medium, high to
+    high.
     """
 
     mapping: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        mapping = tuple((int(a), int(c)) for a, c in self.mapping)
+        mapping = tuple((ant, cons) for ant, cons in self.mapping)
         n = len(mapping)
         if n == 0:
             raise ConfigurationError("rule base must contain at least one rule")
         for ant, cons in mapping:
+            if any(not isinstance(i, int) or isinstance(i, bool) for i in (ant, cons)):
+                raise ConfigurationError(f"rule ({ant!r} -> {cons!r}) needs integer set indices")
             if not 0 <= ant < n or not 0 <= cons < n:
                 raise ConfigurationError(f"rule ({ant} -> {cons}) references a set outside 0..{n - 1}")
         object.__setattr__(self, "mapping", mapping)

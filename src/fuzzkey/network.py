@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError
-from .fuzzy import clamp01, fuzzify, make_uniform_partition
+from .fuzzy import fuzzify, make_uniform_partition
 
 MIN_LAYERS = 4  # input, fuzzy, at least one hidden, output
 
@@ -100,7 +100,7 @@ class DynamicFuzzyNetwork:
             raise ContractViolationError(f"expected {self.n_features} inputs, got {len(x)}")
         degrees: list[float] = []
         for value in x:
-            degrees.extend(fuzzify(clamp01(float(value)), self.partition).degrees)
+            degrees.extend(fuzzify(float(value), self.partition).degrees)
         stats = PropagationStats(mf_evals=len(degrees))
         vector = np.asarray(degrees, dtype=float)
         layers = [tuple(degrees)]

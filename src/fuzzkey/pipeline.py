@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import cipher as cipher_mod
 from .errors import ConfigurationError
-from .fuzzy import DefuzzConfig, FuzzyPartition, _checked_unit, make_uniform_partition
+from .fuzzy import DefuzzConfig, _checked_unit
 from .ingest import _spill
 from .network import PropagationStats, cost
 from .selection import (
@@ -61,7 +61,7 @@ class PipelineConfig:
             raise ConfigurationError(f"layers must be an integer >= 4, got {self.layers!r}")
         if self.k is not None and self.tau is not None:
             raise ConfigurationError("choose either k (top-k) or tau (threshold), not both")
-        if self.k is not None and (not isinstance(self.k, int) or self.k < 0):
+        if self.k is not None and (not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0):
             raise ConfigurationError(f"k must be a nonnegative integer, got {self.k!r}")
         if self.tau is not None and (not math.isfinite(self.tau) or self.tau < 0):
             raise ConfigurationError(f"tau must be finite and nonnegative, got {self.tau!r}")
@@ -81,16 +81,9 @@ class PipelineConfig:
     def selection_kind(self) -> str:
         return "topk" if self.k is not None else "threshold"
 
-    def _check_set_cap(self) -> None:
+    def defuzz_config(self) -> DefuzzConfig:
         if self.sets > MAX_SETS:
             raise ConfigurationError(f"sets must be at most {MAX_SETS}, got {self.sets!r}")
-
-    def partition(self) -> FuzzyPartition:
-        self._check_set_cap()
-        return make_uniform_partition(self.sets)
-
-    def defuzz_config(self) -> DefuzzConfig:
-        self._check_set_cap()
         if self.centers is None:
             return DefuzzConfig.uniform(self.sets, self.empty_activation_value)
         if len(self.centers) != self.sets:

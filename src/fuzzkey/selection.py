@@ -146,7 +146,7 @@ def rank_scores(scores: Sequence[RelevanceScore]) -> tuple[tuple[int, float], ..
 
 def select_topk(scores: Sequence[RelevanceScore], k: int) -> SelectionResult:
     """Keep the first ``min(k, n)`` features of the ranking."""
-    if not isinstance(k, int) or k < 0:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ContractViolationError(f"k must be a nonnegative integer, got {k!r}")
     ranked = rank_scores(scores)
     selected = tuple(fid for fid, _ in ranked[: min(k, len(ranked))])

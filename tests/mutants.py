@@ -145,7 +145,10 @@ MUTANTS = [
         "src/fuzzkey/ingest.py",
         "worker = held.popleft()",
         "worker = held.pop()",
-        ["tests/test_ingest.py::TestParsingProcesses::test_jobs_do_not_change_the_table_or_the_error"],
+        [
+            "tests/test_ingest.py::TestParsingProcesses::test_jobs_do_not_change_the_table_or_the_error",
+            "tests/test_cli.py::TestParsingProcesses::test_chunks_go_to_the_processes_in_turn",
+        ],
     ),
     Mutant(
         "no-drain-before-a-read-error",
@@ -209,6 +212,48 @@ MUTANTS = [
         'overrides = {"k": None, "tau": None} | overrides',
         'overrides = {"k": None} | overrides',
         ["tests/test_cli.py::TestFlagsOverConfig::test_a_selection_flag_replaces_the_file_rule[k-flag-over-config-tau]"],
+    ),
+    Mutant(
+        "k-may-be-a-bool",
+        "src/fuzzkey/pipeline.py",
+        " or isinstance(self.k, bool)",
+        "",
+        ["tests/test_pipeline.py::TestConfigFile::test_k_must_not_be_a_bool"],
+    ),
+    Mutant(
+        "shape-order-not-strict",
+        "src/fuzzkey/fuzzy.py",
+        "if any(q <= p for p, q in zip(values, values[1:])):",
+        "if any(q < p for p, q in zip(values, values[1:])):",
+        ["tests/test_fuzzy.py::TestEvalMembership::test_malformed_shapes_rejected_at_construction"],
+    ),
+    Mutant(
+        "widest-slope",
+        "src/fuzzkey/fuzzy.py",
+        "return min(q - p for p, q in zip(points, points[1:]))",
+        "return max(q - p for p, q in zip(points, points[1:]))",
+        ["tests/test_fuzzy.py::TestEvalMembership::test_shape_contract[triangle]"],
+    ),
+    Mutant(
+        "peak-at-the-first-breakpoint",
+        "src/fuzzkey/fuzzy.py",
+        " if eval_membership(p, self) == 1.0)",
+        ")",
+        ["tests/test_fuzzy.py::TestEvalMembership::test_shape_contract[triangle]"],
+    ),
+    Mutant(
+        "triangle-rise-over-the-base",
+        "src/fuzzkey/fuzzy.py",
+        "return (x - mf.a) / (mf.b - mf.a)",
+        "return (x - mf.a) / (mf.c - mf.a)",
+        ["tests/test_fuzzy.py::TestEvalMembership::test_matches_interpolation_oracle"],
+    ),
+    Mutant(
+        "rule-index-not-checked",
+        "src/fuzzkey/fuzzy.py",
+        "            if any(not isinstance(i, int) or isinstance(i, bool) for i in (ant, cons)):\n",
+        "            if False:\n",
+        ["tests/test_fuzzy.py::TestEvaluateRules::test_rule_indices_must_be_integers"],
     ),
 ]
 

@@ -227,7 +227,7 @@ class TestSelect:
             raise AssertionError("select built a partition or a rule base")
 
         monkeypatch.setattr(fuzzy, "make_uniform_partition", build)
-        monkeypatch.setattr(pipeline, "make_uniform_partition", build)
+        monkeypatch.setattr(cli, "make_uniform_partition", build)
         monkeypatch.setattr(fuzzy.RuleBase, "identity", build)
         code, out, err = run_in_process(["select", str(toy_csv), "--k", "2", "--sets", "5"])
         assert (code, err) == (0, "")

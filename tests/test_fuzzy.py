@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,59 @@ class TestEvalMembership:
         with pytest.raises(ConfigurationError):
             MembershipFunction.triangle(-0.1, 0.5, 0.8)
 
+    @pytest.mark.parametrize(
+        "kind, fields, width, peak, refusals",
+        [
+            (
+                "left-shoulder",
+                {"a": 0.2, "c": 0.7},
+                0.7 - 0.2,
+                0.2,
+                [
+                    ({"a": 0.7, "c": 0.2}, "left-shoulder requires a < c, got a=0.7, c=0.2"),
+                    ({"a": 0.2, "c": 1.5}, "c must be a finite value in [0, 1], got 1.5"),
+                    ({"a": "0.2", "c": 0.7}, "a must be numeric, got '0.2'"),
+                    ({"a": True, "c": 0.7}, "a must be numeric, got True"),
+                ],
+            ),
+            (
+                "triangle",
+                {"a": 0.1, "b": 0.7, "c": 0.9},
+                0.9 - 0.7,
+                0.7,
+                [
+                    ({"a": 0.1, "b": 0.9, "c": 0.7}, "triangle requires a < b < c, got a=0.1, b=0.9, c=0.7"),
+                    ({"a": 0.1, "b": float("nan"), "c": 0.9}, "b must be a finite value in [0, 1], got nan"),
+                    ({"a": 0.1, "b": 0.7, "c": None}, "c must be numeric, got None"),
+                    ({"a": 0.1, "b": False, "c": 0.9}, "b must be numeric, got False"),
+                ],
+            ),
+            (
+                "right-shoulder",
+                {"b": 0.3, "c": 0.4},
+                0.4 - 0.3,
+                0.4,
+                [
+                    ({"b": 0.4, "c": 0.4}, "right-shoulder requires b < c, got b=0.4, c=0.4"),
+                    ({"b": -0.5, "c": 0.4}, "b must be a finite value in [0, 1], got -0.5"),
+                    ({"b": 0.3, "c": [0.4]}, "c must be numeric, got [0.4]"),
+                    ({"b": 0.3, "c": True}, "c must be numeric, got True"),
+                ],
+            ),
+        ],
+        ids=["left-shoulder", "triangle", "right-shoulder"],
+    )
+    def test_shape_contract(self, kind, fields, width, peak, refusals):
+        mf = MembershipFunction(kind, **fields)
+        assert mf.breakpoints() == tuple(fields.values())
+        assert (mf.min_slope_width(), mf.peak_position()) == (width, peak)
+        for bad, message in refusals:
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+                MembershipFunction(kind, **bad)
+        message = f"unknown membership-function kind {kind.upper()!r}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            MembershipFunction(kind.upper(), **fields)
+
     def test_matches_interpolation_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(500):
@@ -134,6 +188,12 @@ class TestEvaluateRules:
     def test_bad_rule_index(self):
         with pytest.raises(ConfigurationError):
             RuleBase(((0, 3), (1, 1), (2, 2)))
+
+    @pytest.mark.parametrize("index", [1.9, 1.0, "1", True])
+    def test_rule_indices_must_be_integers(self, index):
+        message = f"rule (0 -> {index!r}) needs integer set indices"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            RuleBase(((0, index), (1, 0)))
 
 
 class TestDefuzzify:

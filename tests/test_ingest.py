@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzkey import DataFormatError, PipelineConfig, analyze, relevance_inference
+from fuzzkey import DataFormatError, PipelineConfig, analyze, make_uniform_partition, relevance_inference
 from fuzzkey import ingest
 from fuzzkey.ingest import _columns, _parse_cell, _parse_header, _parse_row
 
@@ -721,7 +721,7 @@ class TestTwoPass:
         _, loaded, _ = read_table(pipe_or_file(data, "file", directory)[0], drop)
         expected, expected_ranges = per_column_normalize(loaded)
         cfg = PipelineConfig(k=1).validated()
-        partition, defuzz = cfg.partition(), cfg.defuzz_config()
+        partition, defuzz = make_uniform_partition(cfg.sets), cfg.defuzz_config()
         scores = [relevance_inference(expected[:, i], partition, None, defuzz) for i in range(len(features))]
         with mock.patch.object(ingest, "_SCORE_BLOCK", block):
             path, read_end = pipe_or_file(data, how, directory)

@@ -15,6 +15,7 @@ from fuzzkey import (
     cli,
     fuzzify,
     load_config_file,
+    make_uniform_partition,
     relevance_inference,
     render_report,
     select_topk,
@@ -77,6 +78,11 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError, match=r"not UTF-8 text \(byte 17\)"):
             load_config_file(path)
 
+    def test_k_must_not_be_a_bool(self):
+        # bool is an int, and the report would print k = True
+        with pytest.raises(ConfigurationError, match=r"^k must be a nonnegative integer, got True$"):
+            PipelineConfig(k=True).validated()
+
     def test_k_and_tau_conflict(self):
         with pytest.raises(ConfigurationError, match="not both"):
             PipelineConfig(k=2, tau=0.5).validated()
@@ -134,7 +140,7 @@ class TestAnalyze:
         cfg = PipelineConfig(k=2).validated()
         outcome = analyze(csv_path, cfg)
 
-        partition, defuzz = cfg.partition(), cfg.defuzz_config()
+        partition, defuzz = make_uniform_partition(cfg.sets), cfg.defuzz_config()
         scores = [
             RelevanceScore(i, relevance_inference(column, partition, None, defuzz))
             for i, column in enumerate(normalized_columns(csv_path))
@@ -161,7 +167,7 @@ class TestAnalyze:
         # partition every instance's degrees sum to 1, so a sum-of-degrees
         # score would be 1.0 for every feature
         cfg = PipelineConfig(k=1).validated()
-        partition = cfg.partition()
+        partition = make_uniform_partition(cfg.sets)
         for column in normalized_columns(csv_path):
             sums = [math.fsum(fuzzify(v, partition).degrees) for v in column]
             assert math.fsum(sums) / len(sums) == pytest.approx(1.0, abs=1e-9)

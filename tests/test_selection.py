@@ -97,6 +97,10 @@ class TestSelect:
         with pytest.raises(ContractViolationError):
             select_topk(self.SCORES, -1)
 
+    def test_topk_bool_k(self):
+        with pytest.raises(ContractViolationError, match=r"^k must be a nonnegative integer, got True$"):
+            select_topk(self.SCORES, True)
+
     def test_threshold_matches_topk_of_clearers(self):
         rng = random.Random(77)
         for _ in range(200):
