@@ -19,11 +19,12 @@ finite value, the per-cell parser reads the same bits: both use
 Each chunk is written column by column to an unlinked temporary file, 8
 bytes per value, the target column last, at a fixed stride per chunk
 (:class:`_Spill`).  This process reads and cuts the chunks; once a second
-chunk exists, up to ``jobs`` forked processes, no more than the usable
-CPUs, take the chunks in turn, parse them and write them to the file, and
-the first error in file order is still the one raised
-(:func:`_forked_map`).  ``analyze`` reads the file back a block of
-columns at a time and rescales each block in place
+chunk exists, it copies the text of up to ``_ROUND`` chunks at a time to a
+second unlinked temporary file and forks up to ``jobs`` processes, no more
+than the usable CPUs or the chunks, which each read every P-th chunk of
+the copy, parse it and write it to the file.  The first error in file
+order is still the one raised (:func:`_rounds`).  ``analyze`` reads the
+file back a block of columns at a time and rescales each block in place
 (:meth:`_Spill.normalized_blocks`), so a run never holds the n x F
 matrix.
 """
@@ -31,7 +32,6 @@ matrix.
 from __future__ import annotations
 
 import codecs
-import contextlib
 import io
 import itertools
 import math
@@ -41,10 +41,9 @@ import re
 import sys
 import tempfile
 import warnings
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Callable, Iterator
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -57,6 +56,10 @@ MAX_LINE_BYTES = 1 << 24
 # values per block: a parsed chunk of rows, a read-back block of columns and
 # a scoring block each hold about this many, so memory is bounded per block
 _SCORE_BLOCK = 1 << 15
+# chunks per round of the parsing processes: the temporary copy holds the
+# text of at most this many, and an error is raised at most one round of
+# input after its chunk is read
+_ROUND = 64
 
 TARGET_COLUMN = "target"
 
@@ -196,166 +199,128 @@ def _chunks(handle: io.BufferedIOBase, size: int, row_number: int, offset: int) 
         offset += sum(map(len, chunk))
 
 
-def _write_at(fd: int, table: np.ndarray, at: int) -> None:
-    """Write the C-contiguous ``table`` to file descriptor ``fd`` from byte ``at``."""
-    view = memoryview(table).cast("B")
+def _write_at(fd: int, data: bytes | np.ndarray, at: int) -> None:
+    """Write ``data``, bytes or a C-contiguous array, to file descriptor
+    ``fd`` from byte ``at``."""
+    view = memoryview(data).cast("B")
     while view:
         count = os.pwrite(fd, view, at)
         view, at = view[count:], at + count
 
 
-def _put(pipe: BinaryIO, value) -> None:
-    """Pickle ``value`` to ``pipe``, a frame of at most 64 KiB at a time."""
-    pickle.dump(value, pipe, pickle.HIGHEST_PROTOCOL)
-    pipe.flush()
-
-
-def _serve(function: Callable, tasks: BinaryIO, replies: BinaryIO) -> None:
-    """Call ``function`` on each argument tuple pickled to ``tasks``, until
-    it ends, and pickle each result, or the exception raised, to
-    ``replies``."""
-    while True:
-        try:
-            args = pickle.load(tasks)
-        except EOFError:
-            return
-        try:
-            result = function(*args)
-        except Exception as exc:
-            result = exc
-        del args  # the chunk goes before the next arrives
-        _put(replies, result)
+def _read_at(fd: int, length: int, at: int) -> bytes:
+    """``length`` bytes of file descriptor ``fd`` from byte ``at``."""
+    data = b""
+    while len(data) < length:
+        part = os.pread(fd, length - len(data), at + len(data))
+        if not part:
+            raise OSError("the temporary CSV copy ended early")
+        data += part
+    return data
 
 
 def _pin(index: int) -> None:
     """Keep this process on the ``index``-th of its usable CPUs, counted
-    cyclically, where one is known.  The scheduler tends to wake a pipe's
-    reader on the writer's CPU, so without it the parsing processes crowd
-    onto the CPU of the process that feeds them all."""
+    cyclically, where one is known, so that the parsing processes of a round
+    do not crowd onto one CPU."""
     if hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
         os.sched_setaffinity(0, {cpus[index % len(cpus)]})
 
 
-class _Worker:
-    """A process forked to run :func:`_serve`, and this end of its two pipes.
+def _share(parse: Callable, fd: int, copied: list[tuple]) -> list[tuple[int, int | Exception]]:
+    """``(index, row count)`` of each chunk of ``copied`` that ``parse``
+    reads, in order, up to ``(index, error)`` of the first it fails on.
+    Each chunk is ``(index, row number, byte offset, at, length)``, its text
+    ``length`` bytes of file descriptor ``fd`` from byte ``at``."""
+    results = []
+    for index, row_number, offset, at, length in copied:
+        try:
+            # split on \n only, as the input was read
+            lines = io.BytesIO(_read_at(fd, length, at)).readlines()
+            results.append((index, parse(index, row_number, offset, lines)))
+        except Exception as exc:
+            return results + [(index, exc)]
+    return results
 
-    The process owns only its own ends of its own pipes, so it reads the end
-    of its tasks, and exits, once this process has closed them or died.  It
-    ends with ``os._exit``, never writes to the standard streams it
-    inherited and never flushes them.
+
+def _parse_round(parse: Callable, fd: int, copied: list[tuple], cap: int) -> list[int]:
+    """The row counts of the chunks of ``copied`` (see :func:`_share`).
+
+    With P = min(``cap``, chunks), share r is chunks r, r + P, ... in
+    order.  Each share is parsed by a process forked for it and kept on
+    CPU r (:func:`_pin`), which stops at its first error, pickles its
+    results to its own pipe and exits with ``os._exit``; it never writes to
+    the standard streams it inherited.  A refused fork is not tried again
+    in the round: its share and the later ones run in this process.  Raises the error of
+    the lowest chunk index; a process that ends without its results stands
+    for an error at its first chunk.  Every process is reaped and every
+    pipe closed, however the round ends.
     """
-
-    def __init__(self, function: Callable, others: list["_Worker"]) -> None:
-        tasks, task_end = os.pipe()
-        reply_end, replies = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (tasks, task_end, reply_end, replies):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                sys.stdout = sys.stderr = None  # a stray write is dropped
-                _pin(len(others))
-                os.close(task_end)
-                os.close(reply_end)
-                for worker in others:
-                    # every task sent was flushed, so closing writes nothing
-                    worker._tasks.close()
-                    worker._replies.close()
-                _serve(function, open(tasks, "rb"), open(replies, "wb"))
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(tasks)
-        os.close(replies)
-        self._tasks, self._replies = open(task_end, "wb"), open(reply_end, "rb")
-
-    def send(self, args: tuple) -> None:
-        try:
-            _put(self._tasks, args)
-        except BrokenPipeError:
-            raise self._ended() from None
-
-    def result(self):
-        """The result of the task sent; raises the exception it raised, or
-        one if the process ended first."""
-        try:
-            result = pickle.load(self._replies)
-        except (EOFError, pickle.UnpicklingError):
-            raise self._ended() from None
-        if isinstance(result, BaseException):
-            raise result
-        return result
-
-    @staticmethod
-    def _ended() -> OSError:
-        return OSError("a CSV parsing process ended early")
-
-    def close(self) -> None:
-        """Close this end of both pipes and reap the process, which reads
-        the end of its tasks, or fails to write its reply, and exits; at most
-        one task is left to finish."""
-        with contextlib.suppress(BrokenPipeError):  # what a dead process did not take
-            self._tasks.close()
-        self._replies.close()
-        os.waitpid(self.pid, 0)
-
-
-def _forked_map(function: Callable, tasks: Iterator[tuple], cap: int) -> Iterator:
-    """``function(*args)`` for each ``args`` of ``tasks``, in order, run in
-    at most ``cap`` forked :class:`_Worker` processes, or in this one if
-    ``cap`` is 1.
-
-    The first ``cap`` tasks each fork a process, so there are never more
-    processes than tasks.  Each later task goes to the process that holds
-    the oldest task, once that result is read and yielded: task ``i`` goes
-    to process ``i`` mod the processes.  So each process holds one task at
-    a time, which it gets only when idle, and no write to a process waits
-    on its replies.  Results are yielded in task order, so the first task
-    to raise is the one whose exception is raised; if reading the next task
-    raises, the tasks already sent go first.  A failed fork leaves the tasks
-    to the processes already running, or to this one if there are none.
-    Every process is reaped and every pipe closed, however the map ends.
-    """
-    workers: list[_Worker] = []
-    held: deque[_Worker] = deque()  # the processes holding a task, oldest task first
-    cap = cap if cap > 1 else 0
+    shares = min(cap, len(copied))
+    forked: list[tuple[int, io.BufferedReader]] = []
     try:
-        while True:
+        for r in range(shares):
+            reader, writer = os.pipe()
             try:
-                args = next(tasks, None)
-            except Exception:
-                # the tasks sent come first in order, so their first error wins
-                while held:
-                    yield held.popleft().result()
-                raise
-            if args is None:
+                pid = os.fork()
+            except OSError:
+                os.close(reader)
+                os.close(writer)
                 break
-            if len(workers) < cap:
+            if pid == 0:
                 try:
-                    workers.append(_Worker(function, workers))
-                except OSError:
-                    cap = len(workers)
-            if not workers:
-                yield function(*args)
-                continue
-            if len(held) < len(workers):
-                worker = workers[-1]  # just forked
-            else:
-                worker = held.popleft()  # it holds the oldest task
-                yield worker.result()
-            worker.send(args)
-            held.append(worker)
-            del args, worker  # before the next task is read
-        while held:
-            yield held.popleft().result()
+                    sys.stdout = sys.stderr = None  # a stray write is dropped
+                    _pin(r)
+                    # only the parent reads the reply, so a write cannot wait on this process
+                    os.close(reader)
+                    with open(writer, "wb") as pipe:
+                        pickle.dump(_share(parse, fd, copied[r::shares]), pipe, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            os.close(writer)
+            forked.append((pid, open(reader, "rb")))
+        replies = [_share(parse, fd, copied[r::shares]) for r in range(len(forked), shares)]
+        for r, (_, pipe) in enumerate(forked):
+            try:
+                replies.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):
+                replies.append([(copied[r][0], OSError("a CSV parsing process ended early"))])
     finally:
-        for worker in workers:
-            worker.close()
+        for pid, pipe in forked:
+            pipe.close()
+            os.waitpid(pid, 0)
+    results = sorted(itertools.chain(*replies))  # by chunk index, as no two are equal
+    for _, result in results:
+        if isinstance(result, Exception):
+            raise result
+    return [count for _, count in results]
+
+
+def _rounds(parse: Callable, chunks: Iterator[tuple], cap: int) -> list[int]:
+    """``parse(*args)`` for each ``args`` of ``chunks``, in rounds of up to
+    ``_ROUND`` chunks.  Each round writes the text of its chunks to one
+    unlinked temporary file, from its start, and then parses them in up to
+    ``cap`` processes (:func:`_parse_round`).  An error raised while a round
+    is read or copied is raised after the chunks copied before it are
+    parsed, so an error in one of those comes first."""
+    counts: list[int] = []
+    with tempfile.TemporaryFile() as copy:
+        while True:
+            copied, at = [], 0
+            try:
+                for index, row_number, offset, chunk in itertools.islice(chunks, _ROUND):
+                    text = b"".join(chunk)
+                    _write_at(copy.fileno(), text, at)
+                    copied.append((index, row_number, offset, at, len(text)))
+                    at += len(text)
+                    del chunk, text  # before the next chunk is read
+            except Exception:
+                counts += _parse_round(parse, copy.fileno(), copied, cap)
+                raise
+            counts += _parse_round(parse, copy.fileno(), copied, cap)
+            if len(copied) < _ROUND:
+                return counts
 
 
 def usable_cpus() -> int:
@@ -380,8 +345,10 @@ def _table(
     most one byte past the cap, plus a byte-order mark the cap does not
     count.  Each chunk is read by :func:`_loaded` or else :func:`_parsed`
     and written column by column to ``spill`` at its index times the
-    stride, in this process or in up to ``jobs`` forked ones, no more than
-    the usable CPUs (:func:`_forked_map`).
+    stride.  Once a second chunk exists, the chunks are parsed in rounds by
+    up to ``jobs`` forked processes, no more than the usable CPUs, each
+    reading its own chunks from a copy of the round's text
+    (:func:`_rounds`); else in this process as they are read.
     """
     header = handle.readline(len(codecs.BOM_UTF8) + MAX_LINE_BYTES + 1)
     text = header.removeprefix(codecs.BOM_UTF8)
@@ -407,7 +374,8 @@ def _table(
     first = iter(list(itertools.islice(chunks, 1)))
     # a process is forked only once a second chunk exists
     cap = min(jobs, usable_cpus()) if hasattr(os, "fork") and handle.peek(1) else 1
-    counts = list(_forked_map(parse, itertools.chain(first, chunks), cap))
+    chunks = itertools.chain(first, chunks)
+    counts = _rounds(parse, chunks, cap) if cap > 1 else [parse(*args) for args in chunks]
     if not any(counts):
         raise DataFormatError(f"{path}: no data rows")
     return names, counts, stride

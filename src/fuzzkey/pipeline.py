@@ -63,8 +63,15 @@ class PipelineConfig:
             raise ConfigurationError("choose either k (top-k) or tau (threshold), not both")
         if self.k is not None and (not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0):
             raise ConfigurationError(f"k must be a nonnegative integer, got {self.k!r}")
-        if self.tau is not None and (not math.isfinite(self.tau) or self.tau < 0):
+        if self.tau is not None and (
+            not isinstance(self.tau, (int, float))
+            or isinstance(self.tau, bool)
+            or not math.isfinite(self.tau)
+            or self.tau < 0
+        ):
             raise ConfigurationError(f"tau must be finite and nonnegative, got {self.tau!r}")
+        if not isinstance(self.tag, bool):
+            raise ConfigurationError(f"tag must be True or False, got {self.tag!r}")
         if self.cipher_mode not in (cipher_mod.MODE_BYTE_SHIFT, cipher_mod.MODE_LETTERS):
             raise ConfigurationError(f"unknown cipher mode {self.cipher_mode!r}")
         cfg = self
@@ -222,12 +229,14 @@ def analyze(
     rules.  The file takes two passes with an unlinked temporary file
     between them: the first parses it a chunk of rows at a time and writes
     each chunk column by column, in this process or, once there is a second
-    chunk, in up to ``jobs`` forked processes, no more than the usable
-    CPUs; the second reads back one block of columns at a time, rescales it
-    in place and scores it with :func:`score_columns`.  So a run holds
-    about one block and a few chunks, never the n x F matrix; the temporary
-    file takes 8 bytes per value.  Whatever ``jobs`` is, the scores and
-    ranges are equal bit for bit.
+    chunk, in rounds: each round's text is copied to a second temporary
+    file and parsed by up to ``jobs`` processes forked for the round, no
+    more than the usable CPUs.  The second pass reads back one block of
+    columns at a time, rescales it in place and scores it with
+    :func:`score_columns`.  So a run holds about one block and a few
+    chunks, never the n x F matrix; the temporary files take 8 bytes per
+    value and one round of the CSV text.  Whatever ``jobs`` is, the scores
+    and ranges are equal bit for bit.
     """
     cfg = cfg.validated()
     # checks the set cap before any data is read

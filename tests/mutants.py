@@ -141,28 +141,53 @@ MUTANTS = [
         ["tests/test_ingest.py::TestTwoPass"],
     ),
     Mutant(
-        "newest-holder-takes-the-task",
+        "highest-index-error-wins",
         "src/fuzzkey/ingest.py",
-        "worker = held.popleft()",
-        "worker = held.pop()",
-        [
-            "tests/test_ingest.py::TestParsingProcesses::test_jobs_do_not_change_the_table_or_the_error",
-            "tests/test_cli.py::TestParsingProcesses::test_chunks_go_to_the_processes_in_turn",
-        ],
+        "    for _, result in results:\n",
+        "    for _, result in results[::-1]:\n",
+        ["tests/test_cli.py::TestParsingProcesses::test_the_first_error_in_file_order_is_named"],
     ),
     Mutant(
-        "no-drain-before-a-read-error",
+        "read-error-before-the-copied-chunks",
         "src/fuzzkey/ingest.py",
-        "                while held:\n                    yield held.popleft().result()\n                raise\n",
-        "                raise\n",
+        "            except Exception:\n                counts += _parse_round(parse, copy.fileno(), copied, cap)\n",
+        "            except Exception:\n",
         ["tests/test_ingest.py::TestParsingProcesses::test_a_read_error_comes_after_the_chunks_sent[bad-cell-first]"],
+    ),
+    Mutant(
+        "refused-fork-share-dropped",
+        "src/fuzzkey/ingest.py",
+        "for r in range(len(forked), shares)]",
+        "for r in range(0)]",
+        ["tests/test_ingest.py::TestParsingProcesses::test_a_failed_fork_leaves_the_parse_to_the_processes_running"],
     ),
     Mutant(
         "refused-fork-tried-again",
         "src/fuzzkey/ingest.py",
-        "                    cap = len(workers)\n",
-        "                    pass\n",
+        "                os.close(writer)\n                break\n",
+        "                os.close(writer)\n                continue\n",
         ["tests/test_ingest.py::TestParsingProcesses::test_a_failed_fork_leaves_the_parse_to_the_processes_running"],
+    ),
+    Mutant(
+        "lines-split-by-splitlines",
+        "src/fuzzkey/ingest.py",
+        "io.BytesIO(_read_at(fd, length, at)).readlines()",
+        "_read_at(fd, length, at).splitlines(keepends=True)",
+        ["tests/test_ingest.py::TestParsingProcesses::test_lines_end_at_newlines_only"],
+    ),
+    Mutant(
+        "round-local-index-parsed",
+        "src/fuzzkey/ingest.py",
+        "copied.append((index, row_number, offset, at, len(text)))",
+        "copied.append((len(copied), row_number, offset, at, len(text)))",
+        ["tests/test_cli.py::TestParsingProcesses::test_chunks_go_to_the_processes_in_turn"],
+    ),
+    Mutant(
+        "whole-input-in-one-round",
+        "src/fuzzkey/ingest.py",
+        "itertools.islice(chunks, _ROUND)",
+        "chunks",
+        ["tests/test_cli.py::TestParsingProcesses::test_an_endless_pipe_ends_at_a_bad_row_2"],
     ),
     Mutant(
         "cap-does-not-end-chunk",

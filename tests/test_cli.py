@@ -11,7 +11,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -1305,6 +1304,7 @@ class TestReadme:
         ]
         assert re.findall(r"input may hold at most (\d+) bytes", text) == [str(cli.MAX_PAYLOAD_BYTES)]
         assert re.findall(r"A CSV line may hold at most (\d+) bytes", text) == [str(ingest.MAX_LINE_BYTES)]
+        assert re.findall(r"in rounds of up to (\d+) chunks", text) == [str(ingest._ROUND)]
 
 
 def open_fds():
@@ -1667,25 +1667,6 @@ def reaped():
     return False
 
 
-class InProcessWorker:
-    """Stands in for ``ingest._Worker`` without a process: it holds at most
-    one task and runs it when its result is read."""
-
-    def __init__(self, function, others):
-        self.function, self.args, self.closed = function, None, False
-
-    def send(self, args):
-        assert self.args is None
-        self.args = args
-
-    def result(self):
-        args, self.args = self.args, None
-        return self.function(*args)
-
-    def close(self):
-        self.closed = True
-
-
 class TestParsingProcesses:
     """``select --jobs 2`` on twelve rows of three columns, parsed in chunks
     of two rows by forked processes, ends in the report that ``--jobs 1``
@@ -1760,76 +1741,96 @@ class TestParsingProcesses:
         assert self.select(capfd, path, "1")[0] == 0
         assert self.select(capfd, path, "2") == (3, "", f"fuzzkey: {message}\n")
 
+    def logged(self, monkeypatch, tmp_path):
+        """Count the forks, which still fork, and log the process that parses
+        each chunk; returns the processes forked, in order, and a function
+        that reads and empties the log as sorted ``(chunk index, pid)``."""
+        fork, loaded, log, forked = os.fork, ingest._loaded, tmp_path / "parsed.log", []
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        def logging_loaded(chunk, *args):
+            # chunk i of two rows starts with row i * 2 + 2, whose first cell is i * 2 + 1
+            with open(log, "a") as handle:
+                handle.write(f"{int(chunk[0].split(b',')[0]) // 2} {os.getpid()}\n")
+            return loaded(chunk, *args)
+
+        def parsed():
+            lines = log.read_text().splitlines()
+            log.unlink()
+            return sorted(tuple(map(int, line.split())) for line in lines)
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(ingest, "_loaded", logging_loaded)
+        return forked, parsed
+
     @pytest.mark.parametrize(
         "cpus, rows, processes",
         [(2, 12, 2), (4, 6, 3), (4, 2, 0), (2, 4, 2)],
         ids=["cpus-cap", "chunks-cap", "one-chunk", "two-chunks"],
     )
     def test_processes_are_capped_by_cpus_and_chunks(self, tmp_path, capfd, monkeypatch, cpus, rows, processes):
-        # no process starts: a worker runs in this process, and a fork fails
-        forks, workers = [], []
-
-        def fork():
-            forks.append(1)
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        def worker(*args):
-            workers.append(InProcessWorker(*args))
-            return workers[-1]
-
-        monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(ingest, "usable_cpus", cli.usable_cpus)  # counts the patched affinity
-        monkeypatch.setattr(ingest, "_Worker", worker)
+        monkeypatch.setattr(ingest, "usable_cpus", lambda: cpus)
+        forked, parsed = self.logged(monkeypatch, tmp_path)
         path = tmp_path / "data.csv"
         path.write_text("\n".join(self.ROWS[: rows + 1]) + "\n")
         serial = self.select(capfd, path, "1")
-        assert serial[0] == 0 and workers == []
+        assert serial[0] == 0 and forked == []
+        assert parsed() == [(index, os.getpid()) for index in range(rows // 2)]
         assert self.select(capfd, path, "1000000") == serial
-        assert (len(workers), forks) == (processes, [])
-        assert all(worker.closed for worker in workers)
+        assert len(forked) == processes
+        # a one-chunk file is parsed in this process, and every other chunk
+        # by the (index mod P)-th process
+        by = forked or [os.getpid()]
+        assert parsed() == [(index, by[index % len(by)]) for index in range(rows // 2)]
 
     def test_chunks_go_to_the_processes_in_turn(self, tmp_path, capfd, monkeypatch):
-        # the first process stalls on chunk 0, while the second is idle
-        parent, loaded, log = os.getpid(), ingest._loaded, []
-
-        def stalling(chunk, *args):
-            if os.getpid() != parent and chunk[0].startswith(b"1,"):
-                time.sleep(0.3)
-            return loaded(chunk, *args)
-
-        class Logged(ingest._Worker):
-            def __init__(self, function, others):
-                super().__init__(function, others)
-                self.number = len(others)
-
-            def send(self, args):
-                log.append(("send", self.number, args[0]))
-                super().send(args)
-
-            def result(self):
-                log.append(("result", self.number, None))
-                return super().result()
-
-        monkeypatch.setattr(ingest, "_loaded", stalling)
-        monkeypatch.setattr(ingest, "_Worker", Logged)
+        # six chunks in rounds of four and two, three processes forked for
+        # the first and two for the second
+        monkeypatch.setattr(ingest, "_ROUND", 4)
+        monkeypatch.setattr(ingest, "usable_cpus", lambda: 3)
+        forked, parsed = self.logged(monkeypatch, tmp_path)
         path = self.write(tmp_path)
         serial = self.select(capfd, path, "1")
-        assert self.select(capfd, path, "2") == serial
-        sends = [(number, index) for event, number, index in log if event == "send"]
-        # chunk i goes to process i mod 2
-        assert sends == [(index % 2, index) for index in range(6)]
-        in_flight, held = 0, set()
-        for event, number, _ in log:
-            if event == "send":
-                # no process is sent a chunk before its last result is read
-                assert number not in held
-                held.add(number)
-            else:
-                held.remove(number)
-            in_flight = max(in_flight, len(held))
-        # at most one chunk per process is in flight
-        assert (in_flight, held) == (2, set())
+        parsed()
+        assert self.select(capfd, path, "3") == serial
+        assert len(forked) == 5
+        # chunk i of a round goes to its (i mod P)-th process
+        first, second = forked[:3], forked[3:]
+        expected = [(index, first[index % 3]) for index in range(4)] + [(4, second[0]), (5, second[1])]
+        assert parsed() == expected
+
+    def test_an_endless_pipe_ends_at_a_bad_row_2(self):
+        # the error is raised once the first round is parsed, never at the
+        # end of the input, which does not come: a run that reads on until
+        # then fails on the timeout
+        endless = (
+            "import sys\n"
+            "sys.stdout.buffer.write(b'a,b\\n1,x\\n')\n"
+            "while True:\n"
+            "    sys.stdout.buffer.write(b'1,2\\n' * 4096)\n"
+        )
+        # two processes even on a machine with one CPU
+        select = (
+            "import sys\n"
+            "from fuzzkey import cli, ingest\n"
+            "ingest.usable_cpus = lambda: 2\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argv = [sys.executable, "-c", select, "select", "/dev/stdin", "--k", "1", "--jobs", "2"]
+        source = [sys.executable, "-c", endless]
+        with subprocess.Popen(source, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as producer:
+            try:
+                proc = subprocess.run(argv, stdin=producer.stdout, capture_output=True, env=env, timeout=30)
+            finally:
+                producer.kill()
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        assert proc.stderr.decode() == "fuzzkey: /dev/stdin: row 2, column 2 (b): not a number: 'x'\n"
 
 
 LETTERS = bytes(65 + i % 26 for i in range(256))

@@ -780,14 +780,28 @@ class TestParsingProcesses:
         return spill.feature_names, table.shape, table.tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(csv_files(), st.booleans(), st.sampled_from([1, 6, 13]))
-    def test_jobs_do_not_change_the_table_or_the_error(self, tmp_path_factory, data, drop, block):
+    @given(csv_files(), st.booleans(), st.sampled_from([1, 6, 13]), st.sampled_from([1, 2, ingest._ROUND]))
+    def test_jobs_do_not_change_the_table_or_the_error(self, tmp_path_factory, data, drop, block, round_size):
         path = tmp_path_factory.mktemp("jobs") / "data.csv"
         path.write_bytes(data)
         # up to three processes even on a machine with fewer CPUs
         with mock.patch.object(ingest, "_SCORE_BLOCK", block), mock.patch.object(ingest, "usable_cpus", lambda: 3):
-            outcomes = [self.outcome(path, drop, jobs) for jobs in (1, 2, 3)]
+            with mock.patch.object(ingest, "_ROUND", round_size):
+                outcomes = [self.outcome(path, drop, jobs) for jobs in (1, 2, 3)]
         assert outcomes[1:] == outcomes[:1] * 2
+        assert reaped()
+
+    def test_lines_end_at_newlines_only(self, tmp_path, monkeypatch):
+        # CRLF endings and a lone \r inside a cell, where str.splitlines and
+        # bytes.splitlines would end a line too; six chunks of two rows
+        rows = [b"%d,\r%d,%d" % (i, -i, i * i) for i in range(1, 13)]
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a,b,c\r\n" + b"".join(row + b"\r\n" for row in rows))
+        monkeypatch.setattr(ingest, "_SCORE_BLOCK", 6)
+        monkeypatch.setattr(ingest, "usable_cpus", lambda: 2)
+        table = np.array([[i, -i, i * i] for i in range(1, 13)], dtype=float)
+        expected = (("a", "b", "c"), table.shape, table.tobytes())
+        assert [self.outcome(path, False, jobs) for jobs in (1, 2)] == [expected] * 2
         assert reaped()
 
     TABLE = "a,b,c\n" + "".join(f"{i},{-i},{i / 7!r}\n" for i in range(1, 13))
@@ -826,7 +840,7 @@ class TestParsingProcesses:
                     raise OSError(errno.EIO, os.strerror(errno.EIO))
                 return super().readline(size)
 
-        # row 10 is in the fifth chunk, which is sent before row 12 is read
+        # row 10 is in the fifth chunk, which is copied before row 12 is read
         data = self.TABLE.replace("\n9,", "\nx," if bad else "\n9,").encode()
         monkeypatch.setattr(ingest, "_SCORE_BLOCK", 6)
         monkeypatch.setattr(ingest, "usable_cpus", lambda: 2)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -82,6 +83,18 @@ class TestConfigFile:
         # bool is an int, and the report would print k = True
         with pytest.raises(ConfigurationError, match=r"^k must be a nonnegative integer, got True$"):
             PipelineConfig(k=True).validated()
+
+    @pytest.mark.parametrize("tau", ["0.5", True], ids=["str", "bool"])
+    def test_tau_must_be_a_number(self, tau):
+        # a str must not reach math.isfinite, and a bool would print as tau = 1.000000000
+        with pytest.raises(ConfigurationError, match=rf"^tau must be finite and nonnegative, got {re.escape(repr(tau))}$"):
+            PipelineConfig(tau=tau).validated()
+
+    @pytest.mark.parametrize("tag", ["off", 1, None], ids=["str", "int", "none"])
+    def test_tag_must_be_a_bool(self, tag):
+        # a non-empty str is truthy: "off" would print tag = on, and pipeline would seal with a tag
+        with pytest.raises(ConfigurationError, match=rf"^tag must be True or False, got {re.escape(repr(tag))}$"):
+            PipelineConfig(tag=tag).validated()
 
     def test_k_and_tau_conflict(self):
         with pytest.raises(ConfigurationError, match="not both"):
