@@ -110,9 +110,8 @@ def _parse_header(path: str | Path, line: str) -> list[str]:
             raise DataFormatError(
                 f"{path}: column {column_number}: name {name!r} is not ASCII without tabs"
             )
-    counts = Counter(names)
-    if len(counts) != len(names):
-        duplicates = sorted(name for name, count in counts.items() if count > 1)
+    duplicates = sorted(name for name, count in Counter(names).items() if count > 1)
+    if duplicates:
         raise DataFormatError(f"{path}: duplicate header names {duplicates}")
     if names == [TARGET_COLUMN]:
         raise DataFormatError(f"{path}: no feature columns besides {TARGET_COLUMN!r}")
@@ -228,20 +227,19 @@ def _pin(index: int) -> None:
         os.sched_setaffinity(0, {cpus[index % len(cpus)]})
 
 
-def _share(parse: Callable, fd: int, copied: list[tuple]) -> list[tuple[int, int | Exception]]:
+def _share(parse: Callable, fd: int, copied: list[tuple]) -> Iterator[tuple[int, int | Exception]]:
     """``(index, row count)`` of each chunk of ``copied`` that ``parse``
     reads, in order, up to ``(index, error)`` of the first it fails on.
     Each chunk is ``(index, row number, byte offset, at, length)``, its text
     ``length`` bytes of file descriptor ``fd`` from byte ``at``."""
-    results = []
     for index, row_number, offset, at, length in copied:
         try:
             # split on \n only, as the input was read
             lines = io.BytesIO(_read_at(fd, length, at)).readlines()
-            results.append((index, parse(index, row_number, offset, lines)))
+            yield index, parse(index, row_number, offset, lines)
         except Exception as exc:
-            return results + [(index, exc)]
-    return results
+            yield index, exc
+            return
 
 
 def _parse_round(parse: Callable, fd: int, copied: list[tuple], cap: int) -> list[int]:
@@ -249,48 +247,59 @@ def _parse_round(parse: Callable, fd: int, copied: list[tuple], cap: int) -> lis
 
     With P = min(``cap``, chunks), share r is chunks r, r + P, ... in
     order.  Each share is parsed by a process forked for it and kept on
-    CPU r (:func:`_pin`), which stops at its first error, pickles its
-    results to its own pipe and exits with ``os._exit``; it never writes to
-    the standard streams it inherited.  A refused fork is not tried again
-    in the round: its share and the later ones run in this process.  Raises the error of
-    the lowest chunk index; a process that ends without its results stands
-    for an error at its first chunk.  Every process is reaped and every
-    pipe closed, however the round ends.
+    CPU r (:func:`_pin`), which stops at its first error, pickles the result
+    of each chunk to its own pipe as soon as it has it and exits with
+    ``os._exit``; it never writes to the standard streams it inherited.  A
+    pipe or fork that is refused is not tried again in the round: its share
+    and the later ones run in this process.  Raises the error of the lowest
+    chunk index; a process that ends before it replies for a chunk stands
+    for an error at that chunk.  Every process is reaped and every pipe
+    closed, however the round ends.
     """
     shares = min(cap, len(copied))
     forked: list[tuple[int, io.BufferedReader]] = []
     try:
         for r in range(shares):
-            reader, writer = os.pipe()
+            ends: tuple[int, ...] = ()  # none are open until os.pipe returns
             try:
+                reader, writer = ends = os.pipe()
                 pid = os.fork()
             except OSError:
-                os.close(reader)
-                os.close(writer)
+                for end in ends:
+                    os.close(end)
                 break
             if pid == 0:
                 try:
                     sys.stdout = sys.stderr = None  # a stray write is dropped
                     _pin(r)
-                    # only the parent reads the reply, so a write cannot wait on this process
+                    # only the parent reads the replies, so a write cannot wait on this process
                     os.close(reader)
                     with open(writer, "wb") as pipe:
-                        pickle.dump(_share(parse, fd, copied[r::shares]), pipe, pickle.HIGHEST_PROTOCOL)
+                        for result in _share(parse, fd, copied[r::shares]):
+                            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                            pipe.flush()
                 finally:
                     os._exit(0)
             os.close(writer)
             forked.append((pid, open(reader, "rb")))
-        replies = [_share(parse, fd, copied[r::shares]) for r in range(len(forked), shares)]
+        results = [
+            result for r in range(len(forked), shares) for result in _share(parse, fd, copied[r::shares])
+        ]
         for r, (_, pipe) in enumerate(forked):
-            try:
-                replies.append(pickle.load(pipe))
-            except (EOFError, pickle.UnpicklingError):
-                replies.append([(copied[r][0], OSError("a CSV parsing process ended early"))])
+            # a reply for each chunk up to the process's first error; the
+            # first missing one stands for an error at its chunk, which
+            # after a reply with an error is outranked by that error
+            for index, *_ in copied[r::shares]:
+                try:
+                    results.append(pickle.load(pipe))
+                except (EOFError, pickle.UnpicklingError):
+                    results.append((index, OSError("a CSV parsing process ended early")))
+                    break
     finally:
         for pid, pipe in forked:
             pipe.close()
             os.waitpid(pid, 0)
-    results = sorted(itertools.chain(*replies))  # by chunk index, as no two are equal
+    results.sort()  # by chunk index, as no two are equal
     for _, result in results:
         if isinstance(result, Exception):
             raise result
@@ -325,9 +334,7 @@ def _rounds(parse: Callable, chunks: Iterator[tuple], cap: int) -> list[int]:
 
 def usable_cpus() -> int:
     """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _table(
@@ -370,11 +377,11 @@ def _table(
         return len(table)
 
     chunks = _chunks(handle, size, 2, len(header))
-    # an iterator, which lets go of the first chunk once it is taken
-    first = iter(list(itertools.islice(chunks, 1)))
+    # the first chunk is read before the peek below, and held by an
+    # iterator, which lets go of it once it is taken
+    chunks = itertools.chain(iter(list(itertools.islice(chunks, 1))), chunks)
     # a process is forked only once a second chunk exists
     cap = min(jobs, usable_cpus()) if hasattr(os, "fork") and handle.peek(1) else 1
-    chunks = itertools.chain(first, chunks)
     counts = _rounds(parse, chunks, cap) if cap > 1 else [parse(*args) for args in chunks]
     if not any(counts):
         raise DataFormatError(f"{path}: no data rows")

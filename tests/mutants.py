@@ -157,16 +157,30 @@ MUTANTS = [
     Mutant(
         "refused-fork-share-dropped",
         "src/fuzzkey/ingest.py",
-        "for r in range(len(forked), shares)]",
-        "for r in range(0)]",
+        "for r in range(len(forked), shares)",
+        "for r in range(0)",
         ["tests/test_ingest.py::TestParsingProcesses::test_a_failed_fork_leaves_the_parse_to_the_processes_running"],
     ),
     Mutant(
         "refused-fork-tried-again",
         "src/fuzzkey/ingest.py",
-        "                os.close(writer)\n                break\n",
-        "                os.close(writer)\n                continue\n",
+        "                    os.close(end)\n                break\n",
+        "                    os.close(end)\n                continue\n",
         ["tests/test_ingest.py::TestParsingProcesses::test_a_failed_fork_leaves_the_parse_to_the_processes_running"],
+    ),
+    Mutant(
+        "replies-not-flushed",
+        "src/fuzzkey/ingest.py",
+        "                            pipe.flush()\n",
+        "",
+        ["tests/test_cli.py::TestParsingProcesses::test_a_process_that_dies_is_blamed_at_the_chunk_it_died_on"],
+    ),
+    Mutant(
+        "affinity-ignored",
+        "src/fuzzkey/ingest.py",
+        'return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1',
+        "return os.cpu_count() or 1",
+        ["tests/test_cli.py::TestParsingProcesses::test_processes_are_capped_by_cpus_and_chunks"],
     ),
     Mutant(
         "lines-split-by-splitlines",

@@ -1691,10 +1691,11 @@ class TestParsingProcesses:
         path.write_bytes(b"\n".join(rows) + b"\n")
         return path
 
-    def select(self, capfd, path, jobs):
+    def select(self, capfd, path, jobs=None):
+        """Run ``select``, with ``--jobs`` unless ``jobs`` is ``None``."""
         assert reaped()
         before = open_fds()
-        code = cli.main(["select", str(path), "--k", "1", "--jobs", jobs])
+        code = cli.main(["select", str(path), "--k", "1"] + (["--jobs", jobs] if jobs else []))
         out, err = capfd.readouterr()
         assert reaped()
         assert open_fds() == before
@@ -1741,6 +1742,22 @@ class TestParsingProcesses:
         assert self.select(capfd, path, "1")[0] == 0
         assert self.select(capfd, path, "2") == (3, "", f"fuzzkey: {message}\n")
 
+    def test_a_process_that_dies_is_blamed_at_the_chunk_it_died_on(self, tmp_path, capfd, monkeypatch):
+        # of two processes, the first finds a bad cell in chunk 2 (rows 6
+        # and 7), and the second is killed on chunk 3 after it parsed chunk 1
+        parent, loaded = os.getpid(), ingest._loaded
+
+        def killed(chunk, *args):
+            if os.getpid() != parent and chunk[0].startswith(b"7,"):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return loaded(chunk, *args)
+
+        monkeypatch.setattr(ingest, "_loaded", killed)
+        path = self.write(tmp_path, [(6, b"5,x,1")])
+        expected = (3, "", f"fuzzkey: {path}: row 6, column 2 (b): not a number: 'x'\n")
+        assert self.select(capfd, path, "1") == expected
+        assert self.select(capfd, path, "2") == expected
+
     def logged(self, monkeypatch, tmp_path):
         """Count the forks, which still fork, and log the process that parses
         each chunk; returns the processes forked, in order, and a function
@@ -1774,19 +1791,25 @@ class TestParsingProcesses:
         ids=["cpus-cap", "chunks-cap", "one-chunk", "two-chunks"],
     )
     def test_processes_are_capped_by_cpus_and_chunks(self, tmp_path, capfd, monkeypatch, cpus, rows, processes):
-        monkeypatch.setattr(ingest, "usable_cpus", lambda: cpus)
+        # the CPUs are those of the affinity mask, which also sets the
+        # default of --jobs; no process is pinned to a CPU it may not have
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(ingest, "usable_cpus", cli.usable_cpus)
+        monkeypatch.setattr(ingest, "_pin", lambda index: None)
         forked, parsed = self.logged(monkeypatch, tmp_path)
         path = tmp_path / "data.csv"
         path.write_text("\n".join(self.ROWS[: rows + 1]) + "\n")
         serial = self.select(capfd, path, "1")
         assert serial[0] == 0 and forked == []
         assert parsed() == [(index, os.getpid()) for index in range(rows // 2)]
-        assert self.select(capfd, path, "1000000") == serial
-        assert len(forked) == processes
-        # a one-chunk file is parsed in this process, and every other chunk
-        # by the (index mod P)-th process
-        by = forked or [os.getpid()]
-        assert parsed() == [(index, by[index % len(by)]) for index in range(rows // 2)]
+        for jobs in ("1000000", None):
+            assert self.select(capfd, path, jobs) == serial
+            assert len(forked) == processes
+            # a one-chunk file is parsed in this process, and every other
+            # chunk by the (index mod P)-th process
+            by = forked or [os.getpid()]
+            assert parsed() == [(index, by[index % len(by)]) for index in range(rows // 2)]
+            forked.clear()
 
     def test_chunks_go_to_the_processes_in_turn(self, tmp_path, capfd, monkeypatch):
         # six chunks in rounds of four and two, three processes forked for
