@@ -1,7 +1,5 @@
 """Allow ``python -m fuzzkey``."""
 
-import sys
+from .cli import run
 
-from .cli import main
-
-sys.exit(main())
+run()

@@ -62,6 +62,9 @@ _LETTERS = 26
 # the tag is folded, and letters are checked, this many message bytes at a
 # time, which bounds their temporaries whatever the message length
 _TAG_BLOCK = 1 << 16
+# a little-endian 64-bit word times this holds in byte j the sum of its bytes
+# 0..j, plus what the bytes below carry into it
+_BYTE_SUMS = np.uint64(0x0101010101010101)
 
 
 def _is_letters(data: bytes | np.ndarray) -> bool:
@@ -180,43 +183,55 @@ def _descending_powers(count: int) -> np.ndarray:
     return powers[::-1]
 
 
-def _prefix_xor(buf: np.ndarray) -> None:
-    """In place, ``buf[i]`` becomes ``buf[0] ^ ... ^ buf[i]``; ``len(buf)``
-    is a multiple of 8.
+def _prefix_xor(buf: np.ndarray, lane: int) -> None:
+    """In place, the ``lane`` bit of ``buf[i]`` becomes that bit of
+    ``buf[0] ^ ... ^ buf[i]``; ``lane`` is a power of two below 256,
+    ``len(buf)`` is a multiple of 64, and the other bits are left meaningless.
 
-    Equal to ``np.bitwise_xor.accumulate`` but several times faster: bytes
-    are XORed within each little-endian 64-bit word by shifts, and only the
-    word totals are accumulated serially.
+    Masked to ``lane``, each byte is 0 or ``lane``, so one multiply of a
+    little-endian 64-bit word by :data:`_BYTE_SUMS` sums bytes 0..j into
+    byte j (Warren, *Hacker's Delight*, ch. 5): the ``lane`` bit of that sum
+    is the parity of the count, and what the bytes below carry into it stays
+    under that bit.  The word totals, the top bytes, take the same step in
+    groups of eight, so only one total per 64 bytes is accumulated serially;
+    the totals before each group and each word are then XORed in.
     """
+    buf &= lane
     words = buf.view("<u8")
-    words ^= words << 8
-    words ^= words << 16
-    words ^= words << 32
-    carry = words >> 56
+    words *= _BYTE_SUMS
+    totals = buf[7::8] & lane
+    groups = totals.view("<u8")
+    groups *= _BYTE_SUMS
+    carry = groups >> 56
     np.bitwise_xor.accumulate(carry, out=carry)
-    carry *= 0x0101010101010101
-    words[1:] ^= carry[:-1]
+    carry *= _BYTE_SUMS
+    groups[1:] ^= carry[:-1]
+    spread = totals.astype(np.uint64)
+    spread *= _BYTE_SUMS
+    words[1:] ^= spread[:-1]
 
 
 def _low_bytes(mixed: np.ndarray, first: int) -> np.ndarray:
     """Low byte of ``t`` before each step of the fold over ``mixed``, given
     the low byte ``first`` before step 0; bit k is found in pass k."""
     size = len(mixed)
-    low = np.zeros(size, dtype=np.uint8)
-    # padded to whole words for _prefix_xor; the padding follows every step
-    steps = np.zeros(-(-size // 8) * 8, dtype=np.uint8)
+    # low ^ mixed, padded to whole groups of 64 bytes for _prefix_xor: low
+    # holds only the bits below `bit`, so the other bits are those of mixed
+    toggled = np.zeros(-(-size // 64) * 64, dtype=np.uint8)
+    toggled[:size] = mixed
+    steps = np.empty_like(toggled)
     multiplier = TAG_MULTIPLIER & 0xFF
     for bit in range(8):
-        # low holds only the bits below `bit`, so this bit of
-        # multiplier * (low ^ mixed) is the bit of mixed XOR the carry that
-        # the lower bits produce: the step that flips it in the fold
-        np.bitwise_xor(low[:-1], mixed[:-1], out=steps[1:size])
-        np.multiply(steps[1:size], multiplier, out=steps[1:size])
+        lane = 1 << bit
+        # this bit of multiplier * (low ^ mixed) is the bit of mixed XOR the
+        # carry that the lower bits produce: the step that flips it in the
+        # fold; the padding comes after every step, so it changes no byte
+        np.multiply(toggled[:-1], multiplier, out=steps[1:])
         steps[0] = first
-        _prefix_xor(steps)
-        steps &= 1 << bit
-        low |= steps[:size]
-    return low
+        _prefix_xor(steps, lane)
+        steps &= lane
+        toggled ^= steps
+    return toggled[:size] ^ mixed
 
 
 def _fold_block(t: int, block: np.ndarray, key_codes: np.ndarray, phase: int, powers: np.ndarray) -> int:

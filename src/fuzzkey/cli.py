@@ -35,7 +35,7 @@ import tempfile
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import BinaryIO
+from typing import BinaryIO, NoReturn
 
 from .cipher import (
     MAX_HEADER_BYTES,
@@ -54,6 +54,7 @@ from .errors import (
     FuzzkeyError,
     IntegrityError,
     InvalidKeyError,
+    naming_writes,
 )
 from .fuzzy import RuleBase, defuzzify_centroid, evaluate_rules, fuzzify, make_uniform_partition
 from .ingest import usable_cpus
@@ -232,7 +233,8 @@ class _Passes:
         self._size += count
         if self._size > MAX_PAYLOAD_BYTES:
             raise _too_long(self._path)
-        self._copy.write(view[:count])
+        with naming_writes():
+            self._copy.write(view[:count])
         return count
 
     def blocks(self) -> Iterator[memoryview]:
@@ -244,7 +246,8 @@ class _Passes:
     def reread(self, start: int) -> Iterator[memoryview]:
         """Pass 2: what pass 1 read from offset ``start`` on, read from the
         copy, in blocks as :meth:`blocks` gives them."""
-        self._copy.seek(start)
+        with naming_writes():
+            self._copy.seek(start)  # which writes what pass 1 left buffered
         left = self._size - start
         while left:
             count = _fill(self._copy, self._block[:left])
@@ -271,6 +274,30 @@ def _payload(path: str) -> Iterator[_Passes]:
             yield _Passes(path, source, copy)
 
 
+class _Named:
+    """The binary file ``handle`` as a context manager, whose writes and
+    flushes, and the flush on leaving it, name ``path`` when they fail (see
+    :func:`naming_writes`)."""
+
+    def __init__(self, handle: BinaryIO, path: str) -> None:
+        self._handle, self._path = handle, path
+
+    def __enter__(self) -> _Named:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        with naming_writes(self._path):
+            self._handle.__exit__(*exc_info)
+
+    def write(self, data) -> int:
+        with naming_writes(self._path):
+            return self._handle.write(data)
+
+    def flush(self) -> None:
+        with naming_writes(self._path):
+            self._handle.flush()
+
+
 def _check_stdout() -> None:
     # a closed stdout leaves sys.stdout None
     if sys.stdout is None:
@@ -278,7 +305,7 @@ def _check_stdout() -> None:
 
 
 @contextmanager
-def _output(path: str | None) -> Iterator[BinaryIO]:
+def _output(path: str | None) -> Iterator[BinaryIO | _Named]:
     """A binary file for a command's output: ``path``, or stdout for ``None``.
 
     ``path`` changes only if the block exits without an exception.  The
@@ -288,7 +315,8 @@ def _output(path: str | None) -> Iterator[BinaryIO]:
     that is not a regular file, such as a FIFO or a device (``/dev/stdout``
     among them), cannot be replaced and is written in place.  A new file
     gets the mode that ``open(path, "wb")`` gives, ``0o666`` less the umask;
-    a replaced one keeps its permission bits.
+    a replaced one keeps its permission bits.  A write to ``path`` that
+    fails, as on a full disk, names ``path``.
     """
     if path is None:
         _check_stdout()
@@ -303,8 +331,8 @@ def _output(path: str | None) -> Iterator[BinaryIO]:
     except FileNotFoundError:
         info = None
     if info is not None and not stat.S_ISREG(info.st_mode):
-        with open(path, "wb") as handle:
-            yield handle
+        with _Named(open(path, "wb"), path) as output:
+            yield output
         return
     target = os.path.realpath(path)
     temporary = os.path.join(os.path.dirname(target), f".fuzzkey-{os.urandom(8).hex()}.tmp")
@@ -314,10 +342,10 @@ def _output(path: str | None) -> Iterator[BinaryIO]:
         exc.filename = path  # the user's path, not the temporary one
         raise
     try:
-        with open(fd, "wb") as handle:
+        with _Named(open(fd, "wb"), path) as output:
             if info is not None:
                 os.fchmod(fd, stat.S_IMODE(info.st_mode))
-            yield handle
+            yield output
         os.replace(temporary, target)
     except BaseException:
         os.unlink(temporary)
@@ -484,5 +512,26 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> NoReturn:
+    """Entry point of the ``fuzzkey`` script and of ``python -m fuzzkey``.
+
+    Runs :func:`main`, flushes stdout and stderr and ends the process with
+    ``os._exit``, skipping the interpreter's teardown: its final garbage
+    collections, module cleanup and ``atexit`` handlers.  A ``SystemExit``
+    from argparse, any other exception, and a flush that fails end the
+    process the usual way instead.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            # a closed file descriptor leaves its stream None
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        # the interpreter's own flush at exit reports it, as without run()
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all fuzzkey modules."""
+"""Exception hierarchy shared by all fuzzkey modules, and the naming of
+failed writes."""
+
+import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 
 class FuzzkeyError(Exception):
@@ -27,3 +32,22 @@ class InvalidPlaintextError(DataFormatError):
 
 class IntegrityError(FuzzkeyError):
     """Envelope tag does not match the ciphertext."""
+
+
+@contextmanager
+def naming_writes(name: str | None = None) -> Iterator[None]:
+    """Name what the block writes in an ``OSError`` that it raises with an
+    error number but no file name, as a write that fails with ``EFBIG`` or
+    ``ENOSPC`` raises one: the file ``name``, or for ``None`` a temporary
+    file in the directory :mod:`tempfile` uses."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is not None or exc.errno is None:
+            raise
+        if name is not None:
+            exc.filename = name
+            raise
+        # a new exception, whose message survives the pickling that brings
+        # a parsing process's error to its parent
+        raise OSError(exc.errno, f"{exc.strerror}: a temporary file in {tempfile.gettempdir()}") from None

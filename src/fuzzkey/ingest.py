@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, naming_writes
 
 _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
 # a longer line, not counting its newline, is a data format error; reading
@@ -202,9 +202,11 @@ def _write_at(fd: int, data: bytes | np.ndarray, at: int) -> None:
     """Write ``data``, bytes or a C-contiguous array, to file descriptor
     ``fd`` from byte ``at``."""
     view = memoryview(data).cast("B")
-    while view:
-        count = os.pwrite(fd, view, at)
-        view, at = view[count:], at + count
+    # every file written here is a temporary one
+    with naming_writes():
+        while view:
+            count = os.pwrite(fd, view, at)
+            view, at = view[count:], at + count
 
 
 def _read_at(fd: int, length: int, at: int) -> bytes:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import cipher as cipher_mod
@@ -192,8 +192,8 @@ def load_config_file(path: str | Path) -> PipelineConfig:
             if raw != RELEVANCE_MODE:
                 raise ConfigurationError(f"mode: expected {RELEVANCE_MODE}, got {raw!r}")
         elif key in _OPTIONS:
-            field, parse = _OPTIONS[key]
-            fields[field] = parse(key, raw)
+            name, parse = _OPTIONS[key]
+            fields[name] = parse(key, raw)
         else:
             raise ConfigurationError(f"{path}:{line_number}: unknown key {key!r}")
     return PipelineConfig(**fields)
@@ -212,9 +212,14 @@ class PipelineOutcome:
     scores: list[RelevanceScore]
     result: SelectionResult
     stats: PropagationStats
+    _selection: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def selection_bytes(self) -> bytes:
-        return cipher_mod.serialize_selection(self.result, list(self.feature_names))
+        """The selection as :func:`~fuzzkey.cipher.serialize_selection`
+        gives it, serialized once for the envelope and the report."""
+        if self._selection is None:
+            self._selection = cipher_mod.serialize_selection(self.result, list(self.feature_names))
+        return self._selection
 
 
 def analyze(

@@ -47,11 +47,11 @@ MUTANTS = [
     Mutant(
         "reread-reads-the-input",
         "src/fuzzkey/cli.py",
-        "        self._copy.seek(start)\n"
+        "            self._copy.seek(start)  # which writes what pass 1 left buffered\n"
         "        left = self._size - start\n"
         "        while left:\n"
         "            count = _fill(self._copy, self._block[:left])\n",
-        "        self._source.seek(start)\n"
+        "            self._source.seek(start)\n"
         "        left = self._size - start\n"
         "        while left:\n"
         "            count = _fill(self._source, self._block[:left])\n",
@@ -60,8 +60,8 @@ MUTANTS = [
     Mutant(
         "no-copy-written",
         "src/fuzzkey/cli.py",
-        "        self._copy.write(view[:count])\n",
-        "",
+        "            self._copy.write(view[:count])\n",
+        "            pass\n",
         ["tests/test_cli.py::TestGoldenEnvelope"],
     ),
     Mutant(
@@ -115,9 +115,58 @@ MUTANTS = [
     Mutant(
         "prefix-xor-without-carry",
         "src/fuzzkey/cipher.py",
-        "    words[1:] ^= carry[:-1]\n",
+        "    words[1:] ^= spread[:-1]\n",
         "",
-        ["tests/test_cipher.py::TestTag"],
+        ["tests/test_cipher.py::TestLowBytes"],
+    ),
+    Mutant(
+        "prefix-xor-without-lane-mask",
+        "src/fuzzkey/cipher.py",
+        "    buf &= lane\n",
+        "",
+        ["tests/test_cipher.py::TestLowBytes"],
+    ),
+    Mutant(
+        "group-totals-shifted-48",
+        "src/fuzzkey/cipher.py",
+        "    carry = groups >> 56\n",
+        "    carry = groups >> 48\n",
+        ["tests/test_cipher.py::TestLowBytes"],
+    ),
+    Mutant(
+        "word-totals-from-byte-6",
+        "src/fuzzkey/cipher.py",
+        "    totals = buf[7::8] & lane\n",
+        "    totals = buf[6::8] & lane\n",
+        ["tests/test_cipher.py::TestLowBytes"],
+    ),
+    Mutant(
+        "word-totals-without-their-prefix",
+        "src/fuzzkey/cipher.py",
+        "    groups *= _BYTE_SUMS\n",
+        "",
+        ["tests/test_cipher.py::TestLowBytes"],
+    ),
+    Mutant(
+        "exit-flush-without-none-guard",
+        "src/fuzzkey/cli.py",
+        "            if stream is not None:\n                stream.flush()\n",
+        "            stream.flush()\n",
+        ["tests/test_cli.py::TestClosedStdout"],
+    ),
+    Mutant(
+        "output-write-failure-unnamed",
+        "src/fuzzkey/errors.py",
+        "            exc.filename = name\n",
+        "",
+        ["tests/test_cli.py::TestFileSizeLimit::test_an_output_that_fails_after_its_copy_fit_is_named"],
+    ),
+    Mutant(
+        "selection-serialized-twice",
+        "src/fuzzkey/pipeline.py",
+        "        if self._selection is None:\n",
+        "        if True:\n",
+        ["tests/test_cli.py::TestPipeline::test_the_selection_is_serialized_once"],
     ),
     Mutant(
         "low-bytes-seed-0",

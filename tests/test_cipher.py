@@ -1,8 +1,9 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzkey import (
     CipherEnvelope,
@@ -25,7 +26,7 @@ from fuzzkey import (
     serialize_selection,
     verify_tag,
 )
-from fuzzkey.cipher import _TAG_BLOCK, TagFold, shift_blocks
+from fuzzkey.cipher import _TAG_BLOCK, TagFold, _low_bytes, shift_blocks
 
 DATA = Path(__file__).resolve().parent / "data"
 TO_LETTERS = bytes(65 + i % 26 for i in range(256))
@@ -198,6 +199,44 @@ class TestTag:
     def test_matches_serial_reference(self, mode, data):
         message, key = data.draw(cipher_inputs(mode))
         assert make_tag(message, key) == _reference_tag(message, key)
+
+
+def _reference_low_bytes(mixed: bytes, first: int) -> list[int]:
+    # the low byte of the fold's t before each step: 0xB3 is the low byte
+    # of the multiplier, and no higher byte of t reaches the low one
+    low, lows = first, []
+    for m in mixed:
+        lows.append(low)
+        low = ((low ^ m) * 0xB3) & 0xFF
+    return lows
+
+
+# lengths next to every multiple of 8 (a word) and of 64 (a group of words)
+# up to 1000, where the lane-multiply prefix carries across a seam
+SEAM_LENGTHS = sorted({n + d for n in range(8, 1001, 8) for d in (-1, 0, 1) if n + d <= 1000})
+
+
+class TestLowBytes:
+    """The bit passes of the tag fold equal the per-byte recurrence of its
+    low byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mixed=st.one_of(st.integers(1, 1000), st.sampled_from(SEAM_LENGTHS)).flatmap(
+            lambda n: st.binary(min_size=n, max_size=n)
+        ),
+        first=st.integers(0, 255),
+    )
+    # whole blocks of one byte value, from a first byte under which some bit
+    # of the low byte flips at every step (bit 1, 0, 7 and 0): eight flips
+    # per word, the largest count a lane holds, and in bit 7 the most carry
+    @example(mixed=b"\x00" * _TAG_BLOCK, first=235)
+    @example(mixed=b"\x01" * _TAG_BLOCK, first=0xFF)
+    @example(mixed=b"\x80" * _TAG_BLOCK, first=0x00)
+    @example(mixed=b"\xff" * _TAG_BLOCK, first=0x01)
+    def test_matches_the_per_byte_loop(self, mixed, first):
+        low = _low_bytes(np.frombuffer(mixed, dtype=np.uint8), first)
+        assert low.tolist() == _reference_low_bytes(mixed, first)
 
 
 class TestParts:

@@ -4,6 +4,7 @@ import errno
 import io
 import os
 import re
+import resource
 import shutil
 import signal
 import stat
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tomllib
 import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -26,7 +28,16 @@ DATA = Path(__file__).resolve().parent / "data"
 TOY = "a,b,c\n1,9,4\n2,3,4\n3,6,4\n"
 
 
-def run_cli(args, env_extra=None, cwd=None, timeout=None, stdin=None, close_stdout=False, stdout=subprocess.PIPE):
+def run_cli(
+    args,
+    env_extra=None,
+    cwd=None,
+    timeout=None,
+    stdin=None,
+    close_stdout=False,
+    stdout=subprocess.PIPE,
+    preexec_fn=None,
+):
     env = os.environ.copy()
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("FUZZKEY_KEY_FILE", None)
@@ -46,6 +57,7 @@ def run_cli(args, env_extra=None, cwd=None, timeout=None, stdin=None, close_stdo
         env=env,
         cwd=cwd,
         timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -459,6 +471,16 @@ class TestPipeline:
         report = run_cli(["select", str(toy_csv), "--k", "2"]).stdout.decode()
         block = report.split("[selected]\n", 1)[1].split("[stats]", 1)[0]
         assert plain.decode() == block
+
+    def test_the_selection_is_serialized_once(self, toy_csv, tmp_path, key_env, monkeypatch):
+        # the envelope and the report's [selected] block share one copy
+        calls = []
+        serialize = cipher.serialize_selection
+        monkeypatch.setattr(cipher, "serialize_selection", lambda *args: calls.append(args) or serialize(*args))
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", key_env["FUZZKEY_KEY_FILE"])
+        code, out, err = run_in_process(["pipeline", str(toy_csv), "--k", "2", "--output", str(tmp_path / "sel.fzk")])
+        assert (code, err, len(calls)) == (0, "", 1)
+        assert out.startswith(b"fuzzkey-report 1\n")
 
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_letters_cipher_exits_4_before_any_work(self, toy_csv, tmp_path, via):
@@ -1899,3 +1921,104 @@ class TestBlockSeams:
                 assert run_in_process(["encrypt", path, *argv]) == (0, sealed, "")
             with source(sealed) as path:
                 assert run_in_process(["decrypt", path]) == (0, plaintext, "")
+
+
+class TestProcessExit:
+    """``python -m fuzzkey`` and the ``fuzzkey`` script end the process with
+    ``os._exit`` once ``main`` returns, after flushing stdout and stderr; an
+    exit that argparse makes takes the interpreter's usual way out."""
+
+    def test_a_long_report_through_a_pipe_is_all_there(self):
+        argv = ["membership", "--sweep", "0:1:0.0002"]
+        code, out, err = run_in_process(argv)
+        assert (code, err) == (0, "") and len(out) > 128 * 1024  # many pipe buffers
+        proc = run_cli(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, b"")
+
+    def test_an_error_prints_one_line(self):
+        proc = run_cli(["stats", "--features", "0"])
+        assert (proc.returncode, proc.stdout) == (4, b"")
+        assert proc.stderr == b"fuzzkey: --features must be positive, got 0\n"
+
+    @pytest.mark.parametrize("argv, expected", [(["--help"], 0), (["stats"], 2)], ids=["help", "usage-error"])
+    def test_argparse_exits_as_in_process(self, monkeypatch, argv, expected):
+        # the help text wraps at the terminal width that COLUMNS sets
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_in_process(argv)
+        assert code == expected and (out if expected == 0 else err.encode()).startswith(b"usage: fuzzkey")
+        proc = run_cli(argv, env_extra={"COLUMNS": "80"})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err.encode())
+
+    def test_the_script_entry_takes_the_same_path(self, monkeypatch):
+        pyproject = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
+        module, function = pyproject["project"]["scripts"]["fuzzkey"].split(":")
+        # an atexit handler runs only on the interpreter's usual way out
+        script = (
+            "import atexit, sys\n"
+            "atexit.register(lambda: sys.stdout.write('teardown\\n'))\n"
+            f"from {module} import {function}\n"
+            f"{function}()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""), COLUMNS="80")
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in (["stats", "--features", "3"], ["stats", "--features", "0"], ["--help"]):
+            code, out, err = run_in_process(argv)
+            if argv == ["--help"]:
+                out += b"teardown\n"
+            proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err.encode())
+
+
+class TestFileSizeLimit:
+    """A write that ``RLIMIT_FSIZE`` stops, set in the child only, names
+    what it was writing: the ``--output`` path, or a temporary file in
+    ``TMPDIR`` for the input copy, the round copy and the spill."""
+
+    LIMIT = 1 << 18
+
+    @pytest.fixture
+    def env(self, tmp_path):
+        (tmp_path / "tmp").mkdir()
+        (tmp_path / "key").write_bytes(b"hunter2")
+        return {"TMPDIR": str(tmp_path / "tmp"), "FUZZKEY_KEY_FILE": str(tmp_path / "key")}
+
+    def run_limited(self, argv, env):
+        def limit():
+            # Python ignores SIGXFSZ, so the write itself fails
+            resource.setrlimit(resource.RLIMIT_FSIZE, (self.LIMIT, self.LIMIT))
+
+        proc = run_cli(argv, env_extra=env, preexec_fn=limit)
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        return proc.stderr.decode()
+
+    @staticmethod
+    def too_large(what):
+        return f"fuzzkey: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {what}\n"
+
+    def test_the_input_copy_names_a_temporary_file(self, tmp_path, env):
+        payload = tmp_path / "payload.bin"
+        payload.write_bytes(bytes(range(256)) * (self.LIMIT // 128))
+        out = tmp_path / "out.fzk"
+        message = self.run_limited(["encrypt", str(payload), "--output", str(out)], env)
+        assert message == self.too_large(f"a temporary file in {env['TMPDIR']}")
+        assert sorted(os.listdir(tmp_path)) == ["key", "payload.bin", "tmp"]
+
+    def test_an_output_that_fails_after_its_copy_fit_is_named(self, tmp_path, env):
+        # the copy is exactly the limit; the envelope's header takes it past
+        payload = tmp_path / "payload.bin"
+        payload.write_bytes(bytes(range(256)) * (self.LIMIT // 256))
+        out = tmp_path / "out.fzk"
+        message = self.run_limited(["encrypt", str(payload), "--output", str(out)], env)
+        assert message == self.too_large(repr(str(out)))
+        assert sorted(os.listdir(tmp_path)) == ["key", "payload.bin", "tmp"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_the_round_copy_and_the_spill_name_a_temporary_file(self, tmp_path, env, jobs):
+        # text and table both pass the limit, so whichever is written first fails
+        columns = 20
+        csv = tmp_path / "wide.csv"
+        rows = "\n".join(",".join(f"{(r * columns + c) % 997 / 7:.6f}" for c in range(columns)) for r in range(3000))
+        csv.write_text(",".join(f"f{c}" for c in range(columns)) + "\n" + rows + "\n")
+        assert csv.stat().st_size > self.LIMIT and 8 * 3000 * columns > self.LIMIT
+        message = self.run_limited(["select", str(csv), "--jobs", jobs], env)
+        assert message == self.too_large(f"a temporary file in {env['TMPDIR']}")
