@@ -19,7 +19,8 @@ the bytes pass 1 checked, whatever happens to the input in between.  Every
 
 Exit codes: 0 ok, 1 internal, 2 usage, 3 data format or I/O (including
 running out of memory), 4 configuration (including invalid keys), 5
-integrity check failed.
+integrity check failed, 128 + N interrupted by signal N (SIGINT; and
+SIGTERM or SIGHUP under :func:`run`).
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ import errno
 import itertools
 import math
 import os
+import signal
 import stat
 import sys
 import tempfile
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from typing import BinaryIO, NoReturn
 
@@ -348,7 +350,9 @@ def _output(path: str | None) -> Iterator[BinaryIO | _Named]:
             yield output
         os.replace(temporary, target)
     except BaseException:
-        os.unlink(temporary)
+        # gone if an interrupt came after the rename
+        with suppress(FileNotFoundError):
+            os.unlink(temporary)
         raise
 
 
@@ -489,10 +493,24 @@ _COMMANDS = {
 }
 
 
+class _Signal(BaseException):
+    """A SIGTERM or SIGHUP, raised where the process was when it came.  Like
+    ``KeyboardInterrupt``, it is no ``Exception``, so no handler of errors
+    takes it for one."""
+
+
+def _raise_signal(signum: int, frame) -> NoReturn:
+    raise _Signal(signum)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except (KeyboardInterrupt, _Signal) as exc:
+        signum = exc.args[0] if isinstance(exc, _Signal) else signal.SIGINT
+        print(f"fuzzkey: interrupted by {signal.Signals(signum).name}", file=sys.stderr)
+        return 128 + signum
     except IntegrityError as exc:
         print(f"fuzzkey: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
@@ -515,12 +533,18 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> NoReturn:
     """Entry point of the ``fuzzkey`` script and of ``python -m fuzzkey``.
 
-    Runs :func:`main`, flushes stdout and stderr and ends the process with
-    ``os._exit``, skipping the interpreter's teardown: its final garbage
-    collections, module cleanup and ``atexit`` handlers.  A ``SystemExit``
-    from argparse, any other exception, and a flush that fails end the
-    process the usual way instead.
+    Runs :func:`main` with SIGTERM and SIGHUP, unless they are ignored,
+    raised as an exception that :func:`main` reports like SIGINT: the
+    ``--output`` temporary is removed and the exit code is 128 + the
+    signal's number.  Then flushes stdout and stderr and ends the process
+    with ``os._exit``, skipping the interpreter's teardown: its final
+    garbage collections, module cleanup and ``atexit`` handlers.  A
+    ``SystemExit`` from argparse, any other exception, and a flush that
+    fails end the process the usual way instead.
     """
+    for signum in (signal.SIGTERM, signal.SIGHUP):
+        if signal.getsignal(signum) == signal.SIG_DFL:
+            signal.signal(signum, _raise_signal)
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):

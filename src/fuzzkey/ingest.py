@@ -433,16 +433,15 @@ class _Spill:
     def normalized_blocks(self) -> Iterator[tuple[np.ndarray, tuple[tuple[float, float], ...]]]:
         """Each block of ``max(1, _SCORE_BLOCK // n)`` features, min-max
         rescaled in place by :func:`_rescale` as a contiguous f x n array,
-        with each feature's ``(min, max)``."""
+        with each feature's ``(min, max)``, whose zeros take their sign from
+        the feature's own values alone (:func:`_column_extremes`)."""
         n_features = len(self.feature_names)
         width = max(1, _SCORE_BLOCK // self.n_rows)
         for start in range(0, n_features, width):
             block = np.empty((min(width, n_features - start), self.n_rows))
             for row, piece in self._pieces(start, start + len(block)):
                 block[:, row : row + piece.shape[1]] = piece
-            # the table's columns are strided unless it has only one
-            ranges = _rescale(block.T, strided=len(self._names) > 1)
-            yield block, ranges
+            yield block, _rescale(block.T)
 
 
 def _spill(path: str | Path, drop_incomplete_rows: bool, jobs: int = 1) -> _Spill:
@@ -458,28 +457,33 @@ def _spill(path: str | Path, drop_incomplete_rows: bool, jobs: int = 1) -> _Spil
     return _Spill(names, file, counts, stride)
 
 
-def _column_extremes(rows: np.ndarray, reduce, strided: bool = False) -> np.ndarray:
-    """``reduce`` over axis 0, equal bit for bit to ``float(reduce(column))``.
+def _column_extremes(rows: np.ndarray, reduce) -> np.ndarray:
+    """``reduce``, ``np.min`` or ``np.max``, over axis 0, with the sign of
+    each extreme that compares equal to zero set by one rule.
 
-    Finite values that compare equal share their bits, except 0.0 and -0.0,
-    and which of the two a reduction returns depends on its path through
-    memory: strided columns pick the same zero whatever their stride, and a
-    contiguous column may pick the other.  So a column whose extreme
-    compares equal to zero is reduced again on its own, through a strided
-    copy if ``strided`` is set: the column stands for one that was strided.
-    ``strided`` stays because the golden reports were written from
-    row-major tables, whose columns are strided unless there is only one,
-    and the tests' reference reduces the columns of a row-major table as
-    views; a block read back column by column must pick the same zeros.
+    Finite values that compare equal share their bits, except 0.0 and
+    -0.0, and which of the two a numpy reduction returns depends on its
+    loop: on the memory layout, the CPU and the numpy build.  So the zero
+    is chosen here, by the rule numpy 2.4's strided loop follows.  A
+    column's n values are visited in this order: value 0; then lanes 0 to
+    7 in turn, lane j holding the indices i in 1..8m with (i - 1) mod 8 = j
+    in order, where 8m is the largest multiple of 8 below n; then the
+    values left, in order.  The last zero visited is kept.  Each extreme
+    thus depends only on its column's values.
     """
     extremes = reduce(rows, axis=0)
-    for i in np.flatnonzero(extremes == 0.0).tolist():
-        column = rows[:, i]
-        extremes[i] = reduce(np.repeat(column, 2)[::2] if strided else column)
+    zero = np.flatnonzero(extremes == 0.0)
+    if len(zero):
+        n = len(rows)
+        lanes = np.arange(1, 8 * ((n - 1) // 8) + 1).reshape(-1, 8).T.ravel()
+        backwards = np.concatenate(([0], lanes, np.arange(len(lanes) + 1, n)))[::-1]
+        # the first zero of each column visited backwards is the last one visited
+        visited = rows[backwards[:, None], zero]
+        extremes[zero] = visited[np.argmax(visited == 0.0, axis=0), np.arange(len(zero))]
     return extremes
 
 
-def _rescale(rows: np.ndarray, strided: bool = False) -> tuple[tuple[float, float], ...]:
+def _rescale(rows: np.ndarray) -> tuple[tuple[float, float], ...]:
     """Min-max rescale each column of ``rows`` into [0, 1] in place; returns
     each column's ``(min, max)``, taken as :func:`_column_extremes` takes
     them.
@@ -488,8 +492,8 @@ def _rescale(rows: np.ndarray, strided: bool = False) -> tuple[tuple[float, floa
     everywhere, which scores as the neutral midpoint downstream.  A column
     whose span ``hi - lo`` overflows is rescaled with halved operands.
     """
-    lo = _column_extremes(rows, np.min, strided)
-    hi = _column_extremes(rows, np.max, strided)
+    lo = _column_extremes(rows, np.min)
+    hi = _column_extremes(rows, np.max)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         span = hi - lo
         # the span of a finite column can overflow; halved operands cannot.

@@ -155,6 +155,20 @@ MUTANTS = [
         ["tests/test_cli.py::TestClosedStdout"],
     ),
     Mutant(
+        "sigterm-not-handled",
+        "src/fuzzkey/cli.py",
+        "            signal.signal(signum, _raise_signal)\n",
+        "            pass\n",
+        ["tests/test_cli.py::TestInterrupts"],
+    ),
+    Mutant(
+        "interrupt-keeps-the-temporary",
+        "src/fuzzkey/cli.py",
+        "    except BaseException:\n        # gone if an interrupt came after the rename\n",
+        "    except Exception:\n        # gone if an interrupt came after the rename\n",
+        ["tests/test_cli.py::TestInterrupts"],
+    ),
+    Mutant(
         "output-write-failure-unnamed",
         "src/fuzzkey/errors.py",
         "            exc.filename = name\n",
@@ -176,18 +190,32 @@ MUTANTS = [
         ["tests/test_cipher.py::TestTag"],
     ),
     Mutant(
-        "no-zero-rescan",
+        "four-lanes",
         "src/fuzzkey/ingest.py",
-        "        extremes[i] = reduce(np.repeat(column, 2)[::2] if strided else column)\n",
-        "        pass\n",
-        ["tests/test_ingest.py::TestTwoPass"],
+        "np.arange(1, 8 * ((n - 1) // 8) + 1).reshape(-1, 8)",
+        "np.arange(1, 4 * ((n - 1) // 4) + 1).reshape(-1, 4)",
+        ["tests/test_ingest.py::TestZeroRule"],
     ),
     Mutant(
-        "strided-from-three-columns",
+        "first-zero-kept",
         "src/fuzzkey/ingest.py",
-        "strided=len(self._names) > 1)",
-        "strided=len(self._names) > 2)",
-        ["tests/test_ingest.py::TestTwoPass"],
+        "np.arange(len(lanes) + 1, n)))[::-1]",
+        "np.arange(len(lanes) + 1, n)))",
+        ["tests/test_ingest.py::TestZeroRule"],
+    ),
+    Mutant(
+        "lowest-lane-wins",
+        "src/fuzzkey/ingest.py",
+        ".reshape(-1, 8).T.ravel()",
+        ".reshape(-1, 8).T[::-1].ravel()",
+        ["tests/test_ingest.py::TestZeroRule"],
+    ),
+    Mutant(
+        "zero-rule-skipped",
+        "src/fuzzkey/ingest.py",
+        "    if len(zero):\n",
+        "    if False:\n",
+        ["tests/test_ingest.py::TestZeroRule"],
     ),
     Mutant(
         "highest-index-error-wins",
@@ -293,6 +321,27 @@ MUTANTS = [
         "        halved = (rows[:, overflow] / 2 - lo2) / (hi2 - lo2)\n        rows -= lo\n        rows /= span\n",
         "        rows -= lo\n        rows /= span\n        halved = (rows[:, overflow] / 2 - lo2) / (hi2 - lo2)\n",
         ["tests/test_ingest.py::TestNormalize::test_matches_per_column_reference"],
+    ),
+    Mutant(
+        "ties-on-the-higher-id",
+        "src/fuzzkey/selection.py",
+        "key=lambda s: (-s.score, s.feature_id)",
+        "key=lambda s: (-s.score, -s.feature_id)",
+        ["tests/test_pipeline.py::TestDifferential"],
+    ),
+    Mutant(
+        "threshold-strictly-above",
+        "src/fuzzkey/selection.py",
+        "if score >= tau)",
+        "if score > tau)",
+        ["tests/test_pipeline.py::TestDifferential"],
+    ),
+    Mutant(
+        "analyze-under-uniform-centers",
+        "src/fuzzkey/pipeline.py",
+        "    defuzz = cfg.defuzz_config()\n",
+        "    defuzz = DefuzzConfig.uniform(cfg.sets)\n",
+        ["tests/test_pipeline.py::TestDifferential"],
     ),
     Mutant(
         "k-flag-keeps-config-tau",

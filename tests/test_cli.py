@@ -233,6 +233,18 @@ class TestSelect:
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert b"a\t-1e+308\t1e+308\n" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "header, other",
+        [("a", ""), ("a,target", ",2"), ("a,b", ",2")],
+        ids=["alone", "beside-a-target", "beside-a-feature"],
+    )
+    def test_the_sign_of_a_zero_extreme_ignores_the_other_columns(self, tmp_path, header, other):
+        data = tmp_path / "zeros.csv"
+        data.write_text(header + "\n" + "".join(f"{cell}{other}\n" for cell in ["0", "-0"] + ["1"] * 7))
+        code, out, err = run_in_process(["select", str(data), "--k", "1"])
+        assert (code, err) == (0, "")
+        assert b"\na\t-0.0\t1.0\n" in out
+
     def test_scoring_builds_no_partition_or_rule_base(self, toy_csv, monkeypatch):
         def build(*args):
             raise AssertionError("select built a partition or a rule base")
@@ -1967,6 +1979,103 @@ class TestProcessExit:
                 out += b"teardown\n"
             proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env)
             assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err.encode())
+
+
+# a child that runs the ``fuzzkey`` entry point with ``argv[4:]`` after
+# replacing ``argv[2]`` of ``argv[1]`` (an expression) by a call of it that
+# then sends the process the signal named ``argv[3]``; pass 1 parses chunks
+# of two rows of three columns, in two processes at --jobs 2, and a child
+# process still there when main returns adds a line to stderr
+INTERRUPTED_RUN = """
+import os, pickle, signal, sys
+from fuzzkey import cli, ingest
+
+owner, name, signum = eval(sys.argv[1]), sys.argv[2], signal.Signals[sys.argv[3]]
+real, main = getattr(owner, name), cli.main
+
+
+def interrupting(*args, **kwargs):
+    result = real(*args, **kwargs)
+    os.kill(os.getpid(), signum)
+    return result
+
+
+def checked_main(argv=None):
+    code = main(argv)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        print("a child process is left", file=sys.stderr)
+    except ChildProcessError:
+        pass
+    return code
+
+
+setattr(owner, name, interrupting)
+ingest._SCORE_BLOCK = 6
+ingest.usable_cpus = lambda: 2
+cli.main = checked_main
+sys.argv = ["fuzzkey", *sys.argv[4:]]
+cli.run()
+"""
+
+
+class TestInterrupts:
+    """Under the entry point, SIGINT, SIGTERM and SIGHUP end a command with
+    one stderr line and exit code 128 + the signal's number; stdout stays
+    empty, no ``.fuzzkey-*.tmp`` and no child process is left, and the
+    ``--output`` target changes only if the rename had happened."""
+
+    CASES = {
+        "select-pass-1": ("ingest", "_loaded", ["select", "{csv}", "--jobs", "1", "--output", "{out}"]),
+        "select-waiting-for-replies": ("pickle", "load", ["select", "{csv}", "--jobs", "2", "--output", "{out}"]),
+        "encrypt-writing-the-temporary": ("cli._Named", "write", ["encrypt", "{payload}", "--output", "{out}"]),
+        "encrypt-after-the-rename": ("os", "replace", ["encrypt", "{payload}", "--output", "{out}"]),
+    }
+
+    @pytest.mark.parametrize(
+        "case, signame",
+        [(case, name) for case in CASES for name in ("SIGINT", "SIGTERM")]
+        + [("encrypt-writing-the-temporary", "SIGHUP")],
+    )
+    def test_one_line_and_nothing_left(self, tmp_path, case, signame):
+        owner, name, argv = self.CASES[case]
+        csv = tmp_path / "data.csv"
+        csv.write_text("a,b,c\n" + "".join(f"{i},{-i},{i / 7!r}\n" for i in range(1, 13)))
+        payload = tmp_path / "payload.bin"
+        payload.write_bytes(bytes(range(256)) * 64)
+        (tmp_path / "key").write_bytes(b"hunter2")
+        out = tmp_path / "out"
+        out.write_bytes(b"before")
+        argv = [arg.format(csv=csv, payload=payload, out=out) for arg in argv]
+        env = dict(
+            os.environ,
+            PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+            FUZZKEY_KEY_FILE=str(tmp_path / "key"),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", INTERRUPTED_RUN, owner, name, signame, *argv],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        signum = signal.Signals[signame]
+        assert (proc.returncode, proc.stdout) == (128 + signum, b"")
+        assert proc.stderr == f"fuzzkey: interrupted by {signame}\n".encode()
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "key", "out", "payload.bin"]
+        if case.endswith("after-the-rename"):
+            key = CipherKey(b"hunter2", cipher.MODE_BYTE_SHIFT)
+            assert out.read_bytes() == seal(payload.read_bytes(), key).to_bytes()
+        else:
+            assert out.read_bytes() == b"before"
+
+    def test_an_ignored_hangup_stays_ignored(self, tmp_path):
+        (tmp_path / "key").write_bytes(b"hunter2")
+        script = "import signal; signal.signal(signal.SIGHUP, signal.SIG_IGN)\n" + INTERRUPTED_RUN
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argv = ["cli", "_write_bytes", "SIGHUP", "stats", "--features", "3"]
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.startswith(b"features = 3\n")
 
 
 class TestFileSizeLimit:

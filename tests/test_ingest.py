@@ -549,7 +549,7 @@ extreme_cell = st.one_of(
 
 def columns_of(n):
     """Columns of ``n`` cells; in some the minimum or the maximum is a signed
-    zero, where which zero a reduction returns depends on its memory path."""
+    zero, whose sign :func:`zero_kept` states."""
     return st.one_of(
         st.lists(extreme_cell, min_size=n, max_size=n),
         st.lists(st.sampled_from([0.0, -0.0, 0.0, -0.0, 0.5, 1.0]), min_size=n, max_size=n),
@@ -612,7 +612,6 @@ class TestNormalize:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=1, max_value=40).flatmap(lambda n: st.lists(columns_of(n), min_size=1, max_size=8)))
     def test_matches_per_column_reference(self, columns):
-        # row-major, as pass 1's table reads back: a column is then a strided view
         rows = np.array(columns).T.copy()
         expected, ranges = per_column_normalize(rows)
         got = ingest._rescale(rows)
@@ -620,13 +619,66 @@ class TestNormalize:
         assert [(lo.hex(), hi.hex()) for lo, hi in got] == [(lo.hex(), hi.hex()) for lo, hi in ranges]
 
 
+# column lengths, with those next to a multiple of 8 drawn often, as the
+# lanes of the zero rule end there
+lengths = st.one_of(
+    st.integers(min_value=1, max_value=100),
+    st.integers(min_value=1, max_value=12).flatmap(lambda m: st.sampled_from([8 * m - 1, 8 * m, 8 * m + 1, 8 * m + 2])),
+)
+
+
+def zero_blocks(n):
+    """f x n blocks, f 1 to 12, of signed zeros beside values of one sign,
+    so that every extreme on that sign's other side is a zero."""
+    return st.sampled_from([1.0, -1.0]).flatmap(
+        lambda sign: st.lists(
+            st.lists(st.sampled_from([0.0, -0.0, sign, 2.5 * sign]), min_size=n, max_size=n), min_size=1, max_size=12
+        )
+    )
+
+
+class TestZeroRule:
+    """``_column_extremes`` keeps the zero that :func:`zero_kept` names."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths.flatmap(zero_blocks))
+    def test_matches_the_reference(self, columns):
+        # f x n, as normalized_blocks holds a block, and reduced as its transpose
+        block = np.array(columns)
+        for at, reduce in enumerate((np.min, np.max)):
+            got = ingest._column_extremes(block.T, reduce)
+            assert [value.hex() for value in got.tolist()] == [column_extremes(c)[at].hex() for c in columns]
+            if np.__version__.startswith("2.4."):
+                # the rule is the one numpy 2.4's strided loop follows
+                strided = [float(reduce(np.repeat(column, 2)[::2])) for column in block]
+                assert [value.hex() for value in got.tolist()] == [value.hex() for value in strided]
+
+
+def zero_kept(column):
+    """The zero that the program keeps as the extreme of ``column``, a list
+    of floats whose minimum or maximum compares equal to 0.0: of its zeros,
+    the last visited in the order value 0, then lanes 0 to 7 of the indices
+    1..8m, lane j holding those with (i - 1) mod 8 = j, where 8m is the
+    largest multiple of 8 below n, then the values left."""
+    n = len(column)
+    lanes = 8 * ((n - 1) // 8)
+    order = [0] + [i for j in range(8) for i in range(1 + j, lanes + 1, 8)] + list(range(lanes + 1, n))
+    return [column[i] for i in order if column[i] == 0.0][-1]
+
+
+def column_extremes(column):
+    """``(min, max)`` of ``column``, a list of floats, a zero extreme's sign
+    taken by :func:`zero_kept`."""
+    return tuple(zero_kept(column) if value == 0.0 else value for value in (min(column), max(column)))
+
+
 def per_column_normalize(rows):
     """The per-column rescaling that ``_rescale`` must reproduce bit for bit,
-    each column's extremes reduced over ``rows[:, i]`` as ``rows`` holds it."""
+    each column's extremes taken by :func:`column_extremes`."""
     columns, ranges = [], []
     for i in range(rows.shape[1]):
         column = rows[:, i]
-        lo, hi = float(column.min()), float(column.max())
+        lo, hi = column_extremes(column.tolist())
         ranges.append((lo, hi))
         if hi == lo:
             columns.append(np.full_like(column, 0.5))
@@ -698,10 +750,10 @@ class TestTwoPass:
     @example(([[1e308, -1e308, 5.0], [-0.0, 0.0, 0.0]], 1, [1.0, 2.0, 3.0]), "file", ingest._SCORE_BLOCK)
     @example(([[1.7976931348623157e308, -1.0], [2.5, 2.5]], 2, [0.0, -0.0]), "drop", 2)
     @example(([[-1e308, 1e308], [7.0, -0.0]], None, None), "pipe", 1)
-    # a contiguous reduction of this column picks the other zero
-    @example(([[0.0, -0.0] + [1.0] * 7], 1, [2.0] * 9), "file", ingest._SCORE_BLOCK)  # a,target: -0.0
-    @example(([[0.0, -0.0] + [1.0] * 7, [2.0] * 9], None, None), "file", ingest._SCORE_BLOCK)  # a,b: -0.0
-    @example(([[0.0, -0.0] + [1.0] * 7], None, None), "file", ingest._SCORE_BLOCK)  # a alone: 0.0
+    # a contiguous numpy reduction of this column picks 0.0; the rule keeps -0.0
+    @example(([[0.0, -0.0] + [1.0] * 7], 1, [2.0] * 9), "file", ingest._SCORE_BLOCK)  # a,target
+    @example(([[0.0, -0.0] + [1.0] * 7, [2.0] * 9], None, None), "file", ingest._SCORE_BLOCK)  # a,b
+    @example(([[0.0, -0.0] + [1.0] * 7], None, None), "file", ingest._SCORE_BLOCK)  # a alone
     def test_blocks_and_scores_match_load_table(self, tmp_path_factory, table, how, block):
         features, target_at, target = table
         columns, names = list(features), [f"c{i}" for i in range(len(features))]
@@ -717,7 +769,6 @@ class TestTwoPass:
             lines.append(blank)
         data = ("\n".join(lines) + "\n").encode()
         directory = tmp_path_factory.mktemp("twopass")
-        # views of the row-major table: strided unless it has one column
         _, loaded, _ = read_table(pipe_or_file(data, "file", directory)[0], drop)
         expected, expected_ranges = per_column_normalize(loaded)
         cfg = PipelineConfig(k=1).validated()

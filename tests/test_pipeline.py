@@ -3,9 +3,12 @@ import os
 import re
 import tempfile
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzkey import (
     ConfigurationError,
@@ -22,7 +25,10 @@ from fuzzkey import (
     select_topk,
 )
 from fuzzkey import ingest, pipeline
-from fuzzkey.selection import RelevanceScore
+from fuzzkey.network import cost
+from fuzzkey.selection import RelevanceScore, SelectionResult
+from test_cli import run_in_process
+from test_ingest import column_extremes, csv_tables
 
 CSV = "t1,t2,t3\n1,10,3\n2,30,3\n3,20,3\n5,40,3\n"
 
@@ -309,3 +315,102 @@ class TestSpill:
                 analyze(path, PipelineConfig(k=1))
         assert open_fds() == before
         assert len(opened) == 1 and opened[0].closed
+
+
+def oracle_outcome(data, cfg, drop_incomplete_rows):
+    """The outcome of ``select`` on the CSV bytes ``data`` under ``cfg``, by
+    the definitions, with no numpy: each cell parsed by ``float``, extremes
+    taken by :func:`column_extremes`, each column rescaled and scored one
+    value at a time, and the ranking a sort on (-score, id)."""
+    header, *lines = data.decode("ascii").splitlines()
+    names = header.split(",")
+    rows = []
+    for line in lines:
+        cells = [cell.strip() for cell in line.split(",")]
+        if not (drop_incomplete_rows and "" in cells):
+            rows.append([float(cell) for cell in cells])
+    features = [i for i, name in enumerate(names) if name != "target"]
+    ranges, scores = [], []
+    partition, defuzz = make_uniform_partition(cfg.sets), cfg.defuzz_config()
+    for fid, i in enumerate(features):
+        column = [row[i] for row in rows]
+        lo, hi = column_extremes(column)
+        ranges.append((lo, hi))
+        if hi == lo:
+            rescaled = [0.5] * len(column)
+        elif math.isfinite(hi - lo):
+            rescaled = [(x - lo) / (hi - lo) for x in column]
+        else:
+            rescaled = [(x / 2 - lo / 2) / (hi / 2 - lo / 2) for x in column]
+        scores.append(RelevanceScore(fid, relevance_inference(rescaled, partition, None, defuzz)))
+    ranked = tuple((s.feature_id, s.score) for s in sorted(scores, key=lambda s: (-s.score, s.feature_id)))
+    if cfg.k is not None:
+        result = SelectionResult(ranked, tuple(fid for fid, _ in ranked[: cfg.k]), k=cfg.k)
+    else:
+        result = SelectionResult(ranked, tuple(fid for fid, score in ranked if score >= cfg.tau), tau=cfg.tau)
+    return pipeline.PipelineOutcome(
+        feature_names=tuple(names[i] for i in features),
+        ranges=tuple(ranges),
+        n_rows=len(rows),
+        has_target=len(features) < len(names),
+        scores=scores,
+        result=result,
+        stats=cost(len(features), cfg.sets, cfg.layers, len(rows)),
+    )
+
+
+class TestDifferential:
+    """``select`` in process against :func:`oracle_outcome`, its report
+    byte for byte, over tables, drop mode, ``--jobs``, block sizes, set
+    counts, centers, ``empty_activation_value`` and ``k`` or ``tau``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        csv_tables(),
+        st.booleans(),
+        st.sampled_from(["1", "2"]),
+        st.sampled_from([1, 2, 5, 13, ingest._SCORE_BLOCK]),
+        st.integers(min_value=2, max_value=12).flatmap(
+            lambda sets: st.tuples(
+                st.just(sets),
+                st.one_of(st.none(), st.lists(st.floats(0, 1), min_size=sets, max_size=sets).map(sorted)),
+            )
+        ),
+        st.floats(0, 1),
+        st.data(),
+    )
+    def test_select_matches_the_oracle(self, tmp_path_factory, table, drop, jobs, block, shape, empty, data):
+        features, target_at, target = table
+        columns, names = list(features), [f"c{i}" for i in range(len(features))]
+        if target_at is not None:
+            columns.insert(target_at, target)
+            names.insert(target_at, "target")
+        lines = [",".join(names)] + [",".join(map(repr, row)) for row in zip(*columns)]
+        if drop:
+            # rows with a missing cell, which drop mode skips
+            blank = ",".join(["1"] * (len(names) - 1) + [" "])
+            lines[1:1] = [blank]
+            lines.append(blank)
+        text = "\n".join(lines) + "\n"
+        directory = tmp_path_factory.mktemp("differential")
+        (directory / "data.csv").write_text(text)
+        sets, centers = shape
+        (directory / "run.cfg").write_text(
+            f"empty_activation_value = {empty!r}\n"
+            + ("" if centers is None else "centers = " + ",".join(map(repr, centers)) + "\n")
+        )
+        cfg = PipelineConfig(sets=sets, centers=None if centers is None else tuple(centers), empty_activation_value=empty)
+        if data.draw(st.booleans(), label="by k"):
+            cfg = replace(cfg, k=data.draw(st.integers(min_value=0, max_value=len(features) + 1), label="k"))
+            rule = ["--k", str(cfg.k)]
+        else:
+            # some taus are scores, which the threshold keeps
+            scores = [s.score for s in oracle_outcome(text.encode(), replace(cfg, k=0), drop).scores]
+            cfg = replace(cfg, tau=data.draw(st.one_of(st.sampled_from(scores), st.floats(0, 1)), label="tau"))
+            rule = ["--tau", repr(cfg.tau)]
+        argv = ["select", str(directory / "data.csv"), "--sets", str(sets), *rule]
+        argv += ["--config", str(directory / "run.cfg"), "--jobs", jobs] + ["--drop-incomplete-rows"] * drop
+        with mock.patch.object(ingest, "_SCORE_BLOCK", block), mock.patch.object(ingest, "usable_cpus", lambda: 2):
+            code, out, err = run_in_process(argv)
+        assert (code, err) == (0, "")
+        assert out == render_report(oracle_outcome(text.encode(), cfg, drop), cfg)
