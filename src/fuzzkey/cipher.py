@@ -7,14 +7,18 @@ works on whole bytes modulo 256; ``letters`` mode works on the A-Z alphabet
 modulo 26.
 
 Both the shift and the tag run as numpy kernels, bit-identical to the
-per-byte definitions given in their docstrings.  Each kernel takes a message
-in parts: the shift works in place on one writable block starting at a given
-key phase, and the tag fold carries ``t`` from one part into the next, so
-:func:`make_tag` is a fold from :data:`TAG_SEED`.  :func:`shift_blocks` and
-:class:`TagFold` run them over a message given as a sequence of blocks, which
-is how the command line streams a payload; the ``bytes`` functions
+per-byte definitions given in their docstrings.  Each takes a message in
+parts, :data:`BLOCK_BYTES` at a time, through one key stream per message:
+the key bytes, or their shifts, tiled once into a pad of ``BLOCK_BYTES +
+len(key)`` bytes, and the key phase, which only the stream advances.  So a
+block meets its key bytes as one contiguous slice of the pad.  The shift
+works in place, and the tag fold carries ``t`` from one part into the next,
+so :func:`make_tag` is a fold from :data:`TAG_SEED`.  :func:`shift_blocks`
+and :class:`TagFold` run them over a message given as a sequence of blocks,
+which is how the command line streams a payload; the ``bytes`` functions
 (:func:`encrypt`, :func:`decrypt`, :func:`seal`, :func:`open_envelope`,
-:class:`CipherEnvelope`) run the same kernels on one buffer.
+:class:`CipherEnvelope`) walk a whole message through the same kernels, and
+refuse a message that is not bytes-like.
 :func:`check_ciphertext` makes every check that opening makes, so a caller
 verifies the tag before any byte is shifted.  The envelope header is built by
 :func:`envelope_header` and parsed by :func:`parse_envelope_header` alone.
@@ -35,6 +39,7 @@ import numpy as np
 from .errors import (
     ContractViolationError,
     DataFormatError,
+    FuzzkeyError,
     IntegrityError,
     InvalidKeyError,
     InvalidPlaintextError,
@@ -59,9 +64,10 @@ _MASK64 = (1 << 64) - 1
 _ORD_A = 0x41
 _LETTERS = 26
 
-# the tag is folded, and letters are checked, this many message bytes at a
-# time, which bounds their temporaries whatever the message length
-_TAG_BLOCK = 1 << 16
+# every kernel takes a message this many bytes at a time, which bounds its
+# temporaries whatever the message length; the command line reads, shifts,
+# folds and writes blocks of this size
+BLOCK_BYTES = 1 << 16
 # a little-endian 64-bit word times this holds in byte j the sum of its bytes
 # 0..j, plus what the bytes below carry into it
 _BYTE_SUMS = np.uint64(0x0101010101010101)
@@ -72,9 +78,18 @@ def _is_letters(data: bytes | np.ndarray) -> bool:
     codes = np.frombuffer(data, dtype=np.uint8)
     # uint8 subtraction wraps bytes below "A" to 191 and above
     return all(
-        ((codes[start : start + _TAG_BLOCK] - _ORD_A) < _LETTERS).all()
-        for start in range(0, len(codes), _TAG_BLOCK)
+        ((codes[start : start + BLOCK_BYTES] - _ORD_A) < _LETTERS).all()
+        for start in range(0, len(codes), BLOCK_BYTES)
     )
+
+
+def _bytes_like(data, error: type[FuzzkeyError] = ContractViolationError) -> memoryview:
+    """``data`` as a memoryview, or ``error`` when it does not support the
+    buffer protocol: ``bytearray`` would read an ``int`` as a length."""
+    try:
+        return memoryview(data)
+    except TypeError:
+        raise error(f"expected a bytes-like object, got {type(data).__name__}") from None
 
 
 @dataclass(frozen=True)
@@ -94,57 +109,61 @@ class CipherKey:
             raise InvalidKeyError("letters-mode keys must contain only uppercase A-Z")
 
 
-def _key_window(key: np.ndarray, phase: int, length: int) -> np.ndarray:
-    """The key bytes that ``length`` message bytes meet from key position
-    ``phase`` on: one whole period, rotated, when ``length`` reaches it,
-    else only those ``length`` bytes.  Either way ``window[i % len(window)]``
-    is ``key[(phase + i) % len(key)]`` for every ``i < length``, and a block
-    much shorter than the key copies little of it."""
-    end = phase + min(len(key), length)
-    if end <= len(key):
-        return key[phase:end]
-    return np.concatenate((key[phase:], key[: end - len(key)]))
+class _KeyStream:
+    """The key bytes, or their shifts, that one message meets in order:
+    ``codes`` tiled once into a pad of ``BLOCK_BYTES + len(codes)`` bytes,
+    and the key phase of the message's next byte."""
+
+    def __init__(self, codes: np.ndarray) -> None:
+        # codes, then BLOCK_BYTES more that wrap around; np.resize would
+        # concatenate one copy of codes at a time
+        self._pad = np.pad(codes, (0, BLOCK_BYTES), mode="wrap")
+        self._period = len(codes)
+        self._phase = 0
+
+    def window(self, length: int) -> np.ndarray:
+        """The codes that the next ``length`` message bytes meet, at most
+        :data:`BLOCK_BYTES` of them, as one contiguous slice of the pad:
+        ``window[i]`` is ``codes[(phase + i) % len(codes)]``."""
+        window = self._pad[self._phase : self._phase + length]
+        self._phase = (self._phase + length) % self._period
+        return window
 
 
-def _cycled(op: np.ufunc, data: np.ndarray, key: np.ndarray, out: np.ndarray) -> None:
-    """``out[i] = op(data[i], key[i % len(key)])``.
+def _shifts(key: CipherKey, sign: int) -> _KeyStream:
+    """The stream of shifts that :func:`_shift` adds: ``sign * k`` mod 256
+    in byte-shift mode; in letters mode ``sign * (k - 65)`` reduced into
+    [0, 26), so letter plus shift stays below 51 and uint8 cannot wrap
+    before the final mod 26."""
+    codes = np.frombuffer(key.data, dtype=np.uint8)
+    if key.mode == MODE_LETTERS:
+        codes = codes - _ORD_A
+        if sign < 0:
+            codes = (_LETTERS - codes) % _LETTERS
+    elif sign < 0:
+        codes = 0 - codes  # uint8 arrays wrap modulo 256
+    return _KeyStream(codes)
 
-    Whole key periods go through a ``(-1, len(key))`` view and the rest
-    through a tail slice, so no key pad as long as ``data`` is built.
-    """
-    if not len(data):
-        return
-    n = len(key)
-    whole = len(data) - len(data) % n
-    op(data[:whole].reshape(-1, n), key, out=out[:whole].reshape(-1, n))
-    op(data[whole:], key[: len(data) - whole], out=out[whole:])
 
-
-def _shift(buf, key: CipherKey, sign: int, phase: int = 0) -> None:
+def _shift(buf, mode: str, shifts: _KeyStream) -> None:
     """In place, position ``i`` of the writable buffer ``buf`` becomes
     ``(b + sign * k[j % n]) mod 256`` in byte-shift mode and
     ``((b - 65) + sign * (k[j % n] - 65)) mod 26 + 65`` in letters mode,
-    where ``j = phase + i``: ``buf`` continues a message at key position
-    ``phase``.
+    where ``shifts`` is ``_shifts(key, sign)`` and ``j`` is the position
+    in the message of ``buf``'s byte ``i``: ``buf`` continues the message
+    whose bytes ``shifts`` has met.
 
     In letters mode a byte outside A-Z raises before any byte changes.
     """
     codes = np.frombuffer(buf, dtype=np.uint8)
-    shifts = _key_window(np.frombuffer(key.data, dtype=np.uint8), phase, len(codes))
-    if key.mode == MODE_BYTE_SHIFT:
-        if sign < 0:
-            shifts = 0 - shifts  # uint8 arrays wrap modulo 256
-    else:
+    if mode == MODE_LETTERS:
         if not _is_letters(codes):
             raise InvalidPlaintextError("letters mode accepts only uppercase A-Z input")
         codes -= _ORD_A
-        # each shift is reduced into [0, 26), so letter plus shift stays
-        # below 51 and uint8 cannot wrap before the final mod 26
-        shifts = shifts - _ORD_A
-        if sign < 0:
-            shifts = (_LETTERS - shifts) % _LETTERS
-    _cycled(np.add, codes, shifts, codes)
-    if key.mode == MODE_LETTERS:
+    for start in range(0, len(codes), BLOCK_BYTES):
+        block = codes[start : start + BLOCK_BYTES]
+        block += shifts.window(len(block))
+    if mode == MODE_LETTERS:
         codes %= _LETTERS
         codes += _ORD_A
 
@@ -152,27 +171,27 @@ def _shift(buf, key: CipherKey, sign: int, phase: int = 0) -> None:
 def shift_blocks(blocks: Iterable, key: CipherKey, sign: int) -> Iterator:
     """Shift each writable block in place, as the next part of one message,
     and yield it: ``sign`` +1 encrypts and -1 decrypts."""
-    phase = 0
+    shifts = _shifts(key, sign)
     for block in blocks:
-        _shift(block, key, sign, phase)
-        phase = (phase + len(block)) % len(key.data)
+        _shift(block, key.mode, shifts)
         yield block
 
 
-def _shifted(data: bytes, key: CipherKey, sign: int) -> bytes:
-    buf = bytearray(data)
-    _shift(buf, key, sign)
-    return bytes(buf)
+def _shifted(data, key: CipherKey, sign: int) -> bytearray:
+    """A shifted copy of the bytes-like message ``data``."""
+    buf = bytearray(_bytes_like(data))
+    _shift(buf, key.mode, _shifts(key, sign))
+    return buf
 
 
 def encrypt(plaintext: bytes, key: CipherKey) -> bytes:
     """Shift each plaintext byte by the cycling key; output length equals input length."""
-    return _shifted(plaintext, key, +1)
+    return bytes(_shifted(plaintext, key, +1))
 
 
 def decrypt(ciphertext: bytes, key: CipherKey) -> bytes:
     """Exact inverse of :func:`encrypt` (modular subtraction)."""
-    return _shifted(ciphertext, key, -1)
+    return bytes(_shifted(ciphertext, key, -1))
 
 
 def _descending_powers(count: int) -> np.ndarray:
@@ -234,17 +253,16 @@ def _low_bytes(mixed: np.ndarray, first: int) -> np.ndarray:
     return toggled[:size] ^ mixed
 
 
-def _fold_block(t: int, block: np.ndarray, key_codes: np.ndarray, phase: int, powers: np.ndarray) -> int:
+def _fold_block(t: int, block: np.ndarray, window: np.ndarray, powers: np.ndarray) -> int:
     """``t`` after the fold of :func:`make_tag` takes in ``block``, whose
-    first byte meets key byte ``phase``; ``powers`` is
+    byte ``i`` meets key byte ``window[i]``; ``powers`` is
     ``_descending_powers(m)`` for some ``m >= len(block)``.
 
     The multiplier P is odd, so each bit of the low bytes ``l_i`` of ``t`` is
     a prefix XOR fixed by the bits below it; then ``d_i = (l_i ^ b_i) - l_i``
     makes the block linear: ``t_L = t_0 P**L + P sum(d_i P**(L-1-i)) mod 2**64``.
     """
-    mixed = np.empty(len(block), dtype=np.uint8)
-    _cycled(np.bitwise_xor, block, _key_window(key_codes, phase, len(block)), mixed)
+    mixed = block ^ window
     low = _low_bytes(mixed, t & 0xFF)
     offsets = (low ^ mixed).astype(np.int64)
     offsets -= low
@@ -260,19 +278,17 @@ class TagFold:
 
     def __init__(self, key: CipherKey) -> None:
         self.tag = TAG_SEED
-        self._key_codes = np.frombuffer(key.data, dtype=np.uint8)
+        self._key = _KeyStream(np.frombuffer(key.data, dtype=np.uint8))
         # built once, as long as the longest block _fold_block takes
-        self._powers = _descending_powers(_TAG_BLOCK)
-        self._phase = 0
+        self._powers = _descending_powers(BLOCK_BYTES)
 
     def update(self, part) -> None:
-        """Fold in ``part`` in blocks of ``_TAG_BLOCK`` bytes, carrying ``t``
-        and the key phase from the part before."""
-        data = np.frombuffer(part, dtype=np.uint8)
-        for start in range(0, len(data), _TAG_BLOCK):
-            block = data[start : start + _TAG_BLOCK]
-            self.tag = _fold_block(self.tag, block, self._key_codes, self._phase, self._powers)
-            self._phase = (self._phase + len(block)) % len(self._key_codes)
+        """Fold in the bytes-like ``part`` in blocks of :data:`BLOCK_BYTES`,
+        carrying ``t`` and the key stream from the part before."""
+        data = np.frombuffer(_bytes_like(part), dtype=np.uint8)
+        for start in range(0, len(data), BLOCK_BYTES):
+            block = data[start : start + BLOCK_BYTES]
+            self.tag = _fold_block(self.tag, block, self._key.window(len(block)), self._powers)
 
 
 def make_tag(message: bytes, key: CipherKey) -> int:
@@ -357,9 +373,11 @@ class CipherEnvelope:
     def __post_init__(self) -> None:
         if self.mode not in _MODE_CODES:
             raise DataFormatError(f"unknown cipher mode {self.mode!r}")
-        if self.tag is not None and not 0 <= self.tag <= _MASK64:
-            raise DataFormatError(f"tag must fit in 64 bits, got {self.tag!r}")
-        object.__setattr__(self, "ciphertext", bytes(self.ciphertext))
+        if self.tag is not None and (
+            not isinstance(self.tag, int) or isinstance(self.tag, bool) or not 0 <= self.tag <= _MASK64
+        ):
+            raise DataFormatError(f"tag must be an int that fits in 64 bits, got {self.tag!r}")
+        object.__setattr__(self, "ciphertext", bytes(_bytes_like(self.ciphertext, DataFormatError)))
 
     def to_bytes(self) -> bytes:
         """Bit-exact layout: :func:`envelope_header`, then the ciphertext."""
@@ -374,8 +392,7 @@ class CipherEnvelope:
 
 def seal(plaintext: bytes, key: CipherKey, with_tag: bool = True) -> CipherEnvelope:
     """Encrypt and wrap; the tag, when enabled, covers the ciphertext."""
-    ciphertext = bytearray(plaintext)
-    _shift(ciphertext, key, +1)
+    ciphertext = _shifted(plaintext, key, +1)
     tag = make_tag(ciphertext, key) if with_tag else None
     return CipherEnvelope(ciphertext=ciphertext, mode=key.mode, tag=tag)
 
@@ -385,9 +402,7 @@ def open_envelope(envelope: CipherEnvelope, key: CipherKey) -> bytes:
     if key.mode != envelope.mode:
         raise InvalidKeyError(f"key mode {key.mode!r} does not match envelope mode {envelope.mode!r}")
     check_ciphertext([envelope.ciphertext], key, envelope.tag)
-    plaintext = bytearray(envelope.ciphertext)
-    _shift(plaintext, key, -1)
-    return bytes(plaintext)
+    return bytes(_shifted(envelope.ciphertext, key, -1))
 
 
 def serialize_selection(result, feature_names: list[str]) -> bytes:

@@ -9,9 +9,10 @@ Key material is never accepted as an argument (process lists leak); set
 ``FUZZKEY_KEY_FILE`` to the path of a key file instead.
 
 ``encrypt`` and ``decrypt`` stream their input in blocks of
-:data:`BLOCK_BYTES` through two passes, so their memory does not grow with
-the payload.  Pass 1 reads the whole input once, copies it to an unlinked
-temporary file and makes every check: the letters-mode alphabet, the 1 GiB
+:data:`fuzzkey.cipher.BLOCK_BYTES`, the size the cipher's kernels take,
+through two passes, so their memory does not grow with the payload.  Pass 1
+reads the whole input once, copies it to an unlinked temporary file and
+makes every check: the letters-mode alphabet, the 1 GiB
 cap and the tag, which ``encrypt`` computes and ``decrypt`` verifies.  Only
 then does pass 2 read that copy, shift it and write it, so it writes exactly
 the bytes pass 1 checked, whatever happens to the input in between.  Every
@@ -39,6 +40,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import replace
 from typing import BinaryIO, NoReturn
 
+from . import cipher
 from .cipher import (
     MAX_HEADER_BYTES,
     MODE_LETTERS,
@@ -78,9 +80,6 @@ MAX_KEY_BYTES = 1 << 20
 # an encrypt or decrypt input longer than this exits 3; reading stops one
 # byte past it
 MAX_PAYLOAD_BYTES = 1 << 30
-# encrypt and decrypt read, shift and write their payload this many bytes at
-# a time: smaller blocks cost more calls, larger ones more memory
-BLOCK_BYTES = 1 << 18
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -215,7 +214,9 @@ def _fill(handle: BinaryIO, view: memoryview) -> int:
 
 class _Passes:
     """An ``encrypt`` or ``decrypt`` input, read in blocks of
-    :data:`BLOCK_BYTES` through one buffer over two passes.
+    :data:`fuzzkey.cipher.BLOCK_BYTES` through one buffer over two passes.
+    The buffer takes that size when the input is opened, so the blocks read
+    are the blocks the cipher's kernels take.
 
     Pass 1 (:meth:`readinto`, :meth:`blocks`) reads the input once, to its
     end or to one byte past :data:`MAX_PAYLOAD_BYTES`, which raises, and
@@ -225,7 +226,7 @@ class _Passes:
 
     def __init__(self, path: str, source: BinaryIO, copy: BinaryIO) -> None:
         self._path, self._source, self._copy = path, source, copy
-        self._block = memoryview(bytearray(BLOCK_BYTES))
+        self._block = memoryview(bytearray(cipher.BLOCK_BYTES))
         self._size = 0  # bytes read in pass 1
 
     def readinto(self, view: memoryview) -> int:

@@ -85,31 +85,31 @@ MUTANTS = [
         ["tests/test_cli.py::TestHostileEnvelope"],
     ),
     Mutant(
-        "shift-blocks-phase-0",
+        "stream-phase-0",
         "src/fuzzkey/cipher.py",
-        "        phase = (phase + len(block)) % len(key.data)\n",
-        "        phase = 0\n",
+        "        self._phase = (self._phase + length) % self._period\n",
+        "        self._phase = 0\n",
         ["tests/test_cipher.py::TestParts"],
     ),
     Mutant(
-        "tag-fold-phase-0",
+        "window-from-key-start",
         "src/fuzzkey/cipher.py",
-        "            self._phase = (self._phase + len(block)) % len(self._key_codes)\n",
-        "            self._phase = 0\n",
+        "        window = self._pad[self._phase : self._phase + length]\n",
+        "        window = self._pad[:length]\n",
         ["tests/test_cipher.py::TestParts"],
+    ),
+    Mutant(
+        "pad-two-blocks",
+        "src/fuzzkey/cipher.py",
+        "        self._pad = np.pad(codes, (0, BLOCK_BYTES), mode=\"wrap\")\n",
+        "        self._pad = np.resize(codes, 2 * BLOCK_BYTES)\n",
+        ["tests/test_cipher.py::TestLongKeys"],
     ),
     Mutant(
         "tag-fold-from-the-seed",
         "src/fuzzkey/cipher.py",
-        "            self.tag = _fold_block(self.tag, block, self._key_codes, self._phase, self._powers)\n",
-        "            self.tag = _fold_block(TAG_SEED, block, self._key_codes, self._phase, self._powers)\n",
-        ["tests/test_cipher.py::TestParts"],
-    ),
-    Mutant(
-        "key-window-without-phase",
-        "src/fuzzkey/cipher.py",
-        "    end = phase + min(len(key), length)\n",
-        "    phase = 0\n    end = min(len(key), length)\n",
+        "            self.tag = _fold_block(self.tag, block, self._key.window(len(block)), self._powers)\n",
+        "            self.tag = _fold_block(TAG_SEED, block, self._key.window(len(block)), self._powers)\n",
         ["tests/test_cipher.py::TestParts"],
     ),
     Mutant(

@@ -26,7 +26,8 @@ from fuzzkey import (
     serialize_selection,
     verify_tag,
 )
-from fuzzkey.cipher import _TAG_BLOCK, TagFold, _low_bytes, shift_blocks
+from fuzzkey.cipher import BLOCK_BYTES, TagFold, _low_bytes, shift_blocks
+from fuzzkey.cli import MAX_KEY_BYTES
 
 DATA = Path(__file__).resolve().parent / "data"
 TO_LETTERS = bytes(65 + i % 26 for i in range(256))
@@ -70,8 +71,8 @@ def cipher_inputs(draw, mode):
     bytes come from a drawn seed, as the multi-block ones are too long to
     draw directly."""
     n = draw(st.integers(1, 70))
-    boundaries = [0, 1, n - 1, n, n + 1, _TAG_BLOCK - 1, _TAG_BLOCK, _TAG_BLOCK + 1]
-    multi_block = [2 * _TAG_BLOCK + n, 3 * _TAG_BLOCK - 1]
+    boundaries = [0, 1, n - 1, n, n + 1, BLOCK_BYTES - 1, BLOCK_BYTES, BLOCK_BYTES + 1]
+    multi_block = [2 * BLOCK_BYTES + n, 3 * BLOCK_BYTES - 1]
     length = draw(st.sampled_from(boundaries + multi_block + [None]))
     if length is None:
         length = draw(st.integers(0, 300))
@@ -230,10 +231,10 @@ class TestLowBytes:
     # whole blocks of one byte value, from a first byte under which some bit
     # of the low byte flips at every step (bit 1, 0, 7 and 0): eight flips
     # per word, the largest count a lane holds, and in bit 7 the most carry
-    @example(mixed=b"\x00" * _TAG_BLOCK, first=235)
-    @example(mixed=b"\x01" * _TAG_BLOCK, first=0xFF)
-    @example(mixed=b"\x80" * _TAG_BLOCK, first=0x00)
-    @example(mixed=b"\xff" * _TAG_BLOCK, first=0x01)
+    @example(mixed=b"\x00" * BLOCK_BYTES, first=235)
+    @example(mixed=b"\x01" * BLOCK_BYTES, first=0xFF)
+    @example(mixed=b"\x80" * BLOCK_BYTES, first=0x00)
+    @example(mixed=b"\xff" * BLOCK_BYTES, first=0x01)
     def test_matches_the_per_byte_loop(self, mixed, first):
         low = _low_bytes(np.frombuffer(mixed, dtype=np.uint8), first)
         assert low.tolist() == _reference_low_bytes(mixed, first)
@@ -256,6 +257,73 @@ class TestParts:
         assert fold.tag == make_tag(message, key)
         shifted = shift_blocks([bytearray(part) for part in parts], key, +1)
         assert b"".join(shifted) == encrypt(message, key)
+
+
+class TestLongKeys:
+    """Keys at and past a block, up to the longest a key file may hold: a
+    block meets its key bytes as far into the pad as the pad reaches."""
+
+    @pytest.mark.parametrize("mode", [MODE_BYTE_SHIFT, MODE_LETTERS])
+    @pytest.mark.parametrize(
+        "key_length",
+        [BLOCK_BYTES - 1, BLOCK_BYTES, BLOCK_BYTES + 1, MAX_KEY_BYTES],
+        ids=["block-less-1", "block", "block-plus-1", "key-file-cap"],
+    )
+    def test_parts_match_the_per_byte_reference(self, mode, key_length):
+        rng = random.Random(key_length)
+        key_bytes, message = rng.randbytes(key_length), rng.randbytes(3 * BLOCK_BYTES - 1)
+        if mode == MODE_LETTERS:
+            key_bytes, message = key_bytes.translate(TO_LETTERS), message.translate(TO_LETTERS)
+        key = CipherKey(key_bytes, mode)
+        # parts shorter than a block, and one longer, that starts mid-block
+        cuts = [0, 1, BLOCK_BYTES - 2, 2 * BLOCK_BYTES + 5, len(message)]
+
+        def parts(data):
+            return [bytearray(data[start:stop]) for start, stop in zip(cuts, cuts[1:])]
+
+        fold = TagFold(key)
+        for part in parts(message):
+            fold.update(part)
+        assert fold.tag == _reference_tag(message, key)
+        shifted = b"".join(shift_blocks(parts(message), key, +1))
+        assert shifted == _reference_transform(message, key, +1)
+        assert b"".join(shift_blocks(parts(shifted), key, -1)) == message
+
+
+class TestBytesLike:
+    """The bytes API refuses a message that does not support the buffer
+    protocol, rather than read an int as a length of zero bytes."""
+
+    KEY = CipherKey(b"k")
+
+    @pytest.mark.parametrize("message", [5, "abc"], ids=["int", "str"])
+    @pytest.mark.parametrize("call", [encrypt, decrypt, seal, make_tag], ids=lambda call: call.__name__)
+    def test_a_message_that_is_not_bytes_like_is_refused(self, call, message):
+        with pytest.raises(ContractViolationError, match="expected a bytes-like object"):
+            call(message, self.KEY)
+
+    def test_verify_tag_refuses_it_too(self):
+        with pytest.raises(ContractViolationError):
+            verify_tag(5, self.KEY, make_tag(bytes(5), self.KEY))
+
+    @pytest.mark.parametrize("message", [bytearray(b"abc"), memoryview(b"abc"), np.frombuffer(b"abc", np.uint8)])
+    def test_every_bytes_like_message_is_taken(self, message):
+        assert encrypt(message, self.KEY) == encrypt(b"abc", self.KEY)
+        assert make_tag(message, self.KEY) == make_tag(b"abc", self.KEY)
+
+    @pytest.mark.parametrize("ciphertext", [5, "abc"], ids=["int", "str"])
+    def test_an_envelope_refuses_a_ciphertext_that_is_not_bytes_like(self, ciphertext):
+        with pytest.raises(DataFormatError, match="expected a bytes-like object"):
+            CipherEnvelope(ciphertext)
+
+    @pytest.mark.parametrize("tag", [1.5, True, False, "1", -1, 1 << 64], ids=repr)
+    def test_an_envelope_refuses_a_tag_that_is_not_a_64_bit_int(self, tag):
+        with pytest.raises(DataFormatError, match="tag must be an int"):
+            CipherEnvelope(b"abc", tag=tag)
+
+    @pytest.mark.parametrize("tag", [None, 0, (1 << 64) - 1])
+    def test_an_envelope_takes_a_64_bit_tag(self, tag):
+        assert CipherEnvelope.from_bytes(CipherEnvelope(b"abc", tag=tag).to_bytes()).tag == tag
 
 
 class TestEnvelope:

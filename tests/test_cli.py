@@ -3,6 +3,7 @@ import codecs
 import errno
 import io
 import os
+import random
 import re
 import resource
 import shutil
@@ -324,6 +325,20 @@ class TestEncryptDecrypt:
         code, out, err = run_in_process(["encrypt", str(plain)])
         assert (code, err) == (0, "")
         assert out == seal(b"data", CipherKey(b"k" * cli.MAX_KEY_BYTES)).to_bytes()
+
+    def test_a_key_of_the_cap_round_trips(self, tmp_path, monkeypatch):
+        # a payload longer than the key, so its last blocks meet the key from
+        # its start again; the key ends in no newline for the reader to strip
+        key = CipherKey(random.Random(7).randbytes(cli.MAX_KEY_BYTES - 1) + b"k")
+        payload = random.Random(8).randbytes(cli.MAX_KEY_BYTES + cipher.BLOCK_BYTES + 3)
+        monkeypatch.chdir(tmp_path)
+        Path("key").write_bytes(key.data)
+        Path("plain.bin").write_bytes(payload)
+        monkeypatch.setenv("FUZZKEY_KEY_FILE", "key")
+        assert run_in_process(["encrypt", "plain.bin", "--output", "sealed.fzk"]) == (0, b"", "")
+        assert Path("sealed.fzk").read_bytes() == seal(payload, key).to_bytes()
+        assert run_in_process(["decrypt", "sealed.fzk", "--output", "opened.bin"]) == (0, b"", "")
+        assert Path("opened.bin").read_bytes() == payload
 
     def test_key_read_reserves_only_what_it_reads(self, tmp_path, monkeypatch):
         key_path = tmp_path / "key.bin"
@@ -1422,7 +1437,7 @@ class TestOutputFile:
     def test_fifo_is_streamed_in_place(self, paths, tmp_path, monkeypatch, command):
         # blocks smaller than the payload and the pipe buffer, so the FIFO
         # takes several writes while the reader drains it
-        monkeypatch.setattr(cli, "BLOCK_BYTES", 1 << 14)
+        monkeypatch.setattr(cipher, "BLOCK_BYTES", 1 << 14)
         fifo = tmp_path / "out.fifo"
         os.mkfifo(fifo)
         received = []
@@ -1490,7 +1505,7 @@ class TestNothingLeftBehind:
         source.write_bytes(files[command])
         (inputs / "key").write_bytes(self.KEY.data)
         monkeypatch.setenv("FUZZKEY_KEY_FILE", str(inputs / "key"))
-        monkeypatch.setattr(cli, "BLOCK_BYTES", 4096)
+        monkeypatch.setattr(cipher, "BLOCK_BYTES", 4096)
         if failure == "missing-key":
             monkeypatch.delenv("FUZZKEY_KEY_FILE")
         elif failure == "pipe-past-the-cap":
@@ -1926,7 +1941,7 @@ class TestBlockSeams:
                 yield str(path)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "BLOCK_BYTES", block)
+            patch.setattr(cipher, "BLOCK_BYTES", block)
             patch.setenv("FUZZKEY_KEY_FILE", str(directory / "key"))
             argv = ["--cipher", mode, "--tag" if tag else "--no-tag"]
             with source(plaintext) as path:
