@@ -92,6 +92,20 @@ MUTANTS = [
         ["tests/test_cipher.py::TestParts"],
     ),
     Mutant(
+        "shift-blocks-phase-0",
+        "src/fuzzkey/cipher.py",
+        "        _shift(block, key.mode, shifts)\n",
+        "        _shift(block, key.mode, _shifts(key, sign))\n",
+        ["tests/test_cipher.py::TestParts"],
+    ),
+    Mutant(
+        "tag-fold-phase-0",
+        "src/fuzzkey/cipher.py",
+        "self._key.window(len(block))",
+        "self._key._pad[: len(block)]",
+        ["tests/test_cipher.py::TestParts"],
+    ),
+    Mutant(
         "window-from-key-start",
         "src/fuzzkey/cipher.py",
         "        window = self._pad[self._phase : self._phase + length]\n",
