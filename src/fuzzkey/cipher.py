@@ -30,6 +30,7 @@ protect real secrets.
 
 from __future__ import annotations
 
+import functools
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -194,11 +195,14 @@ def decrypt(ciphertext: bytes, key: CipherKey) -> bytes:
     return bytes(_shifted(ciphertext, key, -1))
 
 
+@functools.cache
 def _descending_powers(count: int) -> np.ndarray:
-    """``powers[j] = TAG_MULTIPLIER ** (count - 1 - j) mod 2**64``."""
+    """``powers[j] = TAG_MULTIPLIER ** (count - 1 - j) mod 2**64``, built
+    once per ``count`` in a process and read-only, as every caller shares it."""
     powers = np.full(count, TAG_MULTIPLIER, dtype=np.uint64)
     powers[:1] = 1
     np.multiply.accumulate(powers, out=powers)  # uint64 arrays wrap silently
+    powers.flags.writeable = False
     return powers[::-1]
 
 
@@ -279,7 +283,7 @@ class TagFold:
     def __init__(self, key: CipherKey) -> None:
         self.tag = TAG_SEED
         self._key = _KeyStream(np.frombuffer(key.data, dtype=np.uint8))
-        # built once, as long as the longest block _fold_block takes
+        # as long as the longest block _fold_block takes
         self._powers = _descending_powers(BLOCK_BYTES)
 
     def update(self, part) -> None:

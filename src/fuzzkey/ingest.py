@@ -18,15 +18,16 @@ finite value, the per-cell parser reads the same bits: both use
 
 Each chunk is written column by column to an unlinked temporary file, 8
 bytes per value, the target column last, at a fixed stride per chunk
-(:class:`_Spill`).  This process reads and cuts the chunks; once a second
-chunk exists, it copies the text of up to ``_ROUND`` chunks at a time to a
-second unlinked temporary file and forks up to ``jobs`` processes, no more
-than the usable CPUs or the chunks, which each read every P-th chunk of
-the copy, parse it and write it to the file.  The first error in file
-order is still the one raised (:func:`_rounds`).  ``analyze`` reads the
-file back a block of columns at a time and rescales each block in place
-(:meth:`_Spill.normalized_blocks`), so a run never holds the n x F
-matrix.
+(:class:`_Spill`).  This process reads and cuts the chunks, and copies
+the text of up to ``_ROUND`` chunks at a time to a second unlinked
+temporary file, whatever ``jobs`` is.  It forks up to ``jobs`` processes
+per round, no more than the usable CPUs or the chunks, which each read
+every P-th chunk of the copy, parse it and write it to the file; a round
+of one share (``jobs`` 1, one CPU or one chunk) it parses itself, from
+the copy.  The first error in file order is still the one raised
+(:func:`_rounds`).  ``analyze`` reads the file back a block of columns at
+a time and rescales each block in place (:meth:`_Spill.normalized_blocks`),
+so a run never holds the n x F matrix.
 """
 
 from __future__ import annotations
@@ -143,23 +144,22 @@ def _dropped(line: bytes, commas: int) -> bool:
 
 
 def _loaded(chunk: list[bytes], names: list[str], drop_incomplete_rows: bool) -> np.ndarray | None:
-    """The table of ``chunk`` as ``loadtxt`` reads it, columns ordered by
-    :func:`_columns`, or ``None`` unless each line holds one comma fewer than
-    there are columns and gives one row, and every value is finite.  In drop
-    mode the lines :func:`_dropped` names go first."""
-    commas, columns = len(names) - 1, _columns(names)
+    """The table of ``chunk`` as ``loadtxt`` reads it, columns in file order,
+    or ``None`` unless each line holds one comma fewer than there are
+    columns and gives one row, and every value is finite.  In drop mode the
+    lines :func:`_dropped` names go first."""
+    commas = len(names) - 1
     if drop_incomplete_rows:
         chunk = [line for line in chunk if not _dropped(line, commas)]
-    # counted before loadtxt, whose usecols would ignore extra cells
+    # counted before loadtxt, which would read lines that all hold one extra
+    # cell as a wider table, and would split a long line into every cell
     if not all(line.count(b",") == commas for line in chunk):
         return None
     with warnings.catch_warnings():
         # loadtxt warns when no line holds data; the row count refuses that
         warnings.simplefilter("ignore")
         try:
-            table = np.loadtxt(
-                chunk, delimiter=",", comments=None, usecols=columns, ndmin=2, encoding="ascii"
-            )
+            table = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2, encoding="ascii")
         except ValueError:
             return None
     # loadtxt skips an empty line
@@ -170,15 +170,15 @@ def _parsed(
     path: str | Path, chunk: list[bytes], row_number: int, offset: int, names: list[str], drop: bool
 ) -> np.ndarray:
     """The table of ``chunk``, whose first line is row ``row_number`` at
-    byte ``offset``, parsed line by line with :func:`_parse_row`, columns
-    ordered by :func:`_columns`; raises the first error in file order."""
+    byte ``offset``, parsed line by line with :func:`_parse_row`, columns in
+    file order; raises the first error in file order."""
     rows = []
     for row_number, line in enumerate(chunk, start=row_number):
         values = _parse_row(path, _text(path, line, row_number, offset), row_number, names, drop)
         if values is not None:
             rows.append(values)
         offset += len(line)
-    return np.array(rows, dtype=float).reshape(-1, len(names))[:, _columns(names)]
+    return np.array(rows, dtype=float).reshape(-1, len(names))
 
 
 def _chunks(handle: io.BufferedIOBase, size: int, row_number: int, offset: int) -> Iterator[tuple]:
@@ -248,20 +248,21 @@ def _parse_round(parse: Callable, fd: int, copied: list[tuple], cap: int) -> lis
     """The row counts of the chunks of ``copied`` (see :func:`_share`).
 
     With P = min(``cap``, chunks), share r is chunks r, r + P, ... in
-    order.  Each share is parsed by a process forked for it and kept on
-    CPU r (:func:`_pin`), which stops at its first error, pickles the result
-    of each chunk to its own pipe as soon as it has it and exits with
-    ``os._exit``; it never writes to the standard streams it inherited.  A
-    pipe or fork that is refused is not tried again in the round: its share
-    and the later ones run in this process.  Raises the error of the lowest
-    chunk index; a process that ends before it replies for a chunk stands
-    for an error at that chunk.  Every process is reaped and every pipe
-    closed, however the round ends.
+    order.  When P is 2 or more, each share is parsed by a process forked
+    for it and kept on CPU r (:func:`_pin`), which stops at its first error,
+    pickles the result of each chunk to its own pipe as soon as it has it
+    and exits with ``os._exit``; it never writes to the standard streams it
+    inherited.  A lone share runs in this process, with no fork; so do the
+    share of a refused pipe or fork and the later ones, which are not tried
+    again in the round.  Raises the error of the lowest chunk index; a
+    process that ends before it replies for a chunk stands for an error at
+    that chunk.  Every process is reaped and every pipe closed, however the
+    round ends.
     """
     shares = min(cap, len(copied))
     forked: list[tuple[int, io.BufferedReader]] = []
     try:
-        for r in range(shares):
+        for r in range(shares if shares > 1 else 0):
             ends: tuple[int, ...] = ()  # none are open until os.pipe returns
             try:
                 reader, writer = ends = os.pipe()
@@ -310,11 +311,12 @@ def _parse_round(parse: Callable, fd: int, copied: list[tuple], cap: int) -> lis
 
 def _rounds(parse: Callable, chunks: Iterator[tuple], cap: int) -> list[int]:
     """``parse(*args)`` for each ``args`` of ``chunks``, in rounds of up to
-    ``_ROUND`` chunks.  Each round writes the text of its chunks to one
-    unlinked temporary file, from its start, and then parses them in up to
-    ``cap`` processes (:func:`_parse_round`).  An error raised while a round
-    is read or copied is raised after the chunks copied before it are
-    parsed, so an error in one of those comes first."""
+    ``_ROUND`` chunks; the only driver of pass 1.  Each round writes the
+    text of its chunks to one unlinked temporary file, from its start, and
+    then parses them in up to ``cap`` processes, or in this one when ``cap``
+    or the round's chunks are 1 (:func:`_parse_round`).  An error raised
+    while a round is read or copied is raised after the chunks copied
+    before it are parsed, so an error in one of those comes first."""
     counts: list[int] = []
     with tempfile.TemporaryFile() as copy:
         while True:
@@ -352,12 +354,12 @@ def _table(
 
     One pass splits ``handle`` on ``\\n`` only, never seeks, and reads at
     most one byte past the cap, plus a byte-order mark the cap does not
-    count.  Each chunk is read by :func:`_loaded` or else :func:`_parsed`
-    and written column by column to ``spill`` at its index times the
-    stride.  Once a second chunk exists, the chunks are parsed in rounds by
-    up to ``jobs`` forked processes, no more than the usable CPUs, each
-    reading its own chunks from a copy of the round's text
-    (:func:`_rounds`); else in this process as they are read.
+    count.  The chunks are parsed in rounds from a copy of each round's
+    text (:func:`_rounds`), by up to ``jobs`` forked processes, no more
+    than the usable CPUs, or by this process alone when that is one or
+    ``os.fork`` is missing.  Each chunk is read by :func:`_loaded` or else
+    :func:`_parsed`, in file order, and written column by column, target
+    last (:func:`_columns`), to ``spill`` at its index times the stride.
     """
     header = handle.readline(len(codecs.BOM_UTF8) + MAX_LINE_BYTES + 1)
     text = header.removeprefix(codecs.BOM_UTF8)
@@ -365,7 +367,7 @@ def _table(
         raise DataFormatError(f"{path}: empty file")
     names = _parse_header(path, _text(path, text, 1, len(header) - len(text)))
     size = max(1, _SCORE_BLOCK // len(names))
-    stride = 8 * size * len(names)
+    stride, columns = 8 * size * len(names), _columns(names)
 
     def parse(index: int, row_number: int, offset: int, chunk: list[bytes]) -> int:
         # a line that may be past the cap ends its chunk, which only the
@@ -375,16 +377,11 @@ def _table(
             # the first error in this chunk; one in an earlier chunk wins
             table = _parsed(path, chunk, row_number, offset, names, drop_incomplete_rows)
         if len(table):
-            _write_at(spill.fileno(), np.ascontiguousarray(table.T), index * stride)
+            _write_at(spill.fileno(), table.T[columns], index * stride)  # a C-contiguous copy
         return len(table)
 
-    chunks = _chunks(handle, size, 2, len(header))
-    # the first chunk is read before the peek below, and held by an
-    # iterator, which lets go of it once it is taken
-    chunks = itertools.chain(iter(list(itertools.islice(chunks, 1))), chunks)
-    # a process is forked only once a second chunk exists
-    cap = min(jobs, usable_cpus()) if hasattr(os, "fork") and handle.peek(1) else 1
-    counts = _rounds(parse, chunks, cap) if cap > 1 else [parse(*args) for args in chunks]
+    cap = min(jobs, usable_cpus()) if hasattr(os, "fork") else 1
+    counts = _rounds(parse, _chunks(handle, size, 2, len(header)), cap)
     if not any(counts):
         raise DataFormatError(f"{path}: no data rows")
     return names, counts, stride
@@ -395,7 +392,8 @@ class _Spill:
     at its index times ``stride`` bytes, and written one column after another
     in the order of :func:`_columns`.  A chunk with fewer rows than the
     stride holds, as drop mode makes, leaves a hole before the next.  Any
-    set of adjacent columns of a chunk is one read."""
+    set of adjacent columns of a chunk is one read, and :meth:`_read` is
+    the one reader."""
 
     def __init__(self, names: list[str], file: io.BufferedRandom, counts: list[int], stride: int) -> None:
         self._names, self._file, self._counts, self._stride = names, file, counts, stride
@@ -409,26 +407,22 @@ class _Spill:
     def __exit__(self, *exc_info) -> None:
         self._file.close()
 
-    def _pieces(self, start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
-        """``(first row, piece)`` for each chunk, the piece its columns
-        ``start`` to ``stop`` as a (stop - start) x rows array."""
-        row = 0
+    def _read(self, start: int, stop: int) -> np.ndarray:
+        """Columns ``start`` to ``stop`` of every row, as one contiguous
+        (stop - start) x n array: one read per chunk."""
+        block, row = np.empty((stop - start, self.n_rows)), 0
         for index, count in enumerate(self._counts):
-            if not count:
-                continue
             piece = np.empty((stop - start, count))
             self._file.seek(index * self._stride + piece.itemsize * start * count)
             if self._file.readinto(piece) != piece.nbytes:
                 raise OSError("the temporary table file ended early")
-            yield row, piece
+            block[:, row : row + count] = piece
             row += count
+        return block
 
     def table(self) -> np.ndarray:
         """The whole n x F table, one row per CSV data row."""
-        table = np.empty((self.n_rows, len(self._names)))
-        for row, piece in self._pieces(0, len(self._names)):
-            table[row : row + piece.shape[1]] = piece.T
-        return table
+        return self._read(0, len(self._names)).T
 
     def normalized_blocks(self) -> Iterator[tuple[np.ndarray, tuple[tuple[float, float], ...]]]:
         """Each block of ``max(1, _SCORE_BLOCK // n)`` features, min-max
@@ -438,9 +432,7 @@ class _Spill:
         n_features = len(self.feature_names)
         width = max(1, _SCORE_BLOCK // self.n_rows)
         for start in range(0, n_features, width):
-            block = np.empty((min(width, n_features - start), self.n_rows))
-            for row, piece in self._pieces(start, start + len(block)):
-                block[:, row : row + piece.shape[1]] = piece
+            block = self._read(start, min(start + width, n_features))
             yield block, _rescale(block.T)
 
 

@@ -232,11 +232,11 @@ def analyze(
 
     Scoring runs in this process, under the uniform partition and identity
     rules.  The file takes two passes with an unlinked temporary file
-    between them: the first parses it a chunk of rows at a time and writes
-    each chunk column by column, in this process or, once there is a second
-    chunk, in rounds: each round's text is copied to a second temporary
-    file and parsed by up to ``jobs`` processes forked for the round, no
-    more than the usable CPUs.  The second pass reads back one block of
+    between them: the first parses it a chunk of rows at a time, in rounds,
+    and writes each chunk column by column.  Each round's text is copied to
+    a second temporary file and parsed by up to ``jobs`` processes forked
+    for the round, no more than the usable CPUs, or by this process alone
+    when that is one.  The second pass reads back one block of
     columns at a time, rescales it in place and scores it with
     :func:`score_columns`.  So a run holds about one block and a few
     chunks, never the n x F matrix; the temporary files take 8 bytes per

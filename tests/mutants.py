@@ -288,6 +288,20 @@ MUTANTS = [
         ["tests/test_cli.py::TestParsingProcesses::test_chunks_go_to_the_processes_in_turn"],
     ),
     Mutant(
+        "one-share-round-forks",
+        "src/fuzzkey/ingest.py",
+        "range(shares if shares > 1 else 0)",
+        "range(shares)",
+        ["tests/test_cli.py::TestParsingProcesses::test_processes_are_capped_by_cpus_and_chunks"],
+    ),
+    Mutant(
+        "spill-in-file-column-order",
+        "src/fuzzkey/ingest.py",
+        "table.T[columns]",
+        "np.ascontiguousarray(table.T)",
+        ["tests/test_ingest.py::TestLoadTable::test_target_column_split"],
+    ),
+    Mutant(
         "whole-input-in-one-round",
         "src/fuzzkey/ingest.py",
         "itertools.islice(chunks, _ROUND)",
@@ -299,7 +313,7 @@ MUTANTS = [
         "src/fuzzkey/ingest.py",
         "            chunk.append(line)\n            if len(line) > MAX_LINE_BYTES:\n                break\n",
         "            chunk.append(line)\n",
-        ["tests/test_cli.py::TestHostileCsv::test_line_at_and_past_the_cap[drop-mode-past-the-cap]"],
+        ["tests/test_cli.py::TestHostileCsv::test_line_at_and_past_the_cap[drop-mode-past-the-cap-before-a-row]"],
     ),
     Mutant(
         "no-comma-count-before-loadtxt",

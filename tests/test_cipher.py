@@ -26,7 +26,7 @@ from fuzzkey import (
     serialize_selection,
     verify_tag,
 )
-from fuzzkey.cipher import BLOCK_BYTES, TagFold, _low_bytes, shift_blocks
+from fuzzkey.cipher import BLOCK_BYTES, TAG_MULTIPLIER, TagFold, _descending_powers, _low_bytes, shift_blocks
 from fuzzkey.cli import MAX_KEY_BYTES
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -200,6 +200,15 @@ class TestTag:
     def test_matches_serial_reference(self, mode, data):
         message, key = data.draw(cipher_inputs(mode))
         assert make_tag(message, key) == _reference_tag(message, key)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 97])
+    def test_powers_are_built_once_and_read_only(self, n):
+        # every TagFold of a process shares one table per size
+        powers = _descending_powers(n)
+        assert _descending_powers(n) is powers
+        with pytest.raises(ValueError, match="read-only"):
+            powers[0] = 1
+        assert powers.tolist() == [pow(TAG_MULTIPLIER, n - 1 - j, 2**64) for j in range(n)]
 
 
 def _reference_low_bytes(mixed: bytes, first: int) -> list[int]:

@@ -712,6 +712,11 @@ class TestHostileCsv:
             # split at the cap, the line would give two rows with a blank
             # cell, and drop mode would drop both
             ("a,b\n1,2\n," + "7" * 32 + ",5\n", ["--drop-incomplete-rows"], 3),
+            # a line past the cap with a blank cell, and a row after it: the
+            # line's first 33 bytes end their chunk, so that the per-cell
+            # parser reads them; whole and inside a chunk, drop mode would
+            # drop the line
+            ("a,b\n1,2\n," + "7" * 40 + "\n3,4\n", ["--drop-incomplete-rows"], 3),
         ],
         ids=[
             "at-the-cap",
@@ -719,6 +724,7 @@ class TestHostileCsv:
             "header-after-a-mark-at-the-cap",
             "header-after-a-mark-cap-plus-one",
             "drop-mode-past-the-cap",
+            "drop-mode-past-the-cap-before-a-row",
         ],
     )
     def test_line_at_and_past_the_cap(self, tmp_path, monkeypatch, data, args, row):
@@ -1862,13 +1868,14 @@ class TestParsingProcesses:
 
     def test_chunks_go_to_the_processes_in_turn(self, tmp_path, capfd, monkeypatch):
         # six chunks in rounds of four and two, three processes forked for
-        # the first and two for the second
-        monkeypatch.setattr(ingest, "_ROUND", 4)
+        # the first and two for the second; the report is the one of six
+        # chunks in one round
         monkeypatch.setattr(ingest, "usable_cpus", lambda: 3)
         forked, parsed = self.logged(monkeypatch, tmp_path)
         path = self.write(tmp_path)
         serial = self.select(capfd, path, "1")
         parsed()
+        monkeypatch.setattr(ingest, "_ROUND", 4)
         assert self.select(capfd, path, "3") == serial
         assert len(forked) == 5
         # chunk i of a round goes to its (i mod P)-th process

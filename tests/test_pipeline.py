@@ -266,8 +266,8 @@ def open_fds():
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 class TestSpill:
-    """A run from a path parses into a temporary file and closes it however
-    the run ends."""
+    """A run from a path parses into a temporary file, through a temporary
+    copy of each round of its text, and closes both however the run ends."""
 
     @pytest.fixture
     def opened(self, monkeypatch):
@@ -314,7 +314,8 @@ class TestSpill:
             with pytest.raises(MemoryError if isinstance(fails, str) else fails):
                 analyze(path, PipelineConfig(k=1))
         assert open_fds() == before
-        assert len(opened) == 1 and opened[0].closed
+        # the spill and the copy of pass 1's round of CSV text
+        assert len(opened) == 2 and all(file.closed for file in opened)
 
 
 def oracle_outcome(data, cfg, drop_incomplete_rows):
@@ -359,27 +360,40 @@ def oracle_outcome(data, cfg, drop_incomplete_rows):
     )
 
 
+# a set count and its centers, None for uniform ones: 2 to 12 sets, and in
+# one draw of ten up to MAX_SETS, whose centers are uniform
+SETS_AND_CENTERS = st.integers(min_value=0, max_value=9).flatmap(
+    lambda roll: st.tuples(st.integers(min_value=13, max_value=pipeline.MAX_SETS), st.none())
+    if roll == 9
+    else st.integers(min_value=2, max_value=12).flatmap(
+        lambda sets: st.tuples(
+            st.just(sets),
+            st.one_of(st.none(), st.lists(st.floats(0, 1), min_size=sets, max_size=sets).map(sorted)),
+        )
+    )
+)
+
+
 class TestDifferential:
     """``select`` in process against :func:`oracle_outcome`, its report
-    byte for byte, over tables, drop mode, ``--jobs``, block sizes, set
-    counts, centers, ``empty_activation_value`` and ``k`` or ``tau``."""
+    byte for byte, over tables, drop mode, ``--jobs``, block sizes, rounds
+    of pass 1, set counts, centers, ``empty_activation_value`` and ``k`` or
+    ``tau``."""
 
     @settings(max_examples=150, deadline=None)
     @given(
         csv_tables(),
         st.booleans(),
-        st.sampled_from(["1", "2"]),
+        st.sampled_from(["1", "2", "3"]),
         st.sampled_from([1, 2, 5, 13, ingest._SCORE_BLOCK]),
-        st.integers(min_value=2, max_value=12).flatmap(
-            lambda sets: st.tuples(
-                st.just(sets),
-                st.one_of(st.none(), st.lists(st.floats(0, 1), min_size=sets, max_size=sets).map(sorted)),
-            )
-        ),
+        st.sampled_from([1, 2, ingest._ROUND]),
+        SETS_AND_CENTERS,
         st.floats(0, 1),
         st.data(),
     )
-    def test_select_matches_the_oracle(self, tmp_path_factory, table, drop, jobs, block, shape, empty, data):
+    def test_select_matches_the_oracle(
+        self, tmp_path_factory, table, drop, jobs, block, round_size, shape, empty, data
+    ):
         features, target_at, target = table
         columns, names = list(features), [f"c{i}" for i in range(len(features))]
         if target_at is not None:
@@ -410,7 +424,9 @@ class TestDifferential:
             rule = ["--tau", repr(cfg.tau)]
         argv = ["select", str(directory / "data.csv"), "--sets", str(sets), *rule]
         argv += ["--config", str(directory / "run.cfg"), "--jobs", jobs] + ["--drop-incomplete-rows"] * drop
-        with mock.patch.object(ingest, "_SCORE_BLOCK", block), mock.patch.object(ingest, "usable_cpus", lambda: 2):
-            code, out, err = run_in_process(argv)
+        # up to three processes even on a machine with fewer CPUs
+        with mock.patch.object(ingest, "_SCORE_BLOCK", block), mock.patch.object(ingest, "usable_cpus", lambda: 3):
+            with mock.patch.object(ingest, "_ROUND", round_size):
+                code, out, err = run_in_process(argv)
         assert (code, err) == (0, "")
         assert out == render_report(oracle_outcome(text.encode(), cfg, drop), cfg)
