@@ -30,7 +30,6 @@ protect real secrets.
 
 from __future__ import annotations
 
-import functools
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -195,14 +194,11 @@ def decrypt(ciphertext: bytes, key: CipherKey) -> bytes:
     return bytes(_shifted(ciphertext, key, -1))
 
 
-@functools.cache
 def _descending_powers(count: int) -> np.ndarray:
-    """``powers[j] = TAG_MULTIPLIER ** (count - 1 - j) mod 2**64``, built
-    once per ``count`` in a process and read-only, as every caller shares it."""
+    """``powers[j] = TAG_MULTIPLIER ** (count - 1 - j) mod 2**64``."""
     powers = np.full(count, TAG_MULTIPLIER, dtype=np.uint64)
     powers[:1] = 1
     np.multiply.accumulate(powers, out=powers)  # uint64 arrays wrap silently
-    powers.flags.writeable = False
     return powers[::-1]
 
 
@@ -283,8 +279,9 @@ class TagFold:
     def __init__(self, key: CipherKey) -> None:
         self.tag = TAG_SEED
         self._key = _KeyStream(np.frombuffer(key.data, dtype=np.uint8))
-        # as long as the longest block _fold_block takes
-        self._powers = _descending_powers(BLOCK_BYTES)
+        # as long as the longest block folded so far, so a short message
+        # builds a short table
+        self._powers = _descending_powers(0)
 
     def update(self, part) -> None:
         """Fold in the bytes-like ``part`` in blocks of :data:`BLOCK_BYTES`,
@@ -292,6 +289,8 @@ class TagFold:
         data = np.frombuffer(_bytes_like(part), dtype=np.uint8)
         for start in range(0, len(data), BLOCK_BYTES):
             block = data[start : start + BLOCK_BYTES]
+            if len(block) > len(self._powers):
+                self._powers = _descending_powers(len(block))
             self.tag = _fold_block(self.tag, block, self._key.window(len(block)), self._powers)
 
 

@@ -178,11 +178,7 @@ def _merge_config(args: argparse.Namespace) -> PipelineConfig:
     if overrides.keys() & {"k", "tau"}:
         # a --k or --tau replaces the config file's selection rule
         overrides = {"k": None, "tau": None} | overrides
-    cfg = replace(cfg, **overrides).validated()
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be a positive integer, got {jobs!r}")
-    return cfg
+    return replace(cfg, **overrides).validated()
 
 
 def _load_key(mode: str) -> CipherKey:

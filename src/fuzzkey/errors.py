@@ -48,6 +48,6 @@ def naming_writes(name: str | None = None) -> Iterator[None]:
         if name is not None:
             exc.filename = name
             raise
-        # a new exception, whose message survives the pickling that brings
-        # a parsing process's error to its parent
+        # a new exception, as a file name would print in quotes, and this
+        # names a directory, not a file
         raise OSError(exc.errno, f"{exc.strerror}: a temporary file in {tempfile.gettempdir()}") from None

@@ -22,12 +22,14 @@ bytes per value, the target column last, at a fixed stride per chunk
 the text of up to ``_ROUND`` chunks at a time to a second unlinked
 temporary file, whatever ``jobs`` is.  It forks up to ``jobs`` processes
 per round, no more than the usable CPUs or the chunks, which each read
-every P-th chunk of the copy, parse it and write it to the file; a round
-of one share (``jobs`` 1, one CPU or one chunk) it parses itself, from
-the copy.  The first error in file order is still the one raised
-(:func:`_rounds`).  ``analyze`` reads the file back a block of columns at
-a time and rescales each block in place (:meth:`_Spill.normalized_blocks`),
-so a run never holds the n x F matrix.
+every P-th chunk of the copy, parse it, write it to the file and store
+its row count in a map shared with this process.  Then it parses, in file
+order, every chunk that no process did: each chunk of a round of one
+share (``jobs`` 1, one CPU or one chunk), and each process's chunks from
+the one it failed or died on.  So the first error in file order is the
+one raised, by this process (:func:`_rounds`).  ``analyze`` reads the file
+back a block of columns at a time and rescales each block in place
+(:meth:`_Spill.normalized_blocks`), so a run never holds the n x F matrix.
 """
 
 from __future__ import annotations
@@ -36,14 +38,15 @@ import codecs
 import io
 import itertools
 import math
+import mmap
 import os
-import pickle
 import re
 import sys
 import tempfile
 import warnings
 from collections import Counter
 from collections.abc import Callable, Iterator
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -229,92 +232,79 @@ def _pin(index: int) -> None:
         os.sched_setaffinity(0, {cpus[index % len(cpus)]})
 
 
-def _share(parse: Callable, fd: int, copied: list[tuple]) -> Iterator[tuple[int, int | Exception]]:
-    """``(index, row count)`` of each chunk of ``copied`` that ``parse``
-    reads, in order, up to ``(index, error)`` of the first it fails on.
-    Each chunk is ``(index, row number, byte offset, at, length)``, its text
-    ``length`` bytes of file descriptor ``fd`` from byte ``at``."""
-    for index, row_number, offset, at, length in copied:
-        try:
-            # split on \n only, as the input was read
-            lines = io.BytesIO(_read_at(fd, length, at)).readlines()
-            yield index, parse(index, row_number, offset, lines)
-        except Exception as exc:
-            yield index, exc
-            return
+def _parse_copied(
+    parse: Callable, fd: int, index: int, row_number: int, offset: int, at: int, length: int
+) -> int:
+    """``parse`` of chunk ``index``, whose first line is row ``row_number``
+    at byte ``offset`` of the input, and whose text is ``length`` bytes of
+    file descriptor ``fd`` from byte ``at``."""
+    # split on \n only, as the input was read
+    return parse(index, row_number, offset, io.BytesIO(_read_at(fd, length, at)).readlines())
 
 
 def _parse_round(parse: Callable, fd: int, copied: list[tuple], cap: int) -> list[int]:
-    """The row counts of the chunks of ``copied`` (see :func:`_share`).
+    """The row counts of the chunks of ``copied``, each the arguments of
+    :func:`_parse_copied` after ``fd``.
 
     With P = min(``cap``, chunks), share r is chunks r, r + P, ... in
     order.  When P is 2 or more, each share is parsed by a process forked
-    for it and kept on CPU r (:func:`_pin`), which stops at its first error,
-    pickles the result of each chunk to its own pipe as soon as it has it
-    and exits with ``os._exit``; it never writes to the standard streams it
-    inherited.  A lone share runs in this process, with no fork; so do the
-    share of a refused pipe or fork and the later ones, which are not tried
-    again in the round.  Raises the error of the lowest chunk index; a
-    process that ends before it replies for a chunk stands for an error at
-    that chunk.  Every process is reaped and every pipe closed, however the
-    round ends.
+    for it and kept on CPU r (:func:`_pin`), which stores the row count of
+    each chunk in a map it shares with this process, stops at its first
+    error and exits with ``os._exit``; it never writes to the standard
+    streams it inherited.  A refused fork is not tried again in the round.
+    Once every process is reaped, this process parses, in file order, each
+    chunk with no count: a chunk that a process failed on, died on or
+    never reached, which is every chunk of a lone share and of the shares
+    left without a process.  So the error raised is the first in file
+    order, and no error crosses from one process to another.  The map's
+    last word is set once the round ends, however it ends; a process reads
+    it, and whether its parent is still the one that forked it, before each
+    chunk, so it stops within a chunk of an interrupted or orphaned round.
+    Every process is reaped, however the round ends.
     """
-    shares = min(cap, len(copied))
-    forked: list[tuple[int, io.BufferedReader]] = []
+    shares, parent, forked = min(cap, len(copied)), os.getpid(), []
+    # anonymous and shared with the processes forked below; the last word,
+    # the end of the round, keeps a round of no chunks from an empty map
+    counts = np.frombuffer(mmap.mmap(-1, 8 * len(copied) + 8, flags=mmap.MAP_SHARED), dtype=np.int64)
+    counts[:-1] = -1  # no chunk is parsed yet
     try:
         for r in range(shares if shares > 1 else 0):
-            ends: tuple[int, ...] = ()  # none are open until os.pipe returns
             try:
-                reader, writer = ends = os.pipe()
                 pid = os.fork()
             except OSError:
-                for end in ends:
-                    os.close(end)
                 break
             if pid == 0:
                 try:
                     sys.stdout = sys.stderr = None  # a stray write is dropped
                     _pin(r)
-                    # only the parent reads the replies, so a write cannot wait on this process
-                    os.close(reader)
-                    with open(writer, "wb") as pipe:
-                        for result in _share(parse, fd, copied[r::shares]):
-                            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
-                            pipe.flush()
+                    for i in range(r, len(copied), shares):
+                        if counts[-1] or os.getppid() != parent:
+                            break
+                        counts[i] = _parse_copied(parse, fd, *copied[i])
                 finally:
                     os._exit(0)
-            os.close(writer)
-            forked.append((pid, open(reader, "rb")))
-        results = [
-            result for r in range(len(forked), shares) for result in _share(parse, fd, copied[r::shares])
-        ]
-        for r, (_, pipe) in enumerate(forked):
-            # a reply for each chunk up to the process's first error; the
-            # first missing one stands for an error at its chunk, which
-            # after a reply with an error is outranked by that error
-            for index, *_ in copied[r::shares]:
-                try:
-                    results.append(pickle.load(pipe))
-                except (EOFError, pickle.UnpicklingError):
-                    results.append((index, OSError("a CSV parsing process ended early")))
-                    break
-    finally:
-        for pid, pipe in forked:
-            pipe.close()
+            forked.append(pid)
+        for pid in forked:
             os.waitpid(pid, 0)
-    results.sort()  # by chunk index, as no two are equal
-    for _, result in results:
-        if isinstance(result, Exception):
-            raise result
-    return [count for _, count in results]
+        forked.clear()
+        for i, chunk in enumerate(copied):
+            if counts[i] < 0:
+                counts[i] = _parse_copied(parse, fd, *chunk)
+    finally:
+        counts[-1] = 1
+        for pid in forked:
+            # left by an interrupt, which may come after its wait returned
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    return counts[:-1].tolist()
 
 
 def _rounds(parse: Callable, chunks: Iterator[tuple], cap: int) -> list[int]:
     """``parse(*args)`` for each ``args`` of ``chunks``, in rounds of up to
     ``_ROUND`` chunks; the only driver of pass 1.  Each round writes the
     text of its chunks to one unlinked temporary file, from its start, and
-    then parses them in up to ``cap`` processes, or in this one when ``cap``
-    or the round's chunks are 1 (:func:`_parse_round`).  An error raised
+    then parses them in up to ``cap`` processes, and in this one whatever
+    no process parsed (:func:`_parse_round`).  An error raised
     while a round is read or copied is raised after the chunks copied
     before it are parsed, so an error in one of those comes first."""
     counts: list[int] = []
@@ -356,10 +346,11 @@ def _table(
     most one byte past the cap, plus a byte-order mark the cap does not
     count.  The chunks are parsed in rounds from a copy of each round's
     text (:func:`_rounds`), by up to ``jobs`` forked processes, no more
-    than the usable CPUs, or by this process alone when that is one or
-    ``os.fork`` is missing.  Each chunk is read by :func:`_loaded` or else
-    :func:`_parsed`, in file order, and written column by column, target
-    last (:func:`_columns`), to ``spill`` at its index times the stride.
+    than the usable CPUs, and by this process where no process parsed
+    them: all of them when that is one or ``os.fork`` is missing.  Each
+    chunk is read by :func:`_loaded` or else :func:`_parsed`, in file order,
+    and written column by column, target last (:func:`_columns`), to
+    ``spill`` at its index times the stride.
     """
     header = handle.readline(len(codecs.BOM_UTF8) + MAX_LINE_BYTES + 1)
     text = header.removeprefix(codecs.BOM_UTF8)

@@ -235,14 +235,20 @@ def analyze(
     between them: the first parses it a chunk of rows at a time, in rounds,
     and writes each chunk column by column.  Each round's text is copied to
     a second temporary file and parsed by up to ``jobs`` processes forked
-    for the round, no more than the usable CPUs, or by this process alone
-    when that is one.  The second pass reads back one block of
+    for the round, no more than the usable CPUs; this process parses each
+    chunk that no process did, every chunk when that is one, and a chunk
+    that a process failed or died on, so only an error that this process
+    meets too is raised.  The second pass reads back one block of
     columns at a time, rescales it in place and scores it with
     :func:`score_columns`.  So a run holds about one block and a few
     chunks, never the n x F matrix; the temporary files take 8 bytes per
     value and one round of the CSV text.  Whatever ``jobs`` is, the scores
-    and ranges are equal bit for bit.
+    and ranges are equal bit for bit.  A ``jobs`` that is not an ``int``,
+    is a ``bool`` or is below 1 raises :class:`ConfigurationError` before
+    any data is read.
     """
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise ConfigurationError(f"jobs must be a positive integer, got {jobs!r}")
     cfg = cfg.validated()
     # checks the set cap before any data is read
     defuzz = cfg.defuzz_config()

@@ -234,8 +234,8 @@ MUTANTS = [
     Mutant(
         "highest-index-error-wins",
         "src/fuzzkey/ingest.py",
-        "    for _, result in results:\n",
-        "    for _, result in results[::-1]:\n",
+        "        for i, chunk in enumerate(copied):\n",
+        "        for i, chunk in reversed(list(enumerate(copied))):\n",
         ["tests/test_cli.py::TestParsingProcesses::test_the_first_error_in_file_order_is_named"],
     ),
     Mutant(
@@ -248,23 +248,37 @@ MUTANTS = [
     Mutant(
         "refused-fork-share-dropped",
         "src/fuzzkey/ingest.py",
-        "for r in range(len(forked), shares)",
-        "for r in range(0)",
+        "            except OSError:\n                break\n",
+        "            except OSError:\n                counts[:-1] = 0\n                break\n",
         ["tests/test_ingest.py::TestParsingProcesses::test_a_failed_fork_leaves_the_parse_to_the_processes_running"],
     ),
     Mutant(
         "refused-fork-tried-again",
         "src/fuzzkey/ingest.py",
-        "                    os.close(end)\n                break\n",
-        "                    os.close(end)\n                continue\n",
+        "            except OSError:\n                break\n",
+        "            except OSError:\n                continue\n",
         ["tests/test_ingest.py::TestParsingProcesses::test_a_failed_fork_leaves_the_parse_to_the_processes_running"],
     ),
     Mutant(
         "replies-not-flushed",
         "src/fuzzkey/ingest.py",
-        "                            pipe.flush()\n",
+        "    counts[:-1] = -1  # no chunk is parsed yet\n",
         "",
         ["tests/test_cli.py::TestParsingProcesses::test_a_process_that_dies_is_blamed_at_the_chunk_it_died_on"],
+    ),
+    Mutant(
+        "counts-not-shared",
+        "src/fuzzkey/ingest.py",
+        "flags=mmap.MAP_SHARED",
+        "flags=mmap.MAP_PRIVATE",
+        ["tests/test_cli.py::TestParsingProcesses::test_processes_are_capped_by_cpus_and_chunks"],
+    ),
+    Mutant(
+        "round-end-ignored",
+        "src/fuzzkey/ingest.py",
+        "if counts[-1] or os.getppid() != parent:",
+        "if os.getppid() != parent:",
+        ["tests/test_cli.py::TestParsingProcesses::test_no_process_parses_a_chunk_once_its_round_has_ended"],
     ),
     Mutant(
         "affinity-ignored",

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tomllib
 import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -1726,7 +1727,7 @@ class TestParsingProcesses:
     """``select --jobs 2`` on twelve rows of three columns, parsed in chunks
     of two rows by forked processes, ends in the report that ``--jobs 1``
     writes, or in the one error line it writes; every process is reaped and
-    every pipe closed."""
+    every file closed."""
 
     ROWS = ["a,b,c"] + [f"{i},{-i},{i / 7!r}" for i in range(1, 13)]
 
@@ -1777,25 +1778,27 @@ class TestParsingProcesses:
         assert self.select(capfd, path, "1") == expected
         assert self.select(capfd, path, "2") == expected
 
-    @pytest.mark.parametrize(
-        "fate, message",
-        [("memory-error", "out of memory"), ("killed", "a CSV parsing process ended early")],
-    )
-    def test_a_failing_process_exits_3(self, tmp_path, capfd, monkeypatch, fate, message):
+    @pytest.mark.parametrize("fate", ["killed-in-a-child", "memory-error-in-a-child", "memory-error-everywhere"])
+    def test_a_failing_process_changes_nothing(self, tmp_path, capfd, monkeypatch, fate):
+        # on the chunk of rows 6 and 7; a chunk that a process failed or died
+        # on is parsed again by this one, where only a real error fails
         parent, loaded = os.getpid(), ingest._loaded
 
         def failing(chunk, *args):
-            # only ever in a forked process, and only on the chunk of rows 6 and 7
-            if os.getpid() != parent and chunk[0].startswith(b"5,"):
-                if fate == "killed":
+            if (fate.endswith("everywhere") or os.getpid() != parent) and chunk[0].startswith(b"5,"):
+                if fate.startswith("killed"):
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise MemoryError
             return loaded(chunk, *args)
 
         monkeypatch.setattr(ingest, "_loaded", failing)
         path = self.write(tmp_path)
-        assert self.select(capfd, path, "1")[0] == 0
-        assert self.select(capfd, path, "2") == (3, "", f"fuzzkey: {message}\n")
+        serial = self.select(capfd, path, "1")
+        if fate.endswith("everywhere"):
+            assert serial == (3, "", "fuzzkey: out of memory\n")
+        else:
+            assert serial[0] == 0 and serial[1].count("fuzzkey-report 1") == 1
+        assert self.select(capfd, path, "2") == serial
 
     def test_a_process_that_dies_is_blamed_at_the_chunk_it_died_on(self, tmp_path, capfd, monkeypatch):
         # of two processes, the first finds a bad cell in chunk 2 (rows 6
@@ -1839,6 +1842,43 @@ class TestParsingProcesses:
         monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(ingest, "_loaded", logging_loaded)
         return forked, parsed
+
+    def test_no_process_parses_a_chunk_once_its_round_has_ended(self, tmp_path, monkeypatch):
+        # the wait is interrupted once each process has parsed its first
+        # chunk, which it then holds until the round's finally has run: each
+        # parses no other chunk, and this process none
+        forked, parsed = self.logged(monkeypatch, tmp_path)
+        loaded, waitpid, log, ended = ingest._loaded, os.waitpid, tmp_path / "parsed.log", tmp_path / "ended"
+
+        def until(condition):
+            for _ in range(3000):
+                if condition():
+                    return
+                time.sleep(0.01)
+            raise TimeoutError
+
+        def held(chunk, *args):
+            table = loaded(chunk, *args)
+            until(ended.exists)
+            return table
+
+        waits = []
+
+        def interrupted(pid, options):
+            waits.append(pid)
+            if len(waits) == 1:
+                until(lambda: log.exists() and len(log.read_text().splitlines()) == 2)
+                raise KeyboardInterrupt
+            ended.touch()
+            return waitpid(pid, options)
+
+        monkeypatch.setattr(ingest, "_loaded", held)
+        monkeypatch.setattr(os, "waitpid", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            ingest._spill(self.write(tmp_path), False, 2)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        assert reaped()
+        assert parsed() == [(0, forked[0]), (1, forked[1])]
 
     @pytest.mark.parametrize(
         "cpus, rows, processes",
@@ -2009,7 +2049,7 @@ class TestProcessExit:
 # of two rows of three columns, in two processes at --jobs 2, and a child
 # process still there when main returns adds a line to stderr
 INTERRUPTED_RUN = """
-import os, pickle, signal, sys
+import os, signal, sys
 from fuzzkey import cli, ingest
 
 owner, name, signum = eval(sys.argv[1]), sys.argv[2], signal.Signals[sys.argv[3]]
@@ -2049,7 +2089,7 @@ class TestInterrupts:
 
     CASES = {
         "select-pass-1": ("ingest", "_loaded", ["select", "{csv}", "--jobs", "1", "--output", "{out}"]),
-        "select-waiting-for-replies": ("pickle", "load", ["select", "{csv}", "--jobs", "2", "--output", "{out}"]),
+        "select-waiting-for-replies": ("os", "waitpid", ["select", "{csv}", "--jobs", "2", "--output", "{out}"]),
         "encrypt-writing-the-temporary": ("cli._Named", "write", ["encrypt", "{payload}", "--output", "{out}"]),
         "encrypt-after-the-rename": ("os", "replace", ["encrypt", "{payload}", "--output", "{out}"]),
     }

@@ -857,22 +857,15 @@ class TestParsingProcesses:
 
     TABLE = "a,b,c\n" + "".join(f"{i},{-i},{i / 7!r}\n" for i in range(1, 13))
 
-    @pytest.mark.parametrize(
-        "forks, refused",
-        [(0, "fork"), (1, "fork"), (2, "fork"), (0, "pipe"), (1, "pipe"), (2, "pipe")],
-        ids=["none", "one", "two", "none-pipe", "one-pipe", "two-pipe"],
-    )
-    def test_a_failed_fork_leaves_the_parse_to_the_processes_running(self, tmp_path, monkeypatch, forks, refused):
-        fork, pipe, calls = os.fork, os.pipe, {"fork": [], "pipe": []}
+    @pytest.mark.parametrize("forks", [0, 1, 2], ids=["none", "one", "two"])
+    def test_a_failed_fork_leaves_the_parse_to_the_processes_running(self, tmp_path, monkeypatch, forks):
+        fork, calls = os.fork, []
 
-        def failing(name, real):
-            def call():
-                calls[name].append(len(calls[name]))
-                if name == refused and len(calls[name]) > forks:
-                    raise OSError(errno.EAGAIN if name == "fork" else errno.EMFILE, "refused")
-                return real()
-
-            return call
+        def failing():
+            calls.append(len(calls))
+            if len(calls) > forks:
+                raise OSError(errno.EAGAIN, "refused")
+            return fork()
 
         path = tmp_path / "data.csv"
         path.write_text(self.TABLE)
@@ -880,13 +873,10 @@ class TestParsingProcesses:
         monkeypatch.setattr(ingest, "usable_cpus", lambda: 3)
         serial = self.outcome(path, False, 1)
         fds = len(os.listdir("/proc/self/fd"))
-        monkeypatch.setattr(os, "fork", failing("fork", fork))
-        monkeypatch.setattr(os, "pipe", failing("pipe", pipe))
+        monkeypatch.setattr(os, "fork", failing)
         assert self.outcome(path, False, 3) == serial
-        # a refused pipe or fork is not tried again, and no fork follows a
-        # refused pipe; every pipe is closed
-        assert len(calls[refused]) == min(forks + 1, 3)
-        assert len(calls["fork"]) == (min(forks + 1, 3) if refused == "fork" else forks)
+        # a refused fork is not tried again; no file is left open
+        assert len(calls) == min(forks + 1, 3)
         assert len(os.listdir("/proc/self/fd")) == fds
         assert reaped()
 

@@ -191,6 +191,16 @@ class TestAnalyze:
             sums = [math.fsum(fuzzify(v, partition).degrees) for v in column]
             assert math.fsum(sums) / len(sums) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("jobs", [0, -3, 1.5, "2", True, False, None], ids=repr)
+    @pytest.mark.parametrize("exists", [True, False], ids=["file", "missing-file"])
+    def test_analyze_refuses_a_bad_jobs_value_before_any_read(self, csv_path, monkeypatch, jobs, exists):
+        # 1.5 and "2" used to reach the parse of a file of two chunks
+        monkeypatch.setattr(ingest, "_SCORE_BLOCK", 6)
+        path = csv_path if exists else csv_path.with_name("missing.csv")
+        message = f"jobs must be a positive integer, got {jobs!r}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            analyze(path, PipelineConfig(k=1), jobs=jobs)
+
     def test_bad_jobs_value(self, csv_path, tmp_path, capsysbinary, key_file):
         sealed = tmp_path / "sel.fzk"
         code = cli.main(["pipeline", str(csv_path), "--k", "1", "--jobs", "0", "--output", str(sealed)])
