@@ -27,9 +27,12 @@ its row count in a map shared with this process.  Then it parses, in file
 order, every chunk that no process did: each chunk of a round of one
 share (``jobs`` 1, one CPU or one chunk), and each process's chunks from
 the one it failed or died on.  So the first error in file order is the
-one raised, by this process (:func:`_rounds`).  ``analyze`` reads the file
-back a block of columns at a time and rescales each block in place
-(:meth:`_Spill.normalized_blocks`), so a run never holds the n x F matrix.
+one raised, by this process (:func:`_rounds`).  :func:`_spill` is a
+context manager whose ``with`` owns the first file; ``analyze`` reads it
+back inside that ``with``, a block of columns at a time, and rescales each
+block in place (:meth:`_Spill.normalized_blocks`), so a run holds about
+2^15 values per block, or one whole column past 2^15 rows.  One
+positional reader, :func:`_read_at`, reads both temporary files.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import tempfile
 import warnings
 from collections import Counter
 from collections.abc import Callable, Iterator
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +60,9 @@ _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]
 # a longer line, not counting its newline, is a data format error; reading
 # stops one byte past it, so an endless line such as /dev/zero ends too
 MAX_LINE_BYTES = 1 << 24
-# values per block: a parsed chunk of rows, a read-back block of columns and
-# a scoring block each hold about this many, so memory is bounded per block
+# values per block: a parsed chunk of rows and a scoring tile each hold about
+# this many, and so does a read-back block of columns, or one whole column
+# past this many rows
 _SCORE_BLOCK = 1 << 15
 # chunks per round of the parsing processes: the temporary copy holds the
 # text of at most this many, and an error is raised at most one round of
@@ -213,12 +217,13 @@ def _write_at(fd: int, data: bytes | np.ndarray, at: int) -> None:
 
 
 def _read_at(fd: int, length: int, at: int) -> bytes:
-    """``length`` bytes of file descriptor ``fd`` from byte ``at``."""
+    """``length`` bytes of file descriptor ``fd`` from byte ``at``: the
+    reader of the round's copy and of the spilled table."""
     data = b""
     while len(data) < length:
         part = os.pread(fd, length - len(data), at + len(data))
         if not part:
-            raise OSError("the temporary CSV copy ended early")
+            raise OSError("a temporary file ended early")
         data += part
     return data
 
@@ -379,41 +384,29 @@ def _table(
 
 
 class _Spill:
-    """A CSV file's table in an unlinked temporary file: chunks of rows, each
-    at its index times ``stride`` bytes, and written one column after another
-    in the order of :func:`_columns`.  A chunk with fewer rows than the
-    stride holds, as drop mode makes, leaves a hole before the next.  Any
-    set of adjacent columns of a chunk is one read, and :meth:`_read` is
-    the one reader."""
+    """A CSV file's table in an unlinked temporary file, open as descriptor
+    ``fd``: chunks of rows, each at its index times ``stride`` bytes, and
+    written one column after another in the order of :func:`_columns`.  A
+    chunk with fewer rows than the stride holds, as drop mode makes, leaves
+    a hole before the next.  Any set of adjacent columns of a chunk is one
+    read, by :func:`_read_at`, in :meth:`_read`."""
 
-    def __init__(self, names: list[str], file: io.BufferedRandom, counts: list[int], stride: int) -> None:
-        self._names, self._file, self._counts, self._stride = names, file, counts, stride
+    def __init__(self, names: list[str], fd: int, counts: list[int], stride: int) -> None:
+        self._names, self._fd, self._counts, self._stride = names, fd, counts, stride
         self.feature_names = tuple(name for name in names if name != TARGET_COLUMN)
         self.has_target = len(self.feature_names) < len(names)
         self.n_rows = sum(counts)
-
-    def __enter__(self) -> "_Spill":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._file.close()
 
     def _read(self, start: int, stop: int) -> np.ndarray:
         """Columns ``start`` to ``stop`` of every row, as one contiguous
         (stop - start) x n array: one read per chunk."""
         block, row = np.empty((stop - start, self.n_rows)), 0
         for index, count in enumerate(self._counts):
-            piece = np.empty((stop - start, count))
-            self._file.seek(index * self._stride + piece.itemsize * start * count)
-            if self._file.readinto(piece) != piece.nbytes:
-                raise OSError("the temporary table file ended early")
-            block[:, row : row + count] = piece
+            data = _read_at(self._fd, 8 * (stop - start) * count, index * self._stride + 8 * start * count)
+            # a chunk that drop mode emptied has no rows, which -1 cannot infer
+            block[:, row : row + count] = np.frombuffer(data).reshape(stop - start, count)
             row += count
         return block
-
-    def table(self) -> np.ndarray:
-        """The whole n x F table, one row per CSV data row."""
-        return self._read(0, len(self._names)).T
 
     def normalized_blocks(self) -> Iterator[tuple[np.ndarray, tuple[tuple[float, float], ...]]]:
         """Each block of ``max(1, _SCORE_BLOCK // n)`` features, min-max
@@ -427,17 +420,16 @@ class _Spill:
             yield block, _rescale(block.T)
 
 
-def _spill(path: str | Path, drop_incomplete_rows: bool, jobs: int = 1) -> _Spill:
-    """Parse a CSV file into a :class:`_Spill`, which the caller closes, in
-    up to ``jobs`` processes (see :func:`_table`)."""
-    with open(path, "rb") as handle:
-        file = tempfile.TemporaryFile()
-        try:
-            names, counts, stride = _table(path, handle, drop_incomplete_rows, file, jobs)
-        except BaseException:
-            file.close()
-            raise
-    return _Spill(names, file, counts, stride)
+@contextmanager
+def _spill(path: str | Path, drop_incomplete_rows: bool, jobs: int = 1) -> Iterator[_Spill]:
+    """Parse a CSV file into a :class:`_Spill` that lasts as long as the
+    ``with``, in up to ``jobs`` processes (see :func:`_table`).  The input
+    is opened before the temporary file and closed before the ``with``
+    body runs."""
+    with open(path, "rb") as handle, tempfile.TemporaryFile() as file:
+        names, counts, stride = _table(path, handle, drop_incomplete_rows, file, jobs)
+        handle.close()
+        yield _Spill(names, file.fileno(), counts, stride)
 
 
 def _column_extremes(rows: np.ndarray, reduce) -> np.ndarray:

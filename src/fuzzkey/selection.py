@@ -19,6 +19,7 @@ partition and rule base and stay the reference the kernel is tested against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -112,9 +113,12 @@ def score_columns(rows: np.ndarray | Sequence[Sequence[float]], defuzz: DefuzzCo
     raises first: fewer than 2 centers, no rows, then the first non-finite
     value in column order.
 
-    Columns run in blocks of at most ``_SCORE_BLOCK`` values, each copied
-    into a contiguous f x n array, so every step is a few numpy calls per
-    block whatever the number of columns or sets.
+    The centroids are taken a tile of at most ``_SCORE_BLOCK`` values at a
+    time, so every step is a few numpy calls per tile whatever the number
+    of columns or sets, and memory does not grow with n.  Up to that many
+    rows, a tile is a block of whole columns copied into a contiguous f x n
+    array; past it, a tile is a slice of rows of one column, and one
+    ``math.fsum`` takes the column's tiles in order, the same sum.
     """
     points = np.asarray(uniform_breakpoints(len(defuzz.centers)))
     x = np.asarray(rows, dtype=float)
@@ -127,8 +131,17 @@ def score_columns(rows: np.ndarray | Sequence[Sequence[float]], defuzz: DefuzzCo
         value = float(x[np.flatnonzero(~finite[:, j])[0], j])
         raise ContractViolationError(f"expected a finite value, got {value!r}")
 
+    if n > _SCORE_BLOCK:
+        # one sum over a column's tiles, each a slice of its rows, in order
+        return [
+            math.fsum(itertools.chain.from_iterable(
+                memoryview(_centroids(x[i : i + _SCORE_BLOCK, j], points, defuzz)) for i in range(0, n, _SCORE_BLOCK)
+            ))
+            / n
+            for j in range(n_features)
+        ]
     scores: list[float] = []
-    width = max(1, _SCORE_BLOCK // n)
+    width = _SCORE_BLOCK // n
     for start in range(0, n_features, width):
         block = np.ascontiguousarray(x[:, start : start + width].T)
         per_value = _centroids(block, points, defuzz)

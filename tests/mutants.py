@@ -316,6 +316,23 @@ MUTANTS = [
         ["tests/test_ingest.py::TestLoadTable::test_target_column_split"],
     ),
     Mutant(
+        "spill-read-from-chunk-start",
+        "src/fuzzkey/ingest.py",
+        "index * self._stride + 8 * start * count",
+        "index * self._stride",
+        ["tests/test_ingest.py::TestTwoPass::test_blocks_and_scores_match_load_table"],
+    ),
+    Mutant(
+        "tile-sums-rounded-per-tile",
+        "src/fuzzkey/selection.py",
+        "math.fsum(itertools.chain.from_iterable(",
+        "math.fsum(map(math.fsum, ",
+        [
+            "tests/test_selection.py::TestVectorizedKernel::test_columns_match_scalar_reference",
+            "tests/test_selection.py::TestVectorizedKernel::test_full_block_size_matches_scalar_reference",
+        ],
+    ),
+    Mutant(
         "whole-input-in-one-round",
         "src/fuzzkey/ingest.py",
         "itertools.islice(chunks, _ROUND)",

@@ -1875,10 +1875,39 @@ class TestParsingProcesses:
         monkeypatch.setattr(ingest, "_loaded", held)
         monkeypatch.setattr(os, "waitpid", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            ingest._spill(self.write(tmp_path), False, 2)
+            with ingest._spill(self.write(tmp_path), False, 2):
+                pass
         monkeypatch.setattr(os, "waitpid", waitpid)
         assert reaped()
         assert parsed() == [(0, forked[0]), (1, forked[1])]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("temporary", ["spill", "round-copy"])
+    def test_a_temporary_file_that_ends_early_exits_3(self, tmp_path, capfd, monkeypatch, temporary, jobs):
+        # one reader reads both temporary files, and its error names neither
+        if temporary == "spill":
+            table = ingest._table
+
+            def truncated(path, handle, drop, spill, jobs):
+                parsed = table(path, handle, drop, spill, jobs)
+                os.ftruncate(spill.fileno(), 0)
+                return parsed
+
+            monkeypatch.setattr(ingest, "_table", truncated)
+        else:
+            parse_round = ingest._parse_round
+
+            def truncated(parse, fd, copied, cap):
+                os.ftruncate(fd, 0)
+                return parse_round(parse, fd, copied, cap)
+
+            monkeypatch.setattr(ingest, "_parse_round", truncated)
+        temporaries = tmp_path / "tmp"
+        temporaries.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temporaries))
+        path = self.write(tmp_path)
+        assert self.select(capfd, path, jobs) == (3, "", "fuzzkey: a temporary file ended early\n")
+        assert os.listdir(temporaries) == [] and sorted(os.listdir(tmp_path)) == ["data.csv", "tmp"]
 
     @pytest.mark.parametrize(
         "cpus, rows, processes",

@@ -29,7 +29,7 @@ def read_table(path, drop_incomplete_rows=False):
     """Feature names, feature rows and target column (None without one) of
     the table pass 1 writes for ``path``, read back whole."""
     with ingest._spill(path, drop_incomplete_rows) as spill:
-        table = spill.table()
+        table = spill._read(0, len(spill._names)).T
     # the target column is the table's last
     target = table[:, -1] if spill.has_target else None
     return spill.feature_names, table[:, : len(spill.feature_names)], target
@@ -531,7 +531,7 @@ class TestStreaming:
         tracemalloc.start()
         try:
             with ingest._spill(path, False) as spill:
-                loaded = spill.table()
+                loaded = spill._read(0, len(spill._names)).T
             ingest._rescale(loaded[:, :-1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -606,7 +606,7 @@ class TestNormalize:
         # no block holds the target column, which reads back as written
         with ingest._spill(write(tmp_path, "a,target\n1,1\n2,0\n"), False) as spill:
             blocks = [block.tolist() for block, _ in spill.normalized_blocks()]
-            assert spill.has_target and spill.table()[:, -1].tolist() == [1.0, 0.0]
+            assert spill.has_target and spill._read(0, len(spill._names)).T[:, -1].tolist() == [1.0, 0.0]
         assert blocks == [[[0.0, 1.0]]]
 
     @settings(max_examples=300, deadline=None)
@@ -825,7 +825,7 @@ class TestParsingProcesses:
         """The names and table bytes of the file at ``path``, or its first error."""
         try:
             with ingest._spill(path, drop_incomplete_rows, jobs) as spill:
-                table = spill.table()
+                table = spill._read(0, len(spill._names)).T
         except DataFormatError as exc:
             return str(exc)
         return spill.feature_names, table.shape, table.tobytes()
