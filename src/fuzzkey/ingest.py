@@ -60,9 +60,9 @@ _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]
 # a longer line, not counting its newline, is a data format error; reading
 # stops one byte past it, so an endless line such as /dev/zero ends too
 MAX_LINE_BYTES = 1 << 24
-# values per block: a parsed chunk of rows and a scoring tile each hold about
-# this many, and so does a read-back block of columns, or one whole column
-# past this many rows
+# values per block: a parsed chunk of rows holds about this many, and so does
+# a read-back block of columns, or one whole column past this many rows;
+# scoring takes a block in smaller tiles (``selection._SCORE_TILE``)
 _SCORE_BLOCK = 1 << 15
 # chunks per round of the parsing processes: the temporary copy holds the
 # text of at most this many, and an error is raised at most one round of
@@ -189,24 +189,28 @@ def _parsed(
 
 
 def _chunks(handle: io.BufferedIOBase, size: int, row_number: int, offset: int) -> Iterator[tuple]:
-    """``(index, row number, byte offset, lines)`` of each chunk of at most
+    """``(index, row number, byte offset, text)`` of each chunk of at most
     ``size`` lines of ``handle``, the first of them row ``row_number`` at
-    byte ``offset``; a line that may be past the cap ends its chunk."""
+    byte ``offset``; a line that may be past the cap ends its chunk.  A
+    chunk's text is one ``bytearray`` of its lines, which this generator
+    lets go of before it reads the next chunk, so that the text is the
+    only copy of a chunk this process holds."""
     for index in itertools.count():
-        chunk = []
-        while len(chunk) < size and (line := handle.readline(MAX_LINE_BYTES + 1)):
-            chunk.append(line)
+        text, lines = bytearray(), 0
+        while lines < size and (line := handle.readline(MAX_LINE_BYTES + 1)):
+            text += line
+            lines += 1
             if len(line) > MAX_LINE_BYTES:
                 break
-        if not chunk:
+        if not lines:
             return
-        yield index, row_number, offset, chunk
-        row_number += len(chunk)
-        offset += sum(map(len, chunk))
+        yield index, row_number, offset, text
+        row_number += lines
+        offset += len(text)
 
 
-def _write_at(fd: int, data: bytes | np.ndarray, at: int) -> None:
-    """Write ``data``, bytes or a C-contiguous array, to file descriptor
+def _write_at(fd: int, data: bytes | bytearray | np.ndarray, at: int) -> None:
+    """Write ``data``, bytes-like or a C-contiguous array, to file descriptor
     ``fd`` from byte ``at``."""
     view = memoryview(data).cast("B")
     # every file written here is a temporary one
@@ -317,12 +321,11 @@ def _rounds(parse: Callable, chunks: Iterator[tuple], cap: int) -> list[int]:
         while True:
             copied, at = [], 0
             try:
-                for index, row_number, offset, chunk in itertools.islice(chunks, _ROUND):
-                    text = b"".join(chunk)
+                for index, row_number, offset, text in itertools.islice(chunks, _ROUND):
                     _write_at(copy.fileno(), text, at)
                     copied.append((index, row_number, offset, at, len(text)))
                     at += len(text)
-                    del chunk, text  # before the next chunk is read
+                    del text  # before the next chunk is read
             except Exception:
                 counts += _parse_round(parse, copy.fileno(), copied, cap)
                 raise

@@ -242,9 +242,10 @@ def analyze(
     columns at a time, rescales it in place and scores it with
     :func:`score_columns`.  So a run holds about one block and a few
     chunks: a block is about 2^15 values, or one whole column past 2^15
-    rows, which with one feature is the whole n x F matrix, and scoring
-    holds about 2^15 values at a time.  The temporary files take 8 bytes
-    per value and one round of the CSV text.  Whatever ``jobs`` is, the scores
+    rows, which with one feature is the whole n x F matrix; scoring holds
+    a few tiles of about 2^12 values, and the reading process holds one
+    copy of a chunk's text.  The temporary files take 8 bytes per value and
+    one round of the CSV text.  Whatever ``jobs`` is, the scores
     and ranges are equal bit for bit.  A ``jobs`` that is not an ``int``,
     is a ``bool`` or is below 1 raises :class:`ConfigurationError` before
     any data is read.

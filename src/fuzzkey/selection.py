@@ -8,8 +8,8 @@ Ranking is deterministic: scores descend, ties break on the lower feature
 id.
 
 :func:`score_columns` scores every column of a matrix with one numpy kernel,
-a block of columns at a time, under the uniform partition and identity
-rules, the only ones the pipeline builds.  At most two adjacent sets of
+a tile of about 2^12 values at a time, under the uniform partition and
+identity rules, the only ones the pipeline builds.  At most two adjacent sets of
 that strong (Ruspini) partition are active at any value, and the kernel
 evaluates only those.  Results are bit-identical to the public scalar
 functions (:func:`fuzzify`, :func:`evaluate_rules`,
@@ -36,7 +36,11 @@ from .fuzzy import (
     fuzzify,
     uniform_breakpoints,
 )
-from .ingest import _SCORE_BLOCK, _all_finite
+from .ingest import _all_finite
+
+# values per scoring tile: the kernel's five arrays of a tile take 160 KiB,
+# and a tile's work is large beside numpy's cost per call
+_SCORE_TILE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -81,27 +85,54 @@ def relevance_inference(
 
 
 def _centroids(x: np.ndarray, points: np.ndarray, defuzz: DefuzzConfig) -> np.ndarray:
-    """Defuzzified centroid of every value under the uniform partition.
+    """Defuzzified centroid of every value under the uniform partition, in
+    a new array; ``x`` is never written.
 
     Between ``points[j]`` and ``points[j + 1]`` only set ``j`` (falling) and
     set ``j + 1`` (rising) are active.  Each degree is the IEEE expression
     :func:`eval_membership` evaluates; the clamp into ``[points[0],
     points[-1]]`` gives the shoulder plateaus.  A two-term sum is one
     rounded addition, equal to ``math.fsum`` but for the sign of a zero,
-    which the mean's ``math.fsum`` drops.
+    which the mean's ``math.fsum`` drops.  The steps work in place in five
+    arrays of ``x``'s shape, the indices among them, with the operations,
+    in their order, of ``falling = (right - x) / width``, ``rising = (x -
+    left) / width`` and ``(c[j] * falling + c[j + 1] * rising) / (falling +
+    rising)``.
     """
-    x = np.minimum(np.maximum(x, points[0]), points[-1])
-    j = np.minimum(np.searchsorted(points, x, "right") - 1, len(points) - 2)
-    left, right = points[j], points[j + 1]
+    x = np.maximum(x, points[0])
+    np.minimum(x, points[-1], out=x)
+    j = np.searchsorted(points, x, "right")
+    j -= 1
+    np.minimum(j, len(points) - 2, out=j)
+    left, right = np.take(points, j), np.take(points[1:], j)
     width = right - left
-    falling = (right - x) / width
-    rising = (x - left) / width
+    falling = np.divide(np.subtract(right, x, out=right), width, out=right)
+    rising = np.divide(np.subtract(x, left, out=left), width, out=left)
     centers = np.asarray(defuzz.centers)
-    score = (centers[j] * falling + centers[j + 1] * rising) / (falling + rising)
+    # x and width are free from here on; j is in range, and "clip" spares
+    # the copy that take's default "raise" makes of an out=
+    score = np.multiply(np.take(centers, j, out=x, mode="clip"), falling, out=x)
+    score += np.multiply(np.take(centers[1:], j, out=width, mode="clip"), rising, out=width)
+    score /= np.add(falling, rising, out=width)
     # min(max(score, lo), hi) as Python evaluates it, signed zeros included
     lo, hi = defuzz.centers[0], defuzz.centers[-1]
-    score = np.where(lo > score, lo, score)
-    return np.where(hi < score, hi, score)
+    np.copyto(score, lo, where=lo > score)
+    np.copyto(score, hi, where=hi < score)
+    return score
+
+
+def _first_non_finite(x: np.ndarray) -> float:
+    """The first value of ``x`` in column order that is not finite, found
+    a tile at a time; ``x`` holds one."""
+    n, n_features = x.shape
+    width = max(1, _SCORE_TILE // n)
+    for start in range(0, n_features, width):
+        for i in range(0, n, _SCORE_TILE):
+            tile = x[i : i + _SCORE_TILE, start : start + width]
+            if not _all_finite(tile):
+                finite = np.isfinite(tile)
+                j = int(np.flatnonzero(~finite.all(axis=0))[0])
+                return float(tile[np.flatnonzero(~finite[:, j])[0], j])
 
 
 def score_columns(rows: np.ndarray | Sequence[Sequence[float]], defuzz: DefuzzConfig) -> list[float]:
@@ -111,14 +142,15 @@ def score_columns(rows: np.ndarray | Sequence[Sequence[float]], defuzz: DefuzzCo
     make_uniform_partition(S), None, defuzz)`` with S = ``len(defuzz.centers)``,
     and the error raised is the one a loop of that call over the columns
     raises first: fewer than 2 centers, no rows, then the first non-finite
-    value in column order.
+    value in column order.  ``rows`` is never written.
 
-    The centroids are taken a tile of at most ``_SCORE_BLOCK`` values at a
+    The centroids are taken a tile of at most ``_SCORE_TILE`` values at a
     time, so every step is a few numpy calls per tile whatever the number
-    of columns or sets, and memory does not grow with n.  Up to that many
-    rows, a tile is a block of whole columns copied into a contiguous f x n
-    array; past it, a tile is a slice of rows of one column, and one
-    ``math.fsum`` takes the column's tiles in order, the same sum.
+    of columns or sets, and memory is a few tiles whatever n and F are.  Up
+    to that many rows, a tile is a block of whole columns copied into a
+    contiguous f x n array; past it, a tile is a slice of rows of one
+    column, and one ``math.fsum`` takes the column's tiles in order, the
+    same sum.
     """
     points = np.asarray(uniform_breakpoints(len(defuzz.centers)))
     x = np.asarray(rows, dtype=float)
@@ -126,22 +158,19 @@ def score_columns(rows: np.ndarray | Sequence[Sequence[float]], defuzz: DefuzzCo
     if n == 0:
         raise ContractViolationError("relevance needs at least one instance value")
     if not _all_finite(x):
-        finite = np.isfinite(x)
-        j = int(np.flatnonzero(~finite.all(axis=0))[0])
-        value = float(x[np.flatnonzero(~finite[:, j])[0], j])
-        raise ContractViolationError(f"expected a finite value, got {value!r}")
+        raise ContractViolationError(f"expected a finite value, got {_first_non_finite(x)!r}")
 
-    if n > _SCORE_BLOCK:
+    if n > _SCORE_TILE:
         # one sum over a column's tiles, each a slice of its rows, in order
         return [
             math.fsum(itertools.chain.from_iterable(
-                memoryview(_centroids(x[i : i + _SCORE_BLOCK, j], points, defuzz)) for i in range(0, n, _SCORE_BLOCK)
+                memoryview(_centroids(x[i : i + _SCORE_TILE, j], points, defuzz)) for i in range(0, n, _SCORE_TILE)
             ))
             / n
             for j in range(n_features)
         ]
     scores: list[float] = []
-    width = _SCORE_BLOCK // n
+    width = _SCORE_TILE // n
     for start in range(0, n_features, width):
         block = np.ascontiguousarray(x[:, start : start + width].T)
         per_value = _centroids(block, points, defuzz)

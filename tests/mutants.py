@@ -333,6 +333,23 @@ MUTANTS = [
         ],
     ),
     Mutant(
+        "centroids-write-the-callers-rows",
+        "src/fuzzkey/selection.py",
+        "    x = np.maximum(x, points[0])\n",
+        "    x = np.maximum(x, points[0], out=x)\n",
+        ["tests/test_selection.py::TestVectorizedKernel::test_input_is_never_written"],
+    ),
+    Mutant(
+        "right-breakpoint-is-the-left",
+        "src/fuzzkey/selection.py",
+        "np.take(points[1:], j)",
+        "np.take(points, j)",
+        [
+            "tests/test_selection.py::TestVectorizedKernel::test_columns_match_scalar_reference",
+            "tests/test_selection.py::TestVectorizedKernel::test_full_block_size_matches_scalar_reference",
+        ],
+    ),
+    Mutant(
         "whole-input-in-one-round",
         "src/fuzzkey/ingest.py",
         "itertools.islice(chunks, _ROUND)",
@@ -342,8 +359,8 @@ MUTANTS = [
     Mutant(
         "cap-does-not-end-chunk",
         "src/fuzzkey/ingest.py",
-        "            chunk.append(line)\n            if len(line) > MAX_LINE_BYTES:\n                break\n",
-        "            chunk.append(line)\n",
+        "            lines += 1\n            if len(line) > MAX_LINE_BYTES:\n                break\n",
+        "            lines += 1\n",
         ["tests/test_cli.py::TestHostileCsv::test_line_at_and_past_the_cap[drop-mode-past-the-cap-before-a-row]"],
     ),
     Mutant(

@@ -905,3 +905,25 @@ class TestParsingProcesses:
         else:
             assert raised.value.errno == errno.EIO
         assert reaped()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_the_reading_process_holds_one_copy_of_a_chunk(self, tmp_path, monkeypatch):
+        # at jobs 2 the forked processes parse every chunk, so this process
+        # only reads, cuts and copies: it holds a chunk's text once, not as
+        # a list of lines and their join besides.  Five chunks of 16 384 rows
+        table = np.random.default_rng(3).standard_normal((70_000, 2))
+        lines = [",".join(map(repr, row)) + "\n" for row in table.tolist()]
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n" + "".join(lines))
+        size = ingest._SCORE_BLOCK // 2
+        largest = max(len("".join(lines[i : i + size])) for i in range(0, len(lines), size))
+        monkeypatch.setattr(ingest, "usable_cpus", lambda: 2)
+        tracemalloc.start()
+        try:
+            with ingest._spill(path, False, 2) as spill:
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spill.n_rows == len(lines)
+        assert peak <= 1.5 * largest + (256 << 10), (peak, largest)
+        assert reaped()

@@ -2,12 +2,13 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzkey import (
     ContractViolationError,
@@ -215,7 +216,7 @@ def scoring_cases(draw):
 
 @st.composite
 def matrix_cases(draw):
-    """An n x F matrix and a block size that n * F crosses, down to n > block."""
+    """An n x F matrix and a tile size that n * F crosses, down to n > tile."""
     defuzz, value = draw(uniform_setups())
     n = draw(st.integers(min_value=1, max_value=12))
     n_features = draw(st.integers(min_value=1, max_value=10))
@@ -298,17 +299,43 @@ class TestVectorizedKernel:
     @given(matrix_cases())
     def test_columns_match_scalar_reference(self, case):
         matrix, defuzz, block = case
-        with mock.patch.object(selection, "_SCORE_BLOCK", block):
+        with mock.patch.object(selection, "_SCORE_TILE", block):
             fast = score_columns(matrix, defuzz)
         assert len(fast) == matrix.shape[1]
         for j, score in enumerate(fast):
             assert_bitwise(score, reference(matrix[:, j].tolist(), defuzz))
 
+    @settings(max_examples=150, deadline=None)
+    @given(matrix_cases(), st.sampled_from(["contiguous", "transposed", "strided"]))
+    @example((np.array([[-1.0, 2.0], [0.5, -0.0]]), Y, 1), "contiguous")
+    @example((np.array([[-1.0, 2.0], [0.5, -0.0]]), Y, 4), "transposed")
+    @example((np.array([[-1.0, 2.0], [0.5, -0.0]]), Y, 1), "strided")
+    def test_input_is_never_written(self, case, layout):
+        # the kernel clamps and rescales in buffers of its own; the input's
+        # bytes, and for a strided view those between its values, stay
+        matrix, defuzz, block = case
+        n, n_features = matrix.shape
+        if layout == "contiguous":
+            base = rows = matrix.copy()
+        elif layout == "transposed":
+            base = matrix.T.copy()
+            rows = base.T
+        else:
+            base = np.full((2 * n, 3 * n_features), 7.0)
+            rows = base[1::2, ::3]
+            rows[...] = matrix
+        before = base.tobytes()
+        with mock.patch.object(selection, "_SCORE_TILE", block):
+            fast = score_columns(rows, defuzz)
+        assert base.tobytes() == before
+        for j, score in enumerate(fast):
+            assert_bitwise(score, reference(matrix[:, j].tolist(), defuzz))
+
     @pytest.mark.parametrize(
-        "shape", [(70, 470), (selection._SCORE_BLOCK + 3, 2)], ids=["two-blocks", "column-per-block"]
+        "shape", [(70, 470), (selection._SCORE_TILE + 3, 2)], ids=["two-blocks", "column-per-block"]
     )
     def test_full_block_size_matches_scalar_reference(self, shape):
-        # n * F crosses the real block size, or n alone exceeds it
+        # n * F crosses the real tile size, or n alone exceeds it
         defuzz = DefuzzConfig((0.0, 0.1, 0.3, 0.9, 1.0))
         matrix = np.random.default_rng(9).uniform(-0.05, 1.05, size=shape)
         fast = score_columns(matrix, defuzz)
@@ -333,9 +360,25 @@ class TestVectorizedKernel:
     def test_column_errors_match_the_column_loop(self, columns, defuzz):
         matrix = np.array(columns).T
         expected = scores_or_error(lambda: [reference(c, defuzz) for c in columns])
-        with mock.patch.object(selection, "_SCORE_BLOCK", 4):
+        with mock.patch.object(selection, "_SCORE_TILE", 4):
             got = scores_or_error(lambda: score_columns(matrix, defuzz))
         assert got == expected
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_a_non_finite_value_is_found_a_tile_at_a_time(self, order):
+        # the first in column order; a mask of the whole matrix would take
+        # 200 000 bytes
+        matrix = np.random.default_rng(4).uniform(size=(1000, 200))
+        matrix[999, 150], matrix[3, 199] = np.inf, np.nan
+        matrix = np.asarray(matrix, order=order)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractViolationError, match=r"^expected a finite value, got inf$"):
+                score_columns(matrix, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 10, peak
 
     @pytest.mark.parametrize(
         "defuzz", [Y, DefuzzConfig((0.0, 0.1, 0.3, 0.9, 1.0))], ids=["inference", "explicit"]
